@@ -1016,7 +1016,9 @@ int run_large_circuit_leg(std::string& json_out) {
     if (threads == 1) {
       campaign_s = seconds_since(t0);
       reference_json = report.to_json();
-      campaign_faults = engine::build_universe(ckt, spec.models).size();
+      campaign_faults =
+          engine::build_universe(ckt, spec.models, spec.sim.observe_iddq)
+              .size();
     } else {
       campaign_identical =
           campaign_identical && report.to_json() == reference_json;

@@ -101,7 +101,7 @@ struct CampaignSpec {
 /// logic-equivalent to a line stuck-at may be collapsed onto it.
 [[nodiscard]] std::vector<CampaignFault> build_universe(
     const logic::Circuit& ckt, const FaultModelSelection& models,
-    bool observe_iddq = false);
+    bool observe_iddq);
 
 /// Materializes the pattern set of one job.  `job_rng` is consumed only by
 /// the random source (fork it per job as the campaign does).

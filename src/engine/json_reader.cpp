@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 namespace cpsinw::engine {
 
@@ -186,12 +187,19 @@ JsonValue JsonParser::parse_string() {
   return v;
 }
 
+void JsonParser::open_container(char c) {
+  expect(c);
+  if (++depth_ > kMaxDepth)
+    fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+}
+
 JsonValue JsonParser::parse_array() {
-  expect('[');
+  open_container('[');
   JsonValue v;
   v.type = JsonValue::Type::kArray;
   if (peek() == ']') {
     ++pos_;
+    --depth_;
     return v;
   }
   while (true) {
@@ -201,15 +209,17 @@ JsonValue JsonParser::parse_array() {
     if (c == ']') break;
     if (c != ',') fail("expected ',' or ']'");
   }
+  --depth_;
   return v;
 }
 
 JsonValue JsonParser::parse_object() {
-  expect('{');
+  open_container('{');
   JsonValue v;
   v.type = JsonValue::Type::kObject;
   if (peek() == '}') {
     ++pos_;
+    --depth_;
     return v;
   }
   while (true) {
@@ -221,6 +231,7 @@ JsonValue JsonParser::parse_object() {
     if (c == '}') break;
     if (c != ',') fail("expected ',' or '}'");
   }
+  --depth_;
   return v;
 }
 

@@ -3,6 +3,8 @@
 // server stats responses, and the telemetry trace files the tests
 // validate.  Every malformed input becomes a std::runtime_error with a
 // byte offset, never UB — peers and workers are untrusted by design.
+// That includes nesting: containers deeper than JsonParser::kMaxDepth
+// are rejected, so recursion depth is bounded for any frame size.
 //
 // This is deliberately not a general JSON library: no surrogate pairs,
 // numbers decode to double (64-bit integers travel as decimal strings in
@@ -49,6 +51,11 @@ struct JsonValue {
 
 class JsonParser {
  public:
+  /// Deepest array/object nesting accepted.  The reader recurses once per
+  /// level, so without a bound one hostile frame (1 MiB of '[') overflows
+  /// the stack; every cpsinw writer nests fewer than 10 levels.
+  static constexpr int kMaxDepth = 64;
+
   explicit JsonParser(const std::string& text) : text_(text) {}
 
   /// Parses the whole input as one value (trailing bytes are an error).
@@ -66,9 +73,13 @@ class JsonParser {
   JsonValue parse_string();
   JsonValue parse_array();
   JsonValue parse_object();
+  /// Consumes the container's opening byte and enters one nesting level.
+  /// @throws std::runtime_error past kMaxDepth
+  void open_container(char c);
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< containers currently open
 };
 
 /// Convenience one-shot: parse `text` or throw.

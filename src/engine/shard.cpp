@@ -193,6 +193,14 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     reg.counter("engine.batch_groups").add(batch_stats.groups);
     reg.counter("engine.batch_width").add(batch_stats.lane_slots);
     reg.counter("engine.faults_cpt").add(batch_stats.cpt_faults);
+    // Transistor faults by evaluation path: a nonzero serial count on a
+    // packed (fully specified) pattern set would be a silent fallback.
+    reg.counter("engine.faults_transistor_binary")
+        .add(batch_stats.transistor_binary);
+    reg.counter("engine.faults_transistor_retained")
+        .add(batch_stats.transistor_retained);
+    reg.counter("engine.faults_transistor_serial")
+        .add(batch_stats.transistor_serial);
     auto& fill_hist = reg.histogram("shard.batch_fill");
     for (std::size_t k = 0; k < batch_stats.fill.size(); ++k) {
       const double encoded_s = static_cast<double>(1ull << k) * 1e-6;

@@ -12,6 +12,70 @@ namespace cpsinw::faults {
 using logic::LogicV;
 using logic::Pattern;
 
+namespace {
+
+/// Strip widths of the strip-mined fault walks, in pattern words: the
+/// first strip is narrow (an early exit usually lands there), survivors
+/// widen.
+constexpr std::size_t kFirstStrip = logic::CompiledCircuit::kSimdWords;
+constexpr std::size_t kWideStrip = 4 * logic::CompiledCircuit::kSimdWords;
+
+/// Folds the per-word outputs of the transistor plane kernels, strip by
+/// strip in pattern order, into a DetectionRecord under the serial path's
+/// rules: first_pattern is the first counted hit (a PO flip, or an IDDQ
+/// excitation when observed), and in first-only mode the word holding it
+/// counts only up to and including the hit bit, for every flag — exactly
+/// the prefix the serial path sees before its break.
+struct WordFold {
+  bool observe_iddq;
+  bool first_only;
+  int first_pattern = -1;
+  std::uint64_t any_d = 0;
+  std::uint64_t any_p = 0;
+  std::uint64_t any_c = 0;
+
+  /// Folds words [w0, w0 + nw) (the kernel outputs are indexed from w0;
+  /// `potential` may be null).  @returns true once a first-only run has
+  /// folded its hit: no later word may count.
+  bool fold(std::size_t w0, std::size_t nw, const std::uint64_t* detect,
+            const std::uint64_t* potential, const std::uint64_t* contention,
+            const std::uint64_t* active) {
+    for (std::size_t w = 0; w < nw; ++w) {
+      const std::uint64_t act = active[w0 + w];
+      const std::uint64_t d = detect[w] & act;
+      const std::uint64_t p = potential != nullptr ? potential[w] & act : 0;
+      const std::uint64_t c = contention[w] & act;
+      const std::uint64_t hit = d | (observe_iddq ? c : 0);
+      if (first_pattern < 0 && hit != 0) {
+        const int b = __builtin_ctzll(hit);
+        first_pattern = static_cast<int>((w0 + w) * 64) + b;
+        if (first_only) {
+          const std::uint64_t mask = b == 63 ? ~0ull : ((1ull << (b + 1)) - 1);
+          any_d |= d & mask;
+          any_p |= p & mask;
+          any_c |= c & mask;
+          return true;
+        }
+      }
+      any_d |= d;
+      any_p |= p;
+      any_c |= c;
+    }
+    return false;
+  }
+
+  [[nodiscard]] DetectionRecord record() const {
+    DetectionRecord rec;
+    rec.detected_output = any_d != 0;
+    rec.detected_iddq = observe_iddq && any_c != 0;
+    rec.potential = any_p != 0;
+    rec.first_pattern = first_pattern;
+    return rec;
+  }
+};
+
+}  // namespace
+
 bool work_reduction_default() {
   static const bool on = [] {
     const char* env = std::getenv("CPSINW_WORK_REDUCTION");
@@ -147,15 +211,16 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
     }
   }
 
-  // --- Transistor faults: packed table-driven batches when the dictionary
-  // allows it, retained-state serial simulation otherwise.  One scratch set
-  // serves the whole range (the plane kernel's epoch bookkeeping persists
-  // across faults, so reuse also skips its per-call re-zeroing). -----------
+  // --- Transistor faults: the binary or the retained-state plane kernel
+  // on packed contexts, serial simulation on X-bearing ones.  One scratch
+  // set serves the whole range (the kernels' cone cache persists across
+  // faults, so reuse also skips its per-call re-zeroing). ------------------
   TransistorScratch scratch;
   for (std::size_t fi = begin; fi < end; ++fi) {
     const Fault& f = faults[fi];
     if (f.site != FaultSite::kGateTransistor) continue;
-    records[fi - begin] = simulate_transistor_scratch(ctx, f, options, scratch);
+    records[fi - begin] =
+        simulate_transistor_scratch(ctx, f, options, scratch, stats);
   }
   return records;
 }
@@ -288,8 +353,6 @@ void FaultSimulator::run_line_faults_batched(
   // so the expensive full-width walks only ever see the hard tail.
   // Strips start on kSimdWords boundaries, which keeps the plane pointer
   // offsets aligned with the padded row stride. ----------------------------
-  constexpr std::size_t kFirstStrip = CompiledCircuit::kSimdWords;
-  constexpr std::size_t kWideStrip = 4 * CompiledCircuit::kSimdWords;
   std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * kWideStrip);
   std::vector<std::uint32_t> live(entries.size());
   for (std::size_t i = 0; i < live.size(); ++i)
@@ -430,7 +493,8 @@ DetectionRecord FaultSimulator::simulate_transistor_fault(
 
 DetectionRecord FaultSimulator::simulate_transistor_scratch(
     const EvalContext& ctx, const Fault& fault,
-    const FaultSimOptions& options, TransistorScratch& scratch) const {
+    const FaultSimOptions& options, TransistorScratch& scratch,
+    LineBatchStats* stats) const {
   check_context(ctx);
   if (fault.site != FaultSite::kGateTransistor)
     throw std::invalid_argument("simulate_transistor_fault: wrong site");
@@ -458,11 +522,19 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   const gates::FaultAnalysis& fa = *fap;
 
   // Purely binary dictionaries (no floating rows to retain, no X rows to
-  // propagate) behave as a combinational table substitution: 64 patterns
-  // per pass.  Floating/marginal faults keep the retained-state serial
-  // path that two-pattern stuck-open detection relies on.
-  if (options.batch_transistor_faults && ctx.packed() && fa.compiled_binary)
-    return simulate_transistor_packed(ctx, fault, fa, options, scratch);
+  // propagate) behave as a combinational table substitution; floating and
+  // marginal rows take the dual-rail kernel, which threads retention along
+  // the pattern axis.  Both need packed patterns: X-bearing sets keep the
+  // serial walk.
+  if (options.batch_transistor_faults && ctx.packed()) {
+    if (fa.compiled_binary) {
+      if (stats != nullptr) ++stats->transistor_binary;
+      return simulate_transistor_packed(ctx, fault, fa, options, scratch);
+    }
+    if (stats != nullptr) ++stats->transistor_retained;
+    return simulate_transistor_retained(ctx, fault, fa, options, scratch);
+  }
+  if (stats != nullptr) ++stats->transistor_serial;
   return simulate_transistor_serial(ctx, fault, fa, options);
 }
 
@@ -563,15 +635,11 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   // resolved (diff seen, or no kWrongValue row exists) AND IDDQ side
   // resolved (contention seen, not observed, or no contending row) — so
   // the record is bit-identical to the full pass above.  In first-only
-  // mode the walk stops at the word holding the first counted detection,
-  // with that word's contributions masked to patterns at or before the
-  // hit bit: exactly the prefix the serial path sees before its break. ----
-  constexpr std::size_t kFirstStrip = logic::CompiledCircuit::kSimdWords;
-  constexpr std::size_t kWideStrip = 4 * logic::CompiledCircuit::kSimdWords;
+  // mode the walk stops at the word holding the first counted detection
+  // (see WordFold). ---------------------------------------------------------
   diff.resize(kWideStrip);
   contention.resize(kWideStrip);
-  std::uint64_t any_d = 0;
-  std::uint64_t any_c = 0;
+  WordFold fold{options.observe_iddq, first_only};
   std::size_t w0 = 0;
   std::size_t strip = kFirstStrip;
   while (w0 < n_words) {
@@ -580,35 +648,63 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
     cc.eval_packed_faulty_planes(ctx.good_planes() + w0, ctx.plane_stride(),
                                  nw, fault.gate, fa, diff.data(),
                                  contention.data(), scratch.lanes);
-    for (std::size_t w = 0; w < nw; ++w) {
-      const std::uint64_t d = diff[w] & active[w0 + w];
-      const std::uint64_t c = contention[w] & active[w0 + w];
-      const std::uint64_t hit = d | (options.observe_iddq ? c : 0);
-      if (rec.first_pattern < 0 && hit != 0) {
-        const int b = __builtin_ctzll(hit);
-        rec.first_pattern = static_cast<int>((w0 + w) * 64) + b;
-        if (first_only) {
-          const std::uint64_t mask = b == 63 ? ~0ull : ((1ull << (b + 1)) - 1);
-          any_d |= d & mask;
-          any_c |= c & mask;
-          break;
-        }
-      }
-      any_d |= d;
-      any_c |= c;
-    }
-    if (first_only && rec.first_pattern >= 0) break;
+    if (fold.fold(w0, nw, diff.data(), nullptr, contention.data(), active))
+      break;
     w0 += nw;
     if (!first_only) {
-      const bool out_final = any_d != 0 || !fa.output_detectable;
+      const bool out_final = fold.any_d != 0 || !fa.output_detectable;
       const bool iddq_final =
-          !options.observe_iddq || any_c != 0 || !fa.iddq_detectable;
+          !options.observe_iddq || fold.any_c != 0 || !fa.iddq_detectable;
       if (out_final && iddq_final) break;
     }
   }
-  rec.detected_output = any_d != 0;
-  rec.detected_iddq = options.observe_iddq && any_c != 0;
-  return rec;
+  return fold.record();
+}
+
+DetectionRecord FaultSimulator::simulate_transistor_retained(
+    const EvalContext& ctx, const Fault& fault,
+    const gates::FaultAnalysis& fa, const FaultSimOptions& options,
+    TransistorScratch& scratch) const {
+  // The dual-rail kernel reproduces the serial walk pattern for pattern;
+  // the carry threads the faulted output's retained charge from each strip
+  // into the next.  With dropping on, a full-mode walk stops once every
+  // observable is settled: a PO flip (impossible without a wrong-value
+  // row unless a floating row can retain a stale value), an X at a PO
+  // (always possible: every such dictionary has a marginal or a floating
+  // row, and floating reads X before pattern 0), and an observed IDDQ
+  // excitation (impossible without a contending row).
+  const logic::CompiledCircuit& cc = sim_.compiled();
+  const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
+  const bool retain = options.sequential_patterns;
+  const bool out_possible =
+      fa.output_detectable || (fa.needs_sequence && retain);
+  const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
+  const std::size_t n_words = ctx.word_count();
+  scratch.diff.resize(kWideStrip);
+  scratch.potential.resize(kWideStrip);
+  scratch.contention.resize(kWideStrip);
+  logic::CompiledCircuit::RetainedCarry carry;
+  WordFold fold{options.observe_iddq, first_only};
+  std::size_t w0 = 0;
+  std::size_t strip =
+      options.drop_detected || first_only ? kFirstStrip : kWideStrip;
+  while (w0 < n_words) {
+    const std::size_t nw = std::min(strip, n_words - w0);
+    strip = kWideStrip;
+    cc.eval_packed_retained_planes(
+        ctx.good_planes() + w0, ctx.plane_stride(), nw, fault.gate, fa,
+        retain, carry, scratch.diff.data(), scratch.potential.data(),
+        scratch.contention.data(), scratch.lanes, scratch.x_lanes);
+    if (fold.fold(w0, nw, scratch.diff.data(), scratch.potential.data(),
+                  scratch.contention.data(), ctx.active_words().data()))
+      break;
+    w0 += nw;
+    if (options.drop_detected && !first_only &&
+        (fold.any_d != 0 || !out_possible) && fold.any_p != 0 &&
+        (fold.any_c != 0 || !iddq_possible))
+      break;
+  }
+  return fold.record();
 }
 
 bool FaultSimulator::stuck_open_detected(const Fault& fault,

@@ -1,9 +1,11 @@
 // Fault simulation: 64-pattern-parallel for line stuck-at faults and for
-// transistor faults whose dictionaries are purely binary (no floating or
-// marginal rows), serial dictionary-based for the rest (with
-// floating-output retention across pattern sequences, which is what
-// two-pattern stuck-open tests rely on), and IDDQ observation for the
-// paper's polarity faults.
+// every transistor fault on fully specified pattern sets — a binary plane
+// kernel for purely binary dictionaries, and a dual-rail (value + X) plane
+// kernel for dictionaries with floating or marginal rows, which threads
+// floating-output retention along the pattern axis (what two-pattern
+// stuck-open tests rely on).  X-bearing pattern sets take the serial
+// dictionary-based walk.  IDDQ observation covers the paper's polarity
+// faults.
 //
 // All fault-independent work (pattern packing, the good machine, the
 // switch-level dictionaries) lives in a faults::EvalContext built once per
@@ -66,10 +68,11 @@ struct FaultSimOptions {
   /// Thread net state across consecutive patterns so floating outputs
   /// retain charge (enables two-pattern stuck-open detection).
   bool sequential_patterns = true;
-  /// Evaluate transistor faults with purely binary dictionaries (no
-  /// floating/marginal rows) 64 patterns at a time via their faulty-logic
-  /// tables.  Bit-identical to the serial path — the switch exists so the
-  /// golden-equivalence tests can compare both.
+  /// Evaluate transistor faults on packed contexts with the plane kernels
+  /// (64 patterns per word): purely binary dictionaries via their
+  /// faulty-logic tables, dictionaries with floating/marginal rows via the
+  /// dual-rail retained-state kernel.  Bit-identical to the serial path —
+  /// the switch exists so the golden-equivalence tests can compare both.
   bool batch_transistor_faults = true;
   /// Evaluate line faults in groups of CompiledCircuit::kBatchLanes
   /// through the multi-fault batch kernel (one forward walk shared by the
@@ -100,10 +103,12 @@ struct FaultSimOptions {
   DetectionMode detection_mode = DetectionMode::kFull;
 };
 
-/// Occupancy accounting for the batched line-fault kernel, filled by
-/// run_range when a caller passes a sink (the engine shard loop feeds
-/// these into the `engine.faults_batched` / `engine.batch_width` counters
-/// and the `shard.batch_fill` histogram).
+/// Occupancy accounting for the batched line-fault kernel plus the
+/// per-path transistor counts, filled by run_range when a caller passes a
+/// sink (the engine shard loop feeds these into the
+/// `engine.faults_batched` / `engine.batch_width` /
+/// `engine.faults_transistor_*` counters and the `shard.batch_fill`
+/// histogram).
 struct LineBatchStats {
   std::size_t faults = 0;      ///< line faults handled (counted once each)
   std::size_t groups = 0;      ///< kernel invocations (strips re-group, so a
@@ -117,6 +122,11 @@ struct LineBatchStats {
   std::size_t cpt_faults = 0;
   /// fill[k]: kernel invocations that carried k+1 faults.
   std::array<std::size_t, logic::CompiledCircuit::kBatchLanes> fill{};
+  /// Transistor faults by evaluation path: the binary plane kernel, the
+  /// retained-state (dual-rail) plane kernel, and the serial walk.
+  std::size_t transistor_binary = 0;
+  std::size_t transistor_retained = 0;
+  std::size_t transistor_serial = 0;
 
   void merge(const LineBatchStats& o) {
     faults += o.faults;
@@ -125,6 +135,9 @@ struct LineBatchStats {
     words += o.words;
     cpt_faults += o.cpt_faults;
     for (std::size_t k = 0; k < fill.size(); ++k) fill[k] += o.fill[k];
+    transistor_binary += o.transistor_binary;
+    transistor_retained += o.transistor_retained;
+    transistor_serial += o.transistor_serial;
   }
 };
 
@@ -178,8 +191,8 @@ class FaultSimulator {
   /// Context-based range hook: what campaign shards actually execute.  All
   /// shards of a job share one EvalContext instead of re-packing patterns
   /// and re-simulating the good machine per shard.  When `stats` is
-  /// non-null and the batched line path runs, its occupancy accounting is
-  /// merged in.
+  /// non-null, the batched line path's occupancy accounting and the
+  /// per-path transistor counts are merged in.
   [[nodiscard]] std::vector<DetectionRecord> run_range(
       const EvalContext& ctx, const std::vector<Fault>& faults,
       std::size_t begin, std::size_t end, const FaultSimOptions& options = {},
@@ -201,8 +214,8 @@ class FaultSimulator {
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
 
-  /// Context-based variant: shares the precomputed good machine; takes the
-  /// packed 64-pattern path when the fault's dictionary allows it.
+  /// Context-based variant: shares the precomputed good machine; takes a
+  /// plane kernel whenever the context is packed.
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options = {}) const;
@@ -239,14 +252,17 @@ class FaultSimulator {
                                std::vector<DetectionRecord>& records,
                                LineBatchStats* stats) const;
 
-  /// Scratch buffers for the packed transistor path, hoisted by run_range
-  /// so a whole fault range shares one set of allocations (the plane
-  /// kernel's epoch bookkeeping lives in `lanes` and persists across
-  /// faults, so reuse also skips its per-call re-zeroing).
+  /// Scratch buffers for the transistor plane kernels, hoisted by
+  /// run_range so a whole fault range shares one set of allocations.  Both
+  /// kernels keep their cone cache in `lanes` with one layout, so binary
+  /// and retained faults of one gate interleaving in fault-list order keep
+  /// the cache (and skip the re-zeroing).
   struct TransistorScratch {
     std::vector<std::uint64_t> diff;
+    std::vector<std::uint64_t> potential;
     std::vector<std::uint64_t> contention;
     std::vector<std::uint64_t> lanes;
+    std::vector<std::uint64_t> x_lanes;  ///< X planes of the retained kernel
     /// Direct-index memo over (cell kind, transistor, fault kind) for the
     /// context's dictionary lookups: DictionaryCache::lookup takes a
     /// mutex and walks a std::map, which dominated the per-fault cost of
@@ -256,12 +272,18 @@ class FaultSimulator {
   };
 
   /// Dispatching body of simulate_transistor_fault with caller-owned
-  /// scratch (the public overload wraps it with a local set).
+  /// scratch (the public overload wraps it with a local set): packed +
+  /// binary dictionary -> simulate_transistor_packed, packed + floating or
+  /// marginal rows -> simulate_transistor_retained, X-bearing patterns or
+  /// batch_transistor_faults off -> simulate_transistor_serial.  Counts
+  /// the path taken into `stats` when non-null.
   [[nodiscard]] DetectionRecord simulate_transistor_scratch(
       const EvalContext& ctx, const Fault& fault,
-      const FaultSimOptions& options, TransistorScratch& scratch) const;
+      const FaultSimOptions& options, TransistorScratch& scratch,
+      LineBatchStats* stats = nullptr) const;
 
-  /// Serial retained-state transistor path over the context's patterns.
+  /// Serial retained-state transistor path over the context's patterns:
+  /// the fallback for X-bearing pattern sets and the plane kernels' oracle.
   [[nodiscard]] DetectionRecord simulate_transistor_serial(
       const EvalContext& ctx, const Fault& fault,
       const gates::FaultAnalysis& fa, const FaultSimOptions& options) const;
@@ -269,6 +291,13 @@ class FaultSimulator {
   /// Packed transistor path: valid only for dictionaries with all-binary,
   /// non-floating rows (checked by the caller).
   [[nodiscard]] DetectionRecord simulate_transistor_packed(
+      const EvalContext& ctx, const Fault& fault,
+      const gates::FaultAnalysis& fa, const FaultSimOptions& options,
+      TransistorScratch& scratch) const;
+
+  /// Packed retained-state path: dictionaries with floating and/or
+  /// marginal rows on packed contexts, through the dual-rail plane kernel.
+  [[nodiscard]] DetectionRecord simulate_transistor_retained(
       const EvalContext& ctx, const Fault& fault,
       const gates::FaultAnalysis& fa, const FaultSimOptions& options,
       TransistorScratch& scratch) const;

@@ -346,4 +346,36 @@ void CompiledCircuit::eval_packed_faulty_planes(
                                                 contention, lane_scratch);
 }
 
+void CompiledCircuit::eval_packed_retained_planes(
+    const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
+    int fault_gate, const gates::FaultAnalysis& fa, bool retain,
+    RetainedCarry& carry, std::uint64_t* detect, std::uint64_t* potential,
+    std::uint64_t* contention, std::vector<std::uint64_t>& lane_scratch,
+    std::vector<std::uint64_t>& x_scratch) const {
+  assert(!fa.compiled_binary);
+  assert(n_words <= stride);
+  if (n_words == 0) return;
+#if defined(CPSINW_SIMD_AVX512)
+  if (simd::active_backend() == simd::Backend::kAvx512)
+    return kernels::eval_retained_planes_avx512(
+        *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
+        detect, potential, contention, lane_scratch, x_scratch);
+#endif
+#if defined(CPSINW_SIMD_AVX2)
+  if (simd::active_backend() == simd::Backend::kAvx2)
+    return kernels::eval_retained_planes_avx2(
+        *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
+        detect, potential, contention, lane_scratch, x_scratch);
+#endif
+#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
+  if (simd::active_backend() == simd::Backend::kNeon)
+    return kernels::eval_retained_planes_t<kernels::U64x2x2>(
+        *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
+        detect, potential, contention, lane_scratch, x_scratch);
+#endif
+  kernels::eval_retained_planes_t<kernels::U64x4>(
+      *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
+      detect, potential, contention, lane_scratch, x_scratch);
+}
+
 }  // namespace cpsinw::logic

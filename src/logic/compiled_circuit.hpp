@@ -141,8 +141,10 @@ class CompiledCircuit {
   // from plane_stride(): padded to a multiple of kSimdWords so the group
   // kernels have no tail loop (padding words are computed but never read —
   // callers mask by their active words).  Packed contexts are binary-only
-  // (EvalContext falls back to scalar on any X), so there is one value
-  // plane per net and no X plane.
+  // (EvalContext falls back to scalar on any X), so the good machine is one
+  // value plane per net.  X appears only inside a faulted cone: the
+  // retained-state kernel carries it as a second, dual-rail X plane in its
+  // own lane scratch (value = 0 wherever X = 1).
 
   /// Pattern words processed per SIMD step (4 x 64 = 256 patterns).
   static constexpr std::size_t kSimdWords = 4;
@@ -204,6 +206,38 @@ class CompiledCircuit {
                                  std::uint64_t* diff, std::uint64_t* contention,
                                  std::vector<std::uint64_t>& lane_scratch)
       const;
+
+  /// Faulted-output state threaded along the pattern axis between
+  /// eval_packed_retained_planes calls: the (value, X) of the last pattern
+  /// already evaluated.  The default, X, is the state before pattern 0.
+  struct RetainedCarry {
+    bool value = false;
+    bool x = true;
+  };
+
+  /// Plane-wide kernel for transistor faults whose dictionary is not
+  /// compiled_binary (floating and/or marginal rows), bit-identical per
+  /// pattern to eval_scalar_faulty threaded with previous_state.  The
+  /// faulted gate's output comes from the minterms of its good-plane
+  /// inputs: truth rows give 1, marginal rows X, and floating rows the
+  /// previous pattern's faulted (value, X) when `retain` is set (X when
+  /// not).  `carry` seeds that fill before the first word and holds the
+  /// last word's state afterwards, so consecutive calls over consecutive
+  /// word ranges equal one call over their union.  The output propagates
+  /// in dual rail (value + X planes, X-exact against eval_cell_x) down
+  /// the fan-out cone cached in `lane_scratch` — the same layout and cache
+  /// as eval_packed_faulty_planes, so faults of both kinds can share one
+  /// scratch.  Writes per word (unmasked): `detect` (some PO binary and
+  /// different from good), `potential` (some PO X) and `contention`.
+  /// @param x_scratch X lanes, parallel to the value lanes; reused across
+  ///   calls, resized internally
+  void eval_packed_retained_planes(
+      const std::uint64_t* good_planes, std::size_t stride,
+      std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
+      bool retain, RetainedCarry& carry, std::uint64_t* detect,
+      std::uint64_t* potential, std::uint64_t* contention,
+      std::vector<std::uint64_t>& lane_scratch,
+      std::vector<std::uint64_t>& x_scratch) const;
 
  private:
   void eval_scalar_range(LogicV* values, std::size_t from,

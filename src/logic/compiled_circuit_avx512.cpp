@@ -111,6 +111,18 @@ void eval_faulty_planes_avx512(const CompiledCircuit& cc,
                               contention, lane_scratch);
 }
 
+void eval_retained_planes_avx512(
+    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
+    std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
+    bool retain, CompiledCircuit::RetainedCarry& carry, std::uint64_t* detect,
+    std::uint64_t* potential, std::uint64_t* contention,
+    std::vector<std::uint64_t>& lane_scratch,
+    std::vector<std::uint64_t>& x_scratch) {
+  eval_retained_planes_t<M256T>(cc, good, stride, n_words, fault_gate, fa,
+                                retain, carry, detect, potential, contention,
+                                lane_scratch, x_scratch);
+}
+
 }  // namespace cpsinw::logic::kernels
 
 #endif  // CPSINW_SIMD_AVX512

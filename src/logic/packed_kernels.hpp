@@ -13,7 +13,8 @@
 // fault-injection events and when extracting per-word detection results,
 // never in the per-gate walk.
 //
-// Not installed API: include only from compiled_circuit*.cpp.
+// Not installed API: include only from compiled_circuit*.cpp (and the
+// kernel tests, which pin eval_cell_dual against eval_cell_x).
 #pragma once
 
 #include <algorithm>
@@ -364,37 +365,50 @@ std::size_t eval_line_batch_t(const CompiledCircuit& cc,
   return w;
 }
 
-/// Plane-wide transistor kernel: minterm expansion of the compiled
-/// truth/contention masks over kSimdWords words per step.
-template <class V>
-void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
-                          std::size_t stride, std::size_t n_words,
-                          int fault_gate, const gates::FaultAnalysis& fa,
-                          std::uint64_t* diff, std::uint64_t* contention,
-                          std::vector<std::uint64_t>& lane_scratch) {
+/// Word groups walked together per strip by both transistor plane
+/// kernels.  Strip widening: independent word-group chains walked
+/// together hide the gate-to-gate latency (a single chain is serial
+/// through each cone gate) and amortize the per-fault scalar costs.
+/// Wider than the line kernel's strips because these kernels have no
+/// early exit to lose.
+inline constexpr std::size_t kConeGroups = 4;
+
+/// The cached fan-out cone of one faulted gate, as laid out in the lane
+/// scratch that the binary and the retained transistor kernels share.
+struct FaultCone {
+  /// Lane storage: word j of a strip for net n lives at
+  /// lanes[n * kSimdWords * kConeGroups + j].
+  std::uint64_t* lanes = nullptr;
+  /// Cone gates in topological order: (position << 3) | mask, where mask
+  /// bit i says pin i reads lane storage instead of the good planes.
+  const std::uint64_t* gates = nullptr;
+  std::size_t gate_count = 0;
+  const std::uint64_t* po_nets = nullptr;  ///< PO nets inside the cone
+  std::size_t po_count = 0;
+};
+
+/// Sizes the shared lane scratch and returns the fan-out cone of
+/// `fault_gate`, rediscovering it only when the gate changed since the
+/// last call.  The cone — which gates diverge, which of their inputs read
+/// lanes vs. good planes, which POs can differ — is a property of the
+/// graph, not of the pattern words, so it is discovered once (versioned
+/// marks + persistent counter) and reused by every strip and by
+/// consecutive faults on the same gate (fault lists enumerate several
+/// transistor faults per gate back to back).  Both transistor kernels
+/// size the scratch identically, so faults of either kind interleaving
+/// in one range keep the cache (and skip the re-zeroing).
+///
+/// Layout: [lanes: n_net * kW * kConeGroups][marks: n_net][counter]
+///         [cone key][cone length][cone: n_gates][po count][po list]
+inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
+                            std::vector<std::uint64_t>& lane_scratch) {
   constexpr std::size_t kW = CompiledCircuit::kSimdWords;
-  // Strip widening: independent word-group chains walked together hide
-  // the gate-to-gate latency (a single chain is serial through each cone
-  // gate) and amortize the per-fault scalar costs.  Wider than the line
-  // kernel's strips because this kernel has no early exit to lose.
-  constexpr std::size_t kGroups = 4;
   const auto& gates = cc.gates();
   const Circuit& ckt = cc.circuit();
   const std::size_t n_net = static_cast<std::size_t>(ckt.net_count());
   const std::size_t n_po = ckt.primary_outputs().size();
-  // Lane storage for the faulted cone, followed by the cached cone
-  // itself.  The fan-out cone of the faulted gate — which gates diverge,
-  // which of their inputs read lanes vs. good planes, which POs can
-  // differ — is a property of the graph, not of the pattern words, so it
-  // is discovered once (versioned marks + persistent counter) and reused
-  // by every strip and by consecutive faults on the same gate (fault
-  // lists enumerate several transistor faults per gate back to back).
-  // With the cone precomputed the strip walk is branch-free vector work.
-  //
-  // Layout: [lanes: n_net * kW * kGroups][marks: n_net][counter]
-  //         [cone key][cone length][cone: n_gates][po count][po list]
   const std::size_t n_gates = gates.size();
-  const std::size_t lanes_sz = n_net * kW * kGroups;
+  const std::size_t lanes_sz = n_net * kW * kConeGroups;
   const std::size_t need = lanes_sz + n_net + 4 + n_gates + n_po;
   if (lane_scratch.size() != need) lane_scratch.assign(need, 0);
   std::uint64_t* const lv = lane_scratch.data();
@@ -405,14 +419,11 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
   std::uint64_t* const cone = lv + lanes_sz + n_net + 3;
   std::uint64_t& po_len = cone[n_gates];
   std::uint64_t* const po_list = cone + n_gates + 1;
-  const std::size_t pos = cc.position_of(fault_gate);
-  const CompiledCircuit::GateRec& fg = gates[pos];
-  const unsigned combos = 1u << fg.n_in;
-  const unsigned rows = fa.compiled_truth | fa.compiled_contention;
 
   if (cone_key != static_cast<std::uint64_t>(fault_gate) + 1) {
+    const std::size_t pos = cc.position_of(fault_gate);
     const std::uint64_t cur = ++counter;  // never reused: marks stay valid
-    marks[static_cast<std::size_t>(fg.out)] = cur;
+    marks[static_cast<std::size_t>(gates[pos].out)] = cur;
     std::uint64_t len = 0;
     for (std::size_t k = pos + 1; k < n_gates; ++k) {
       const CompiledCircuit::GateRec& g = gates[k];
@@ -432,22 +443,70 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
     po_len = plen;
     cone_key = static_cast<std::uint64_t>(fault_gate) + 1;
   }
+  return FaultCone{lv, cone, static_cast<std::size_t>(cone_len), po_list,
+                   static_cast<std::size_t>(po_len)};
+}
 
-  // Clamped group store: full groups go straight to the output array
-  // (shallow cones spend more time extracting than walking, so a scalar
-  // roundtrip here would be the kernel's largest fixed cost); only the
-  // ragged tail takes the buffered path.
-  const auto store_group = [&](std::uint64_t* dst, std::size_t base, V v) {
-    if (base >= n_words) return;
-    if (n_words - base >= kW) {
-      V::store(dst + base, v);
-      return;
+/// Clamped group store: full groups go straight to the output array
+/// (shallow cones spend more time extracting than walking, so a scalar
+/// roundtrip here would be the kernel's largest fixed cost); only the
+/// ragged tail takes the buffered path.
+template <class V>
+inline void store_clamped(std::uint64_t* dst, std::size_t base,
+                          std::size_t n_words, const V& v) {
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  if (base >= n_words) return;
+  if (n_words - base >= kW) {
+    V::store(dst + base, v);
+    return;
+  }
+  alignas(32) std::uint64_t buf[kW];
+  V::store(buf, v);
+  const std::size_t lim = n_words - base;
+  for (std::size_t j = 0; j < lim; ++j) dst[base + j] = buf[j];
+}
+
+/// Dispatches a strip body over [0, n_words) in strips of up to
+/// kConeGroups word groups: `strip.template operator()<NW>(wg)` walks NW
+/// groups starting at word wg.  Only groups whose first word is in range
+/// are walked, so loads stay inside the kSimdWords-padded plane stride
+/// even when the last group is partial (the stores clamp what is
+/// written back).
+template <class Strip>
+inline void for_each_strip(std::size_t n_words, const Strip& strip) {
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  static_assert(kConeGroups == 4, "strip dispatch below covers 1..4");
+  for (std::size_t wg = 0; wg < n_words; wg += kW * kConeGroups) {
+    switch (std::min(kConeGroups, (n_words - wg + kW - 1) / kW)) {
+      case 4: strip.template operator()<4>(wg); break;
+      case 3: strip.template operator()<3>(wg); break;
+      case 2: strip.template operator()<2>(wg); break;
+      default: strip.template operator()<1>(wg); break;
     }
-    alignas(32) std::uint64_t buf[kW];
-    V::store(buf, v);
-    const std::size_t lim = n_words - base;
-    for (std::size_t j = 0; j < lim; ++j) dst[base + j] = buf[j];
-  };
+  }
+}
+
+/// Plane-wide transistor kernel: minterm expansion of the compiled
+/// truth/contention masks over kSimdWords words per step.
+template <class V>
+void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
+                          std::size_t stride, std::size_t n_words,
+                          int fault_gate, const gates::FaultAnalysis& fa,
+                          std::uint64_t* diff, std::uint64_t* contention,
+                          std::vector<std::uint64_t>& lane_scratch) {
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  constexpr std::size_t kGroups = kConeGroups;
+  const auto& gates = cc.gates();
+  // With the cone precomputed the strip walk is branch-free vector work.
+  const FaultCone fc = fault_cone(cc, fault_gate, lane_scratch);
+  std::uint64_t* const lv = fc.lanes;
+  const std::uint64_t* const cone = fc.gates;
+  const std::size_t cone_len = fc.gate_count;
+  const std::uint64_t* const po_list = fc.po_nets;
+  const std::size_t po_len = fc.po_count;
+  const CompiledCircuit::GateRec& fg = gates[cc.position_of(fault_gate)];
+  const unsigned combos = 1u << fg.n_in;
+  const unsigned rows = fa.compiled_truth | fa.compiled_contention;
 
   // One strip: NW word groups (NW * kW pattern words) walked together.
   // No vector value stays live across the sub-loops (contention is final
@@ -478,7 +537,7 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
       }
       V::store(lv + static_cast<std::size_t>(fg.out) * kW * kGroups + gi * kW,
                out);
-      store_group(contention, wg + gi * kW, cont);
+      store_clamped(contention, wg + gi * kW, n_words, cont);
     }
 
     // Cone walk: topological order guarantees every lane slot read below
@@ -510,30 +569,212 @@ void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
         d = d | (V::load(lv + n * kW * kGroups + gi * kW) ^
                  V::load(good + n * stride + wg + gi * kW));
       }
-      store_group(diff, wg + gi * kW, d);
+      store_clamped(diff, wg + gi * kW, n_words, d);
     }
   };
 
-  for (std::size_t wg = 0; wg < n_words; wg += kW * kGroups) {
-    // Groups whose first word is in range: their loads stay inside the
-    // kSimdWords-padded plane stride even when the last word group is
-    // partial (the extraction loop clamps what is written back).
-    switch (std::min(kGroups, (n_words - wg + kW - 1) / kW)) {
-      case 8: strip.template operator()<8>(wg); break;
-      case 7: strip.template operator()<7>(wg); break;
-      case 6: strip.template operator()<6>(wg); break;
-      case 5: strip.template operator()<5>(wg); break;
-      case 4: strip.template operator()<4>(wg); break;
-      case 3: strip.template operator()<3>(wg); break;
-      case 2: strip.template operator()<2>(wg); break;
-      default: strip.template operator()<1>(wg); break;
+  for_each_strip(n_words, strip);
+}
+
+/// Dual-rail cell evaluation: each pin is a (value, X) plane pair in
+/// canonical form (value = 0 wherever X = 1), and so is the result.
+/// X-exact against eval_cell_x: an output bit is binary exactly when
+/// every binary completion of the X pins agrees.  Only the cell's own
+/// pins are read — pins past its arity alias slot 0, which carries X
+/// whenever net 0 lies in the faulted cone.
+template <class V>
+inline void eval_cell_dual(gates::CellKind kind, const V& a, const V& ax,
+                           const V& b, const V& bx, const V& c, const V& cx,
+                           V& v, V& x) {
+  using gates::CellKind;
+  switch (kind) {
+    case CellKind::kInv:
+      v = ~(a | ax);
+      x = ax;
+      return;
+    case CellKind::kBuf:
+      v = a;
+      x = ax;
+      return;
+    case CellKind::kNand2:  // 1 if either pin is 0, 0 if both are 1
+      v = ~((a | ax) & (b | bx));
+      x = ~(v | (a & b));
+      return;
+    case CellKind::kNor2:  // 1 if both pins are 0, 0 if either is 1
+      v = ~(a | ax | b | bx);
+      x = ~(v | a | b);
+      return;
+    case CellKind::kXor2:
+      x = ax | bx;
+      v = (a ^ b) & ~x;
+      return;
+    case CellKind::kXor3:
+      x = ax | bx | cx;
+      v = (a ^ b ^ c) & ~x;
+      return;
+    case CellKind::kMaj3: {  // binary once two pins agree on a value
+      const V a0 = ~(a | ax);
+      const V b0 = ~(b | bx);
+      const V c0 = ~(c | cx);
+      v = (a & b) | (b & c) | (a & c);
+      x = ~(v | (a0 & b0) | (b0 & c0) | (a0 & c0));
+      return;
     }
   }
+  v = V::splat(0);
+  x = V::splat(0);
+}
+
+/// Faulted output of one pattern word under a retained-state dictionary.
+/// The faulted gate's local inputs are fault-free (single faulted gate,
+/// acyclic circuit), so each pattern's row is a minterm of the good
+/// planes: truth rows give 1, marginal rows X, floating rows the previous
+/// pattern's faulted (value, X) — exactly what eval_scalar_faulty reads
+/// from previous_state.  The floating runs are filled forward by a
+/// log-step segmented scan; a run with no earlier defined pattern in the
+/// word takes `carry`, the state after the previous word.  Without
+/// retention floating rows read X.  Writes the canonical dual-rail output
+/// to `v`/`x`, advances `carry` to this word's last pattern, and returns
+/// the contention (IDDQ excitation) word.
+inline std::uint64_t retained_row(const gates::FaultAnalysis& fa,
+                                  unsigned n_in, const std::uint64_t* in,
+                                  bool retain,
+                                  CompiledCircuit::RetainedCarry& carry,
+                                  std::uint64_t& v, std::uint64_t& x) {
+  std::uint64_t one = 0, unknown = 0, floating = 0, cont = 0;
+  for (unsigned vec = 0; vec < (1u << n_in); ++vec) {
+    std::uint64_t minterm = ~0ull;
+    for (unsigned i = 0; i < n_in; ++i)
+      minterm &= ((vec >> i) & 1u) != 0 ? in[i] : ~in[i];
+    switch (fa.compiled_logic[vec]) {
+      case 1: one |= minterm; break;
+      case -1: unknown |= minterm; break;
+      case -2: floating |= minterm; break;
+      default: break;
+    }
+    if (((fa.compiled_contention >> vec) & 1u) != 0) cont |= minterm;
+  }
+  if (!retain) {
+    unknown |= floating;
+    floating = 0;
+  }
+  // After the step with shift s, a still-pending bit p has only floating
+  // patterns in (p - 2s, p]; bits below the word count as floating, so a
+  // run reaching bit 0 stays pending and takes the carry at the end.
+  std::uint64_t pending = floating;
+  for (unsigned s = 1; s < 64 && pending != 0; s <<= 1) {
+    one |= (one << s) & pending;
+    unknown |= (unknown << s) & pending;
+    pending &= (pending << s) | ((1ull << s) - 1);
+  }
+  one |= carry.value ? pending : 0;
+  unknown |= carry.x ? pending : 0;
+  carry.value = (one >> 63) != 0;
+  carry.x = (unknown >> 63) != 0;
+  v = one;
+  x = unknown;
+  return cont;
+}
+
+/// Plane-wide retained-state transistor kernel: the faulted gate's
+/// dual-rail output per word comes from retained_row, in pattern order so
+/// the carry crosses word and strip boundaries, then propagates down the
+/// shared fan-out cone (fault_cone) with eval_cell_dual.  X lanes live in
+/// `x_scratch`, parallel to the value lanes of `lane_scratch`.  Writes,
+/// per word, detect (some cone PO is binary and differs from good),
+/// potential (some cone PO is X) and contention, all unmasked.
+template <class V>
+void eval_retained_planes_t(const CompiledCircuit& cc,
+                            const std::uint64_t* good, std::size_t stride,
+                            std::size_t n_words, int fault_gate,
+                            const gates::FaultAnalysis& fa, bool retain,
+                            CompiledCircuit::RetainedCarry& carry,
+                            std::uint64_t* detect, std::uint64_t* potential,
+                            std::uint64_t* contention,
+                            std::vector<std::uint64_t>& lane_scratch,
+                            std::vector<std::uint64_t>& x_scratch) {
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
+  const auto& gates = cc.gates();
+  const FaultCone fc = fault_cone(cc, fault_gate, lane_scratch);
+  const std::size_t lanes_sz =
+      static_cast<std::size_t>(cc.circuit().net_count()) * kRow;
+  if (x_scratch.size() != lanes_sz) x_scratch.assign(lanes_sz, 0);
+  std::uint64_t* const lv = fc.lanes;
+  std::uint64_t* const xv = x_scratch.data();
+  const CompiledCircuit::GateRec& fg = gates[cc.position_of(fault_gate)];
+  const std::size_t fo = static_cast<std::size_t>(fg.out) * kRow;
+
+  const auto strip = [&]<std::size_t NW>(std::size_t wg) {
+    // Faulted gate, one word at a time.  Words past n_words belong to the
+    // caller's next call (or are padding): they get a binary 0 and leave
+    // the carry alone.
+    for (std::size_t j = 0; j < NW * kW; ++j) {
+      const std::size_t w = wg + j;
+      std::uint64_t v = 0, x = 0;
+      if (w < n_words) {
+        const std::uint64_t in[3] = {
+            good[static_cast<std::size_t>(fg.in[0]) * stride + w],
+            good[static_cast<std::size_t>(fg.in[1]) * stride + w],
+            good[static_cast<std::size_t>(fg.in[2]) * stride + w]};
+        contention[w] = retained_row(fa, fg.n_in, in, retain, carry, v, x);
+      }
+      lv[fo + j] = v;
+      xv[fo + j] = x;
+    }
+
+    // Cone walk in dual rail; pins outside the cone read the good planes
+    // with a zero X plane.
+    const V zero = V::splat(0);
+    for (std::size_t idx = 0; idx < fc.gate_count; ++idx) {
+      const std::uint64_t e = fc.gates[idx];
+      const CompiledCircuit::GateRec& g = gates[e >> 3];
+      const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
+      const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
+      const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
+      const bool l0 = (e & 1) != 0, l1 = (e & 2) != 0, l2 = (e & 4) != 0;
+      for (std::size_t gi = 0; gi < NW; ++gi) {
+        const std::size_t l = gi * kW;
+        const V a = l0 ? V::load(lv + n0 * kRow + l)
+                       : V::load(good + n0 * stride + wg + l);
+        const V ax = l0 ? V::load(xv + n0 * kRow + l) : zero;
+        const V b = l1 ? V::load(lv + n1 * kRow + l)
+                       : V::load(good + n1 * stride + wg + l);
+        const V bx = l1 ? V::load(xv + n1 * kRow + l) : zero;
+        const V c = l2 ? V::load(lv + n2 * kRow + l)
+                       : V::load(good + n2 * stride + wg + l);
+        const V cx = l2 ? V::load(xv + n2 * kRow + l) : zero;
+        V v, x;
+        eval_cell_dual(g.kind, a, ax, b, bx, c, cx, v, x);
+        const std::size_t o = static_cast<std::size_t>(g.out) * kRow + l;
+        V::store(lv + o, v);
+        V::store(xv + o, x);
+      }
+    }
+
+    for (std::size_t gi = 0; gi < NW; ++gi) {
+      const std::size_t l = gi * kW;
+      V d = zero;
+      V p = zero;
+      for (std::size_t i = 0; i < fc.po_count; ++i) {
+        const std::size_t n = static_cast<std::size_t>(fc.po_nets[i]);
+        const V x = V::load(xv + n * kRow + l);
+        d = d | ((V::load(lv + n * kRow + l) ^
+                  V::load(good + n * stride + wg + l)) &
+                 ~x);
+        p = p | x;
+      }
+      store_clamped(detect, wg + l, n_words, d);
+      store_clamped(potential, wg + l, n_words, p);
+    }
+  };
+
+  for_each_strip(n_words, strip);
 }
 
 // ---- AVX2 entry points (defined in compiled_circuit_avx2.cpp) -------------
 
-// The __m256i instantiations of the three template kernels above, behind
+// The __m256i instantiations of the four template kernels above, behind
 // out-of-line entry points so -mavx2 code exists in exactly one TU.
 // Contracts (arguments, results, scratch reuse) are identical to the
 // templates'; compiled_circuit.cpp dispatches here when the running CPU
@@ -554,6 +795,13 @@ void eval_faulty_planes_avx2(const CompiledCircuit& cc,
                              const gates::FaultAnalysis& fa,
                              std::uint64_t* diff, std::uint64_t* contention,
                              std::vector<std::uint64_t>& lane_scratch);
+void eval_retained_planes_avx2(
+    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
+    std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
+    bool retain, CompiledCircuit::RetainedCarry& carry, std::uint64_t* detect,
+    std::uint64_t* potential, std::uint64_t* contention,
+    std::vector<std::uint64_t>& lane_scratch,
+    std::vector<std::uint64_t>& x_scratch);
 #endif
 
 // ---- AVX-512VL entry points (defined in compiled_circuit_avx512.cpp) ------
@@ -575,6 +823,13 @@ void eval_faulty_planes_avx512(const CompiledCircuit& cc,
                                const gates::FaultAnalysis& fa,
                                std::uint64_t* diff, std::uint64_t* contention,
                                std::vector<std::uint64_t>& lane_scratch);
+void eval_retained_planes_avx512(
+    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
+    std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
+    bool retain, CompiledCircuit::RetainedCarry& carry, std::uint64_t* detect,
+    std::uint64_t* potential, std::uint64_t* contention,
+    std::vector<std::uint64_t>& lane_scratch,
+    std::vector<std::uint64_t>& x_scratch);
 #endif
 
 }  // namespace cpsinw::logic::kernels

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "engine/campaign.hpp"
+#include "engine/json_reader.hpp"
 #include "faults/eval_context.hpp"
 #include "logic/benchmarks.hpp"
 
@@ -21,7 +22,7 @@ struct Fixture {
   explicit Fixture(bool with_x_pattern = true) {
     FaultModelSelection models;
     models.bridge = true;
-    universe = build_universe(ckt, models);
+    universe = build_universe(ckt, models, /*observe_iddq=*/false);
     const std::size_t pis = ckt.primary_inputs().size();
     for (unsigned v = 0; v < 8; ++v) {
       logic::Pattern p(pis);
@@ -184,6 +185,40 @@ TEST(ShardIo, MalformedDocumentsThrowInsteadOfMisbehaving) {
   ASSERT_NE(at, std::string::npos);
   wrong_version.replace(at, 11, "\"version\":9");
   EXPECT_THROW((void)parse_shard_input(wrong_version), std::runtime_error);
+}
+
+TEST(ShardIo, DeeplyNestedDocumentsThrowInsteadOfOverflowingTheStack) {
+  // The reader recurses once per container level: unbounded, 1 MiB of
+  // '[' (far below the frame limit) overflowed the stack and killed the
+  // shard server.  Nesting past JsonParser::kMaxDepth is now a diagnostic.
+  std::string object_chain;
+  for (std::size_t i = 0; object_chain.size() < (1u << 20); ++i)
+    object_chain += "{\"a\":";
+  for (const std::string& hostile :
+       {std::string(1u << 20, '['), object_chain}) {
+    for (const bool through_shard_input : {false, true}) {
+      try {
+        if (through_shard_input)
+          (void)parse_shard_input(hostile);
+        else
+          (void)parse_json(hostile);
+        ADD_FAILURE() << "deep nesting parsed";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("json: malformed JSON at byte"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+
+  // The bound is exact: kMaxDepth levels parse, one more does not.
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_NO_THROW((void)parse_json(nested(JsonParser::kMaxDepth)));
+  EXPECT_THROW((void)parse_json(nested(JsonParser::kMaxDepth + 1)),
+               std::runtime_error);
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ TEST(Shard, ClassifyCoversEveryFaultKind) {
 TEST(Shard, SingleShardMatchesSerialRunRecordForRecord) {
   const logic::Circuit ckt = logic::c17();
   const std::vector<CampaignFault> universe =
-      build_universe(ckt, FaultModelSelection{});
+      build_universe(ckt, FaultModelSelection{}, /*observe_iddq=*/false);
   const std::vector<logic::Pattern> patterns =
       build_patterns(ckt, PatternSourceSpec{}, util::SplitMix64(3));
 
@@ -95,7 +95,7 @@ TEST(Shard, SingleShardMatchesSerialRunRecordForRecord) {
 TEST(Shard, SplitShardsConcatenateToTheSerialRun) {
   const logic::Circuit ckt = logic::full_adder();
   const std::vector<CampaignFault> universe =
-      build_universe(ckt, FaultModelSelection{});
+      build_universe(ckt, FaultModelSelection{}, /*observe_iddq=*/false);
   PatternSourceSpec src;
   src.random_count = 48;
   const std::vector<logic::Pattern> patterns =
@@ -129,7 +129,7 @@ TEST(Shard, SplitShardsConcatenateToTheSerialRun) {
 TEST(Shard, SamplingSkipsFaultsDeterministically) {
   const logic::Circuit ckt = logic::c17();
   const std::vector<CampaignFault> universe =
-      build_universe(ckt, FaultModelSelection{});
+      build_universe(ckt, FaultModelSelection{}, /*observe_iddq=*/false);
   PatternSourceSpec src;
   src.random_count = 16;
   const std::vector<logic::Pattern> patterns =
@@ -162,7 +162,7 @@ TEST(Shard, SamplingSkipsFaultsDeterministically) {
 TEST(Shard, RejectsOutOfRangeSlice) {
   const logic::Circuit ckt = logic::c17();
   const std::vector<CampaignFault> universe =
-      build_universe(ckt, FaultModelSelection{});
+      build_universe(ckt, FaultModelSelection{}, /*observe_iddq=*/false);
   Shard shard;
   shard.begin = 0;
   shard.end = universe.size() + 1;

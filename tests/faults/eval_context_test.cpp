@@ -159,17 +159,17 @@ TEST(EvalContext, PackedTransistorBatchIsBitIdenticalToSerialPath) {
     const FaultSimulator fsim(w.ckt);
     const EvalContext ctx(w.ckt, w.patterns);
 
-    // The universe must actually exercise both paths.
-    int packed_eligible = 0, serial_only = 0;
+    // The universe must actually exercise both plane kernels (binary and
+    // retained-state dictionaries).
+    int binary = 0, retained = 0;
     for (const Fault& f : w.faults) {
       if (f.site != FaultSite::kGateTransistor) continue;
       const gates::FaultAnalysis& fa =
           ctx.dictionary(w.ckt.gate(f.gate).kind, f.cell_fault);
-      (!fa.needs_sequence && !fa.marginal_detectable) ? ++packed_eligible
-                                                      : ++serial_only;
+      (!fa.needs_sequence && !fa.marginal_detectable) ? ++binary : ++retained;
     }
-    ASSERT_GT(packed_eligible, 0) << w.name;
-    ASSERT_GT(serial_only, 0) << w.name;
+    ASSERT_GT(binary, 0) << w.name;
+    ASSERT_GT(retained, 0) << w.name;
 
     FaultSimOptions batched;
     FaultSimOptions serial;
@@ -230,8 +230,8 @@ TEST(EvalContext, TwoPatternStuckOpenSequencesRetainState) {
       ++verified;
       // The (init, test) retention sequence must detect through the
       // context path exactly as through the seed serial check, with
-      // batching enabled and disabled (floating dictionaries always take
-      // the retained-state serial path).
+      // batching enabled (floating dictionaries take the dual-rail
+      // retained-state plane kernel) and disabled (the serial walk).
       const EvalContext ctx(ckt, {r.test->init, r.test->test});
       for (const bool batching : {true, false}) {
         FaultSimOptions opt;
