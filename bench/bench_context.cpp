@@ -16,33 +16,26 @@
 //     Same fault universe (line + transistor), same records required
 //     bit-identically.  Gate: >= 1.5x at 1 thread on the roster.
 //
-//  3. "batched" (a sub-object of BENCH_compiled.json): the vectorized-core
-//     win on top of the compiled core.  "before" is the PR-5 single-fault
-//     packed path (batch_line_faults=false: one eval_packed_line walk per
-//     fault per 64-pattern word); "after" is the multi-fault batch kernel
-//     (kBatchLanes faults share one suffix walk over kSimdWords-wide plane
-//     groups), measured once with the portable uint64x4 backend and once
-//     with whatever SIMD backend this build selected.  Gates: batched
-//     portable >= 2x over single-fault; SIMD >= 1.15x over portable where
-//     a vector backend is compiled in (the ratio shrinks whenever the
-//     portable path gets faster — it dropped from ~1.33x to ~1.2x when the
-//     work-reduction layer's restructuring improved portable code layout —
-//     so the gate only guards against the backend losing its edge
-//     outright).  All three paths bit-identical.
+//  3. "batched" (a sub-object of BENCH_compiled.json): the SIMD win on the
+//     plane kernels — the multi-fault line kernel (kBatchLanes faults
+//     share one suffix walk over kSimdWords-wide plane groups) and the
+//     binary transistor kernel, called directly at the full 4096-pattern
+//     width, once with the portable uint64x4 backend and once with
+//     whatever SIMD backend this build selected.  Gate: SIMD >= 1.15x over
+//     portable where a vector backend is compiled in (the ratio shrinks
+//     whenever the portable path gets faster, so the gate only guards
+//     against the backend losing its edge outright).  Records from the
+//     kernel words of both backends and from run_range under both
+//     backends must be bit-identical.
 //
-//  4. "dropping" (a sub-object of BENCH_compiled.json): the work-reduction
-//     layer (fault dropping + critical-path tracing) vs the PR-7 batched
-//     path, same universe, bit-identical records required.  Gate: >= 1.5x.
-//
-//  5. "large_circuit" (a sub-object of BENCH_compiled.json): the first
+//  4. "large_circuit" (a sub-object of BENCH_compiled.json): the first
 //     circuit-scale leg — alu_array(64) exported to `.bench` and
 //     re-ingested through the foreign-netlist front end (~2.1k CP gates
 //     after MAJ3 decomposition), so the measured circuit is the parser's
 //     output, not the generator's.  Checks: parsed circuit functionally
-//     matches the generator; a five-class fault campaign (line stuck-at,
-//     both polarity faults, stuck-open, stuck-on) produces byte-identical
-//     stable JSON at 1, 2, and 8 threads; and the batched line kernel
-//     holds its >= 1.5x win over the single-fault walk at this scale.
+//     matches the generator, and a five-class fault campaign (line
+//     stuck-at, both polarity faults, stuck-open, stuck-on) produces
+//     byte-identical stable JSON at 1, 2, and 8 threads.
 //
 // The last line printed is the concatenation marker-free JSON object of
 // the *compiled* leg (with the batched sub-object merged in); both
@@ -392,11 +385,7 @@ int run_context_leg() {
   const std::vector<faults::Fault> universe = faults::generate_fault_list(ckt, flo);
   const std::vector<logic::Pattern> patterns = random_patterns(ckt, 128, 1);
 
-  // Work reduction off: this leg measures the shared-context win alone;
-  // fault dropping has its own leg.
-  faults::FaultSimOptions options;
-  options.drop_detected = false;
-  options.critical_path_tracing = false;
+  const faults::FaultSimOptions options;
   const double work = static_cast<double>(universe.size()) *
                       static_cast<double>(patterns.size());
 
@@ -495,11 +484,7 @@ int run_compiled_leg(std::string& json_out) {
   roster.push_back({"tmr_voter_5", logic::tmr_voter(5)});
   roster.push_back({"c17", logic::c17()});
 
-  // Work reduction off: the compiled-vs-interpreted comparison predates
-  // the dropping layer and must keep measuring the same work.
-  faults::FaultSimOptions options;
-  options.drop_detected = false;
-  options.critical_path_tracing = false;
+  const faults::FaultSimOptions options;
   double before_total = 0.0;
   double after_total = 0.0;
   bool identical = true;
@@ -574,21 +559,69 @@ int run_compiled_leg(std::string& json_out) {
 }
 
 // ---------------------------------------------------------------------------
-// Leg 3: the vectorized packed core (multi-fault batched line kernel +
-// SoA transistor planes + SIMD widening) vs the PR-5 single-fault packed
-// path.  The universe is every packed-eligible fault: all line faults plus
-// every transistor fault with a purely binary dictionary.  Floating and
-// marginal-row faults take the identical retained-state serial path under
-// either configuration and are excluded — they would only dilute the
-// packed-path measurement.
-//
-// "Before" is the PR-5 shape: line faults through the library's
-// single-fault path (batch_line_faults=false — one init_packed +
-// eval_packed_line per fault per 64-pattern batch with fault dropping),
-// transistor faults through a bench-local replica of the PR-5
-// simulate_transistor_packed (one init_packed + eval_packed_faulty per
-// batch; that library body now runs the plane kernel, so the word-at-a-
-// time walk is frozen here, mirroring the interp:: replicas above).
+// Leg 3: the SIMD plane kernels vs the portable backend.  The universe is
+// every fault of the binary plane kernels: all line faults plus every
+// transistor fault with a purely binary dictionary (floating and
+// marginal-row faults run the retained-state kernel and are excluded).
+// Both kernels are called directly at the full 4096-pattern width: timed
+// through run_range, most faults stop inside the dropping walk's narrow
+// first strip, and the backend difference drowns in per-fault overhead.
+
+/// Records of `universe` (line faults in [0, n_line), binary-dictionary
+/// transistor faults after) from full-width kernel calls, folded as a
+/// full-mode run with IDDQ observed.
+std::vector<faults::DetectionRecord> full_width_records(
+    const faults::EvalContext& ctx, const std::vector<faults::Fault>& universe,
+    std::size_t n_line) {
+  using logic::CompiledCircuit;
+  const CompiledCircuit& cc = ctx.compiled();
+  const logic::Circuit& ckt = ctx.circuit();
+  const std::size_t n_words = ctx.word_count();
+  const std::uint64_t* const active = ctx.active_words().data();
+  std::vector<faults::DetectionRecord> recs(universe.size());
+
+  std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
+  std::vector<std::uint64_t> lanes;
+  for (std::size_t g = 0; g < n_line; g += CompiledCircuit::kBatchLanes) {
+    const std::size_t n = std::min(CompiledCircuit::kBatchLanes, n_line - g);
+    CompiledCircuit::LineFault lfs[CompiledCircuit::kBatchLanes];
+    for (std::size_t j = 0; j < n; ++j)
+      lfs[j] = faults::checked_line_fault(ckt, universe[g + j]);
+    const std::size_t words_done =
+        cc.eval_packed_line_batch(ctx.good_planes(), ctx.plane_stride(),
+                                  n_words, active, lfs, n, det.data(), lanes);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::uint64_t* fd = det.data() + j * n_words;
+      for (std::size_t w = 0; w < words_done; ++w) {
+        if (fd[w] == 0) continue;
+        recs[g + j].detected_output = true;
+        recs[g + j].first_pattern =
+            static_cast<int>(w * 64) + __builtin_ctzll(fd[w]);
+        break;
+      }
+    }
+  }
+
+  std::vector<std::uint64_t> diff(n_words);
+  std::vector<std::uint64_t> contention(n_words);
+  for (std::size_t i = n_line; i < universe.size(); ++i) {
+    const faults::Fault& f = universe[i];
+    cc.eval_packed_faulty_planes(
+        ctx.good_planes(), ctx.plane_stride(), n_words, f.gate,
+        ctx.dictionary(ckt.gate(f.gate).kind, f.cell_fault), diff.data(),
+        contention.data(), lanes);
+    faults::DetectionRecord& rec = recs[i];
+    for (std::size_t w = 0; w < n_words; ++w) {
+      const std::uint64_t d = diff[w] & active[w];
+      const std::uint64_t c = contention[w] & active[w];
+      rec.detected_output = rec.detected_output || d != 0;
+      rec.detected_iddq = rec.detected_iddq || c != 0;
+      if (rec.first_pattern < 0 && (d | c) != 0)
+        rec.first_pattern = static_cast<int>(w * 64) + __builtin_ctzll(d | c);
+    }
+  }
+  return recs;
+}
 
 int run_batched_leg(std::string& json_out) {
   struct Entry {
@@ -602,37 +635,23 @@ int run_batched_leg(std::string& json_out) {
   roster.push_back({"tmr_voter_5", logic::tmr_voter(5)});
   roster.push_back({"c17", logic::c17()});
 
-  // Work reduction off on both sides: this leg isolates the batch-kernel
-  // win; the dropping leg below measures the work-reduction layer on top.
-  faults::FaultSimOptions single;
-  single.batch_line_faults = false;
-  single.drop_detected = false;
-  single.critical_path_tracing = false;
-  faults::FaultSimOptions batched;  // batch_line_faults=true default
-  batched.drop_detected = false;
-  batched.critical_path_tracing = false;
-
   const logic::simd::Backend backend = logic::simd::compiled_backend();
   const bool have_simd = backend != logic::simd::Backend::kPortable;
 
-  double before_total = 0.0;
   double portable_total = 0.0;
   double simd_total = 0.0;
   bool identical = true;
   std::size_t total_faults = 0;
   std::size_t total_excluded = 0;
-  faults::LineBatchStats stats;
   std::string per_circuit_json = "[";
 
-  std::cout << "=== Vectorized packed core vs PR-5 single-fault packed path "
-            << "(line + binary-dictionary transistor faults, 4096 patterns, "
-            << "1 thread, backend " << logic::simd::backend_name(backend)
-            << ") ===\n";
+  std::cout << "=== Plane kernels, SIMD vs portable (line + binary-dictionary "
+            << "transistor faults, full 4096-pattern width, 1 thread, "
+            << "backend " << logic::simd::backend_name(backend) << ") ===\n";
 
   for (std::size_t ci = 0; ci < roster.size(); ++ci) {
     const Entry& e = roster[ci];
-    // Packed-eligible universe, line faults first so one run_range
-    // sub-range covers exactly the line portion.  Cross-class collapse is
+    // Plane-eligible universe, line faults first.  Cross-class collapse is
     // off so the kernel workload stays comparable across commits — the
     // collapse mostly removes binary-dictionary stuck-ons, i.e. exactly
     // the plane-kernel work this leg measures.
@@ -663,307 +682,105 @@ int run_batched_leg(std::string& json_out) {
     total_excluded += excluded;
 
     const faults::FaultSimulator fsim(e.ckt);
-    const logic::Simulator lsim(e.ckt);
-    const logic::CompiledCircuit& cc = lsim.compiled();
-    const faults::EvalContext ctx(e.ckt, patterns);  // shared by all paths
+    const faults::EvalContext ctx(e.ckt, patterns);
 
-    // PR-5 shape over the whole universe: library single-fault line path,
-    // bench-frozen word-at-a-time transistor substitution.
-    const auto run_before = [&]() {
-      std::vector<faults::DetectionRecord> recs =
-          fsim.run_range(ctx, universe, 0, n_line, single);
-      recs.resize(universe.size());
-      std::vector<std::uint64_t> values;
-      for (std::size_t i = n_line; i < universe.size(); ++i) {
-        const faults::Fault& f = universe[i];
-        const gates::FaultAnalysis& fa =
-            gates::DictionaryCache::global().lookup(e.ckt.gate(f.gate).kind,
-                                                    f.cell_fault);
-        faults::DetectionRecord rec;
-        for (std::size_t bi = 0; bi < ctx.batches().size(); ++bi) {
-          const faults::EvalContext::Batch& batch = ctx.batches()[bi];
-          cc.init_packed(batch.pi_words, values);
-          const std::uint64_t cont =
-              cc.eval_packed_faulty(values, f.gate, fa);
-          std::uint64_t diff = 0;
-          for (const logic::NetId po : e.ckt.primary_outputs())
-            diff |= ctx.good_plane(po)[bi] ^
-                    values[static_cast<std::size_t>(po)];
-          diff &= batch.active;
-          const std::uint64_t iddq = cont & batch.active;
-          if (diff != 0) rec.detected_output = true;
-          if (iddq != 0) rec.detected_iddq = true;
-          const std::uint64_t hit = diff | iddq;
-          if (hit != 0 && rec.first_pattern < 0)
-            rec.first_pattern =
-                static_cast<int>(batch.base) + __builtin_ctzll(hit);
-        }
-        recs[i] = rec;
-      }
-      return recs;
-    };
+    // Correctness first: kernel words and the dropping walk, each under
+    // both backends, must agree record for record.
+    logic::simd::force_portable(true);
+    const std::vector<faults::DetectionRecord> reference =
+        full_width_records(ctx, universe, n_line);
+    const std::vector<faults::DetectionRecord> walk_portable =
+        fsim.run_range(ctx, universe, 0, universe.size());
+    logic::simd::force_portable(false);
+    const std::vector<faults::DetectionRecord> kernel_simd =
+        full_width_records(ctx, universe, n_line);
+    const std::vector<faults::DetectionRecord> walk_simd =
+        fsim.run_range(ctx, universe, 0, universe.size());
+    bool circuit_identical = true;
+    for (const auto* recs : {&walk_portable, &kernel_simd, &walk_simd}) {
+      circuit_identical = circuit_identical && recs->size() == reference.size();
+      for (std::size_t i = 0; circuit_identical && i < reference.size(); ++i)
+        circuit_identical = records_identical(reference[i], (*recs)[i]);
+    }
+    identical = identical && circuit_identical;
 
     // Pilot run calibrates a repetition count so the small roster entries
     // (c17 is 6 gates) measure well above timer resolution.  Timing then
-    // interleaves the three paths over several rounds and keeps each
-    // path's minimum: this box shows 2x wall-clock swings between
+    // interleaves the two backends over several rounds and keeps each
+    // one's minimum: this box shows 2x wall-clock swings between
     // back-to-back identical runs, and the minimum of interleaved blocks
     // is the standard noise-resistant estimate of uncontended cost.
+    logic::simd::force_portable(true);
     auto t0 = Clock::now();
-    const std::vector<faults::DetectionRecord> reference = run_before();
+    (void)full_width_records(ctx, universe, n_line);
     const double pilot_s = seconds_since(t0);
     const int reps = std::max(
         1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
-
-    std::vector<faults::DetectionRecord> portable_records;
-    std::vector<faults::DetectionRecord> simd_records;
-    faults::LineBatchStats circuit_stats;
-    {
-      logic::simd::force_portable(true);
-      faults::LineBatchStats first_stats;
-      portable_records = fsim.run_range(ctx, universe, 0, universe.size(),
-                                        batched, &first_stats);
-      circuit_stats = first_stats;
-      logic::simd::force_portable(false);
-      simd_records = fsim.run_range(ctx, universe, 0, universe.size(), batched);
-    }
-    double before_s = 1e30;
     double portable_s = 1e30;
     double simd_s = 1e30;
     for (int round = 0; round < 9; ++round) {
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r) (void)run_before();
-      before_s = std::min(before_s, seconds_since(t0) / reps);
-
       logic::simd::force_portable(true);
       t0 = Clock::now();
       for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), batched);
+        (void)full_width_records(ctx, universe, n_line);
       portable_s = std::min(portable_s, seconds_since(t0) / reps);
 
       logic::simd::force_portable(false);
       t0 = Clock::now();
       for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), batched);
+        (void)full_width_records(ctx, universe, n_line);
       simd_s = std::min(simd_s, seconds_since(t0) / reps);
     }
-    stats.merge(circuit_stats);
 
-    bool circuit_identical =
-        portable_records.size() == reference.size() &&
-        simd_records.size() == reference.size();
-    for (std::size_t i = 0; circuit_identical && i < reference.size(); ++i)
-      circuit_identical =
-          records_identical(reference[i], portable_records[i]) &&
-          records_identical(reference[i], simd_records[i]);
-    identical = identical && circuit_identical;
-
-    const double speedup = portable_s > 0.0 ? before_s / portable_s : 0.0;
     const double simd_speedup = simd_s > 0.0 ? portable_s / simd_s : 0.0;
     std::cout << e.name << ": " << n_line << " line + "
               << universe.size() - n_line << " transistor faults ("
-              << excluded << " serial excluded), " << before_s * 1e6
-              << " us -> " << portable_s * 1e6 << " us portable (" << speedup
-              << "x) -> " << simd_s * 1e6 << " us simd (" << simd_speedup
-              << "x), "
+              << excluded << " retained excluded), " << portable_s * 1e6
+              << " us portable -> " << simd_s * 1e6 << " us simd ("
+              << simd_speedup << "x), "
               << (circuit_identical ? "bit-identical" : "MISMATCH") << "\n";
 
     if (ci != 0) per_circuit_json += ",";
     per_circuit_json += "{\"circuit\":\"" + e.name +
                         "\",\"faults\":" + std::to_string(universe.size()) +
                         ",\"line_faults\":" + std::to_string(n_line) +
-                        ",\"serial_excluded\":" + std::to_string(excluded) +
+                        ",\"retained_excluded\":" + std::to_string(excluded) +
                         ",\"reps\":" + std::to_string(reps) +
-                        ",\"before_s\":" + std::to_string(before_s) +
                         ",\"batched_portable_s\":" + std::to_string(portable_s) +
                         ",\"batched_simd_s\":" + std::to_string(simd_s) +
-                        ",\"speedup\":" + std::to_string(speedup) +
                         ",\"simd_speedup\":" + std::to_string(simd_speedup) +
                         "}";
-    before_total += before_s;
     portable_total += portable_s;
     simd_total += simd_s;
   }
   per_circuit_json += "]";
 
-  const double speedup =
-      portable_total > 0.0 ? before_total / portable_total : 0.0;
   const double simd_speedup =
       simd_total > 0.0 ? portable_total / simd_total : 0.0;
-  const double lane_fill =
-      stats.groups > 0
-          ? static_cast<double>(stats.lane_slots) /
-                static_cast<double>(stats.groups *
-                                    logic::CompiledCircuit::kBatchLanes)
-          : 0.0;
-  std::cout << "roster: " << before_total * 1e3 << " ms -> "
-            << portable_total * 1e3 << " ms portable (" << speedup
-            << "x) -> " << simd_total * 1e3 << " ms simd (" << simd_speedup
-            << "x), lane fill " << lane_fill << ", records "
+  std::cout << "roster: " << portable_total * 1e3 << " ms portable -> "
+            << simd_total * 1e3 << " ms simd (" << simd_speedup
+            << "x), records "
             << (identical ? "bit-identical" : "MISMATCH") << "\n\n";
 
   json_out =
       std::string("{\"patterns\":4096,\"backend\":\"") +
       logic::simd::backend_name(backend) +
       "\",\"faults\":" + std::to_string(total_faults) +
-      ",\"serial_excluded\":" + std::to_string(total_excluded) +
-      ",\"before_s\":" + std::to_string(before_total) +
+      ",\"retained_excluded\":" + std::to_string(total_excluded) +
       ",\"batched_portable_s\":" + std::to_string(portable_total) +
       ",\"batched_simd_s\":" + std::to_string(simd_total) +
-      ",\"speedup\":" + std::to_string(speedup) +
       ",\"simd_speedup\":" + std::to_string(simd_speedup) +
-      ",\"lane_fill\":" + std::to_string(lane_fill) +
-      ",\"kernel_words\":" + std::to_string(stats.words) +
       ",\"identical\":" + (identical ? "true" : "false") +
-      ",\"threshold\":2.0,\"simd_threshold\":1.15,\"simd_gated\":" +
+      ",\"simd_threshold\":1.15,\"simd_gated\":" +
       (have_simd ? "true" : "false") +
       ",\"circuits\":" + per_circuit_json + "}";
 
   const bool simd_ok = !have_simd || simd_speedup >= 1.15;
-  return identical && speedup >= 2.0 && simd_ok ? 0 : 1;
+  return identical && simd_ok ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
-// Leg 4: the work-reduction layer (fault dropping + critical-path tracing)
-// vs the PR-7 batched path it sits on.  Both sides run the same batched
-// kernels over the same packed-eligible universe; "before" pins the
-// work-reduction switches off, "after" is the library default (dropping
-// on, CPT on, full detection mode).  The records must stay bit-identical —
-// dropping only skips work whose outcome is already decided, and CPT is an
-// exact analytical shortcut on its qualified cones.  Gate: >= 1.5x.
-
-int run_dropping_leg(std::string& json_out) {
-  struct Entry {
-    std::string name;
-    logic::Circuit ckt;
-  };
-  std::vector<Entry> roster;
-  roster.push_back({"parity_tree_48", logic::parity_tree(48)});
-  roster.push_back({"ripple_adder_8", logic::ripple_adder(8)});
-  roster.push_back({"alu_slice", logic::alu_slice()});
-  roster.push_back({"tmr_voter_5", logic::tmr_voter(5)});
-  roster.push_back({"c17", logic::c17()});
-
-  faults::FaultSimOptions pr7;  // the batched path, work reduction off
-  pr7.drop_detected = false;
-  pr7.critical_path_tracing = false;
-  faults::FaultSimOptions reduced;  // the shipped defaults
-  reduced.drop_detected = true;
-  reduced.critical_path_tracing = true;
-
-  double before_total = 0.0;
-  double after_total = 0.0;
-  bool identical = true;
-  std::size_t total_faults = 0;
-  faults::LineBatchStats stats;
-  std::string per_circuit_json = "[";
-
-  std::cout << "=== Work reduction (fault dropping + critical-path tracing) "
-            << "vs the batched path (line + binary-dictionary transistor "
-            << "faults, 4096 patterns, 1 thread) ===\n";
-
-  for (std::size_t ci = 0; ci < roster.size(); ++ci) {
-    const Entry& e = roster[ci];
-    // Same packed-eligible universe shape as the batched leg: line faults
-    // first, then every transistor fault with a purely binary dictionary.
-    const std::vector<faults::Fault> all =
-        faults::generate_fault_list(e.ckt, {});
-    std::vector<faults::Fault> universe;
-    std::vector<faults::Fault> trans;
-    for (const faults::Fault& f : all) {
-      if (f.site != faults::FaultSite::kGateTransistor) {
-        universe.push_back(f);
-        continue;
-      }
-      const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-          e.ckt.gate(f.gate).kind, f.cell_fault);
-      if (fa.compiled_binary) trans.push_back(f);
-    }
-    universe.insert(universe.end(), trans.begin(), trans.end());
-    const std::vector<logic::Pattern> patterns =
-        random_patterns(e.ckt, 4096, 43 + ci);
-    total_faults += universe.size();
-
-    const faults::FaultSimulator fsim(e.ckt);
-    const faults::EvalContext ctx(e.ckt, patterns);
-
-    // Correctness first: one run of each side, record for record.
-    const std::vector<faults::DetectionRecord> reference =
-        fsim.run_range(ctx, universe, 0, universe.size(), pr7);
-    faults::LineBatchStats circuit_stats;
-    const std::vector<faults::DetectionRecord> after = fsim.run_range(
-        ctx, universe, 0, universe.size(), reduced, &circuit_stats);
-    stats.merge(circuit_stats);
-
-    bool circuit_identical = after.size() == reference.size();
-    for (std::size_t i = 0; circuit_identical && i < reference.size(); ++i)
-      circuit_identical = records_identical(reference[i], after[i]);
-    identical = identical && circuit_identical;
-
-    // Pilot-calibrated repetitions, min over interleaved rounds (same
-    // noise discipline as the batched leg).
-    auto t0 = Clock::now();
-    (void)fsim.run_range(ctx, universe, 0, universe.size(), pr7);
-    const double pilot_s = seconds_since(t0);
-    const int reps = std::max(
-        1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
-
-    double before_s = 1e30;
-    double after_s = 1e30;
-    for (int round = 0; round < 9; ++round) {
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), pr7);
-      before_s = std::min(before_s, seconds_since(t0) / reps);
-
-      t0 = Clock::now();
-      for (int r = 0; r < reps; ++r)
-        (void)fsim.run_range(ctx, universe, 0, universe.size(), reduced);
-      after_s = std::min(after_s, seconds_since(t0) / reps);
-    }
-
-    const double speedup = after_s > 0.0 ? before_s / after_s : 0.0;
-    std::cout << e.name << ": " << universe.size() << " faults, "
-              << before_s * 1e6 << " us -> " << after_s * 1e6 << " us ("
-              << speedup << "x, cpt " << circuit_stats.cpt_faults << "/"
-              << circuit_stats.faults << " line faults, "
-              << (circuit_identical ? "bit-identical" : "MISMATCH") << ")\n";
-
-    if (ci != 0) per_circuit_json += ",";
-    per_circuit_json += "{\"circuit\":\"" + e.name +
-                        "\",\"faults\":" + std::to_string(universe.size()) +
-                        ",\"cpt_line_faults\":" +
-                        std::to_string(circuit_stats.cpt_faults) +
-                        ",\"reps\":" + std::to_string(reps) +
-                        ",\"before_s\":" + std::to_string(before_s) +
-                        ",\"after_s\":" + std::to_string(after_s) +
-                        ",\"speedup\":" + std::to_string(speedup) + "}";
-    before_total += before_s;
-    after_total += after_s;
-  }
-  per_circuit_json += "]";
-
-  const double speedup =
-      after_total > 0.0 ? before_total / after_total : 0.0;
-  std::cout << "roster: " << before_total * 1e3 << " ms -> "
-            << after_total * 1e3 << " ms, speedup " << speedup
-            << "x, records "
-            << (identical ? "bit-identical" : "MISMATCH") << "\n\n";
-
-  json_out =
-      "{\"patterns\":4096,\"faults\":" + std::to_string(total_faults) +
-      ",\"before_s\":" + std::to_string(before_total) +
-      ",\"after_s\":" + std::to_string(after_total) +
-      ",\"speedup\":" + std::to_string(speedup) +
-      ",\"cpt_line_faults\":" + std::to_string(stats.cpt_faults) +
-      ",\"identical\":" + (identical ? "true" : "false") +
-      ",\"threshold\":1.5,\"circuits\":" + per_circuit_json + "}";
-
-  return identical && speedup >= 1.5 ? 0 : 1;
-}
-
-// ---------------------------------------------------------------------------
-// Leg 5: circuit scale through the ingestion front end.  Everything the
+// Leg 4: circuit scale through the ingestion front end.  Everything the
 // engine sees went through write_bench -> read_bench, so foreign-gate
 // decomposition, net-name mangling, and PI/PO ordering are all on the
 // measured path.
@@ -1025,71 +842,11 @@ int run_large_circuit_leg(std::string& json_out) {
     }
   }
 
-  // Perf gate at scale: batched line kernel vs the single-fault packed
-  // walk (work reduction off on both sides, as in the batched leg), on a
-  // slice of the packed-eligible universe.
-  faults::FaultSimOptions single;
-  single.batch_line_faults = false;
-  single.drop_detected = false;
-  single.critical_path_tracing = false;
-  faults::FaultSimOptions batched;
-  batched.batch_line_faults = true;
-  batched.drop_detected = false;
-  batched.critical_path_tracing = false;
-
-  const std::vector<faults::Fault> all = faults::generate_fault_list(ckt, {});
-  std::vector<faults::Fault> universe;
-  for (const faults::Fault& f : all) {
-    if (f.site != faults::FaultSite::kGateTransistor) {
-      universe.push_back(f);
-      continue;
-    }
-    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-        ckt.gate(f.gate).kind, f.cell_fault);
-    if (fa.compiled_binary) universe.push_back(f);
-  }
-  const std::size_t slice = std::min<std::size_t>(universe.size(), 1536);
-  const std::vector<logic::Pattern> patterns = random_patterns(ckt, 256, 73);
-  const faults::FaultSimulator fsim(ckt);
-  const faults::EvalContext ctx(ckt, patterns);
-
-  const std::vector<faults::DetectionRecord> reference =
-      fsim.run_range(ctx, universe, 0, slice, single);
-  const std::vector<faults::DetectionRecord> after =
-      fsim.run_range(ctx, universe, 0, slice, batched);
-  bool identical = after.size() == reference.size();
-  for (std::size_t i = 0; identical && i < reference.size(); ++i)
-    identical = records_identical(reference[i], after[i]);
-
-  auto t0 = Clock::now();
-  (void)fsim.run_range(ctx, universe, 0, slice, batched);
-  const double pilot_s = seconds_since(t0);
-  const int reps = std::max(
-      1, static_cast<int>(std::ceil(0.03 / std::max(pilot_s, 1e-7))));
-
-  double before_s = 1e30;
-  double after_s = 1e30;
-  for (int round = 0; round < 9; ++round) {
-    t0 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-      (void)fsim.run_range(ctx, universe, 0, slice, single);
-    before_s = std::min(before_s, seconds_since(t0) / reps);
-
-    t0 = Clock::now();
-    for (int r = 0; r < reps; ++r)
-      (void)fsim.run_range(ctx, universe, 0, slice, batched);
-    after_s = std::min(after_s, seconds_since(t0) / reps);
-  }
-  const double speedup = after_s > 0.0 ? before_s / after_s : 0.0;
-
   std::cout << "campaign: " << campaign_faults << " classified faults, "
             << campaign_s * 1e3 << " ms at 1 thread, 1/2/8-thread JSON "
-            << (campaign_identical ? "byte-identical" : "MISMATCH") << "\n";
-  std::cout << "batched kernel: " << slice << " faults x 256 patterns, "
-            << before_s * 1e3 << " ms -> " << after_s * 1e3 << " ms ("
-            << speedup << "x, "
-            << (identical ? "bit-identical" : "MISMATCH") << ", generator "
-            << (equivalent ? "equivalent" : "MISMATCH") << ")\n\n";
+            << (campaign_identical ? "byte-identical" : "MISMATCH")
+            << ", generator " << (equivalent ? "equivalent" : "MISMATCH")
+            << "\n\n";
 
   json_out =
       "{\"circuit\":\"alu_array_64_bench\",\"gates\":" +
@@ -1098,18 +855,9 @@ int run_large_circuit_leg(std::string& json_out) {
       ",\"campaign_faults\":" + std::to_string(campaign_faults) +
       ",\"campaign_s\":" + std::to_string(campaign_s) +
       ",\"threads_identical\":" + (campaign_identical ? "true" : "false") +
-      ",\"generator_equivalent\":" + (equivalent ? "true" : "false") +
-      ",\"bench_faults\":" + std::to_string(slice) +
-      ",\"before_s\":" + std::to_string(before_s) +
-      ",\"after_s\":" + std::to_string(after_s) +
-      ",\"speedup\":" + std::to_string(speedup) +
-      ",\"identical\":" + (identical ? "true" : "false") +
-      ",\"threshold\":1.5}";
+      ",\"generator_equivalent\":" + (equivalent ? "true" : "false") + "}";
 
-  return big_enough && equivalent && campaign_identical && identical &&
-                 speedup >= 1.5
-             ? 0
-             : 1;
+  return big_enough && equivalent && campaign_identical ? 0 : 1;
 }
 
 }  // namespace
@@ -1118,25 +866,21 @@ int main() {
   const int context_rc = run_context_leg();
   std::string compiled_json;
   std::string batched_json;
-  std::string dropping_json;
   std::string large_json;
   const int compiled_rc = run_compiled_leg(compiled_json);
   const int batched_rc = run_batched_leg(batched_json);
-  const int dropping_rc = run_dropping_leg(dropping_json);
   const int large_rc = run_large_circuit_leg(large_json);
 
-  // One BENCH_compiled.json: the compiled-leg object with the batched,
-  // dropping, and large-circuit legs merged in as sub-objects, so the
-  // bench trajectory stays a single file per commit.
+  // One BENCH_compiled.json: the compiled-leg object with the batched and
+  // large-circuit legs merged in as sub-objects, so the bench trajectory
+  // stays a single file per commit.
   const std::string json = compiled_json.substr(0, compiled_json.size() - 1) +
                            ",\"batched\":" + batched_json +
-                           ",\"dropping\":" + dropping_json +
                            ",\"large_circuit\":" + large_json + "}";
   std::ofstream("BENCH_compiled.json") << json << "\n";
   std::cout << json << "\n";
 
   if (context_rc != 0) return context_rc;
   if (compiled_rc != 0) return compiled_rc;
-  if (batched_rc != 0) return batched_rc;
-  return dropping_rc != 0 ? dropping_rc : large_rc;
+  return batched_rc != 0 ? batched_rc : large_rc;
 }

@@ -191,17 +191,11 @@ void BM_CompiledBatchLineFaultSim(benchmark::State& state) {
     patterns.push_back(std::move(p));
   }
   const faults::EvalContext ctx(ckt, patterns);
-  // Pin the work-reduction layer off: this benchmark measures the batch
-  // kernel itself, and critical-path tracing would bypass it entirely on
-  // this fan-out-free circuit.
-  faults::FaultSimOptions options;
-  options.drop_detected = false;
-  options.critical_path_tracing = false;
   faults::LineBatchStats stats;
   for (auto _ : state) {
     faults::LineBatchStats run_stats;
     benchmark::DoNotOptimize(
-        fsim.run_range(ctx, faults, 0, faults.size(), options, &run_stats));
+        fsim.run_range(ctx, faults, 0, faults.size(), {}, &run_stats));
     stats.merge(run_stats);
   }
   state.counters["faults"] = static_cast<double>(faults.size());

@@ -183,16 +183,13 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     // occupied (not kBatchLanes per pass), so batch_width /
     // (batch_groups * kBatchLanes) is the mean lane fill across kernel
     // invocations (1.0 = every lane carried a fault).  faults_batched
-    // counts each line fault once even when dropping strips re-group it;
-    // faults_cpt counts faults resolved by critical-path tracing with no
-    // kernel pass at all.  The fill histogram reuses the power-of-two-µs
-    // buckets by encoding a group of k faults as 2^(k-1) µs, so fills
-    // 1..kBatchLanes land in distinct buckets 1..kBatchLanes of
-    // shard.batch_fill.
+    // counts each line fault once even when dropping strips re-group it.
+    // The fill histogram reuses the power-of-two-µs buckets by encoding a
+    // group of k faults as 2^(k-1) µs, so fills 1..kBatchLanes land in
+    // distinct buckets 1..kBatchLanes of shard.batch_fill.
     reg.counter("engine.faults_batched").add(batch_stats.faults);
     reg.counter("engine.batch_groups").add(batch_stats.groups);
     reg.counter("engine.batch_width").add(batch_stats.lane_slots);
-    reg.counter("engine.faults_cpt").add(batch_stats.cpt_faults);
     // Transistor faults by evaluation path: a nonzero serial count on a
     // packed (fully specified) pattern set would be a silent fallback.
     reg.counter("engine.faults_transistor_binary")

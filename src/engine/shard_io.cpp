@@ -300,12 +300,6 @@ std::string serialize_shard_input(const logic::Circuit& ckt,
   j.value(options.sim.observe_iddq);
   j.key("sequential_patterns");
   j.value(options.sim.sequential_patterns);
-  j.key("batch_transistor_faults");
-  j.value(options.sim.batch_transistor_faults);
-  // Serialized because it changes the records a worker computes.  The
-  // work-reduction toggles (drop_detected, critical_path_tracing) are
-  // deliberately NOT on the wire: they never change results, so they stay
-  // process-local, like batch_line_faults.
   j.key("detection_mode");
   j.value(options.sim.detection_mode == faults::DetectionMode::kFirstOnly
               ? "first_only"
@@ -363,8 +357,6 @@ ShardWorkInput parse_shard_input(const std::string& text) {
       ov.at("observe_iddq").as_bool("observe_iddq");
   input.options.sim.sequential_patterns =
       ov.at("sequential_patterns").as_bool("sequential_patterns");
-  input.options.sim.batch_transistor_faults =
-      ov.at("batch_transistor_faults").as_bool("batch_transistor_faults");
   input.options.sim.detection_mode =
       ov.at("detection_mode").as_string("detection_mode") == "first_only"
           ? faults::DetectionMode::kFirstOnly

@@ -83,7 +83,11 @@ std::pair<LogicV, LogicV> resolve(BridgeBehavior behavior, LogicV a,
 std::vector<LogicV> simulate_bridge(const logic::Circuit& ckt,
                                     const BridgeFault& fault,
                                     const Pattern& pattern) {
-  if (fault.a < 0 || fault.b < 0 || fault.a == fault.b)
+  // Net ids may come from outside (shard_io documents): the unsigned
+  // casts reject negative ids and ids past the circuit in one compare.
+  const auto n_nets = static_cast<std::size_t>(ckt.net_count());
+  if (static_cast<std::size_t>(fault.a) >= n_nets ||
+      static_cast<std::size_t>(fault.b) >= n_nets || fault.a == fault.b)
     throw std::invalid_argument("simulate_bridge: bad net pair");
   const logic::Simulator sim(ckt);
 

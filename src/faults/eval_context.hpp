@@ -86,22 +86,6 @@ class EvalContext {
     return active_words_;
   }
 
-  // ---- criticality planes (critical-path tracing) --------------------------
-
-  /// True when the criticality planes were built: packed, at least one
-  /// pattern word, exactly one primary output, and every net feeding at
-  /// most one gate pin.  On that shape (a fan-out-free single-output
-  /// cone) critical-path tracing is exact — no reconvergent path exists
-  /// to mask a sensitized line — so line-fault detection can be deduced
-  /// from the good machine alone.
-  [[nodiscard]] bool cpt_available() const { return cpt_; }
-  /// Criticality row of one net: bit p set when flipping the net's value
-  /// under pattern p flips the primary output.
-  [[nodiscard]] const std::uint64_t* crit_plane(logic::NetId net) const {
-    assert(cpt_);
-    return crit_planes_.data() + static_cast<std::size_t>(net) * stride_;
-  }
-
   /// Fault-free scalar simulation of pattern `index` (precomputed).
   [[nodiscard]] const logic::SimResult& good(std::size_t index) const {
     assert(index < good_.size());
@@ -134,11 +118,7 @@ class EvalContext {
   std::vector<std::uint64_t> pi_planes_;    ///< [pi][stride_] PI words
   std::vector<std::uint64_t> good_planes_;  ///< [net][stride_] good words
   std::vector<std::uint64_t> active_words_;
-  std::vector<std::uint64_t> crit_planes_;  ///< [net][stride_] criticality
   bool packed_ = false;
-  bool cpt_ = false;
-
-  void build_crit_planes();
 };
 
 }  // namespace cpsinw::faults

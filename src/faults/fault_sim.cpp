@@ -1,8 +1,6 @@
 #include "faults/fault_sim.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "gates/dictionary_cache.hpp"
@@ -74,15 +72,51 @@ struct WordFold {
   }
 };
 
-}  // namespace
+/// The serial retained-state walk: one scalar faulty pass per pattern,
+/// threading net state from pattern to pattern when sequential.  `good(pi)`
+/// yields the fault-free SimResult of pattern `pi` (precomputed by a
+/// context, or simulated on the spot).
+template <class GoodFn>
+DetectionRecord serial_walk(const logic::Simulator& sim,
+                            const std::vector<Pattern>& patterns,
+                            const GoodFn& good, const Fault& fault,
+                            const gates::FaultAnalysis& fa,
+                            const FaultSimOptions& options) {
+  const logic::GateFault gf{fault.gate, fault.cell_fault};
+  DetectionRecord rec;
+  std::vector<LogicV> state;
+  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
+    const logic::SimResult& g_res = good(pi);
+    const logic::SimResult bad = sim.simulate_faulty_with(
+        patterns[pi], gf, fa,
+        options.sequential_patterns && !state.empty() ? &state : nullptr);
+    if (options.sequential_patterns) state = bad.net_values;
 
-bool work_reduction_default() {
-  static const bool on = [] {
-    const char* env = std::getenv("CPSINW_WORK_REDUCTION");
-    return env == nullptr || std::strcmp(env, "off") != 0;
-  }();
-  return on;
+    bool hit = false;
+    if (bad.iddq_flag && options.observe_iddq) {
+      rec.detected_iddq = true;
+      hit = true;
+    }
+    for (const logic::NetId po : sim.circuit().primary_outputs()) {
+      const LogicV g = g_res.value(po);
+      const LogicV b = bad.value(po);
+      if (is_binary(g) && is_binary(b) && g != b) {
+        rec.detected_output = true;
+        hit = true;
+      } else if (is_binary(g) && !is_binary(b)) {
+        rec.potential = true;
+      }
+    }
+    if (hit && rec.first_pattern < 0)
+      rec.first_pattern = static_cast<int>(pi);
+    if (rec.first_pattern >= 0 &&
+        options.detection_mode == DetectionMode::kFirstOnly)
+      break;
+  }
+  return rec;
 }
+
+}  // namespace
 
 int FaultSimReport::detected_count() const {
   int n = 0;
@@ -175,41 +209,13 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
     throw std::invalid_argument(
         "run_range: line faults need fully-specified (packable) patterns");
 
-  if (any_line_fault && options.batch_line_faults && ctx.word_count() > 0) {
-    // --- Line faults, batched: groups of kBatchLanes faults share one
-    // forward walk per pattern word over the context's SoA good planes.
-    // Sorting by injection position groups faults whose shared (skipped)
-    // prefix is longest; each fault's record still derives from its own
-    // detection words, so grouping never changes results — concatenating
-    // shard ranges stays bit-identical to one whole-list run. --------------
-    run_line_faults_batched(ctx, faults, begin, end, options, records, stats);
-  } else if (any_line_fault) {
-    // --- Line faults, single-fault path (batching disabled): one packed
-    // pass per fault per 64-pattern batch with fault dropping — the PR-5
-    // kernel shape, kept as the equivalence/bench baseline.  One scratch
-    // buffer serves every fault and batch of this call. --------------------
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t bi = 0; bi < ctx.batches().size(); ++bi) {
-      const EvalContext::Batch& batch = ctx.batches()[bi];
-      for (std::size_t fi = begin; fi < end; ++fi) {
-        const Fault& f = faults[fi];
-        if (f.site == FaultSite::kGateTransistor) continue;
-        DetectionRecord& rec = records[fi - begin];
-        if (rec.detected_output) continue;  // fault dropping
-        packed_line_fault(batch.pi_words, f, scratch);
-        std::uint64_t diff = 0;
-        for (const logic::NetId po : ckt_.primary_outputs())
-          diff |= (ctx.good_plane(po)[bi] ^
-                   scratch[static_cast<std::size_t>(po)]);
-        diff &= batch.active;
-        if (diff != 0) {
-          rec.detected_output = true;
-          rec.first_pattern =
-              static_cast<int>(batch.base) + __builtin_ctzll(diff);
-        }
-      }
-    }
-  }
+  // --- Line faults: groups of kBatchLanes faults share one forward walk
+  // per pattern word over the context's SoA good planes.  Each fault's
+  // record derives from its own detection words, so grouping never changes
+  // results — concatenating shard ranges stays bit-identical to one
+  // whole-list run. ----------------------------------------------------------
+  if (any_line_fault)
+    run_line_faults_batched(ctx, faults, begin, end, records, stats);
 
   // --- Transistor faults: the binary or the retained-state plane kernel
   // on packed contexts, serial simulation on X-bearing ones.  One scratch
@@ -227,8 +233,8 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
 
 void FaultSimulator::run_line_faults_batched(
     const EvalContext& ctx, const std::vector<Fault>& faults,
-    std::size_t begin, std::size_t end, const FaultSimOptions& options,
-    std::vector<DetectionRecord>& records, LineBatchStats* stats) const {
+    std::size_t begin, std::size_t end, std::vector<DetectionRecord>& records,
+    LineBatchStats* stats) const {
   using logic::CompiledCircuit;
   const CompiledCircuit& cc = sim_.compiled();
 
@@ -257,41 +263,6 @@ void FaultSimulator::run_line_faults_batched(
     entries.push_back(e);
   }
 
-  // --- Critical-path tracing: on a single-output fan-out-free cone the
-  // detection word of SA-v on net L is crit(L) & (good(L) != v) & active —
-  // exact there (no reconvergent path can mask a sensitized line), so the
-  // whole range resolves from the good machine with no faulty pass.  A
-  // branch fault reads its input net's planes: fanout <= 1 makes branch
-  // and stem the same line. ------------------------------------------------
-  if (options.critical_path_tracing && ctx.cpt_available()) {
-    const std::uint64_t* const active = ctx.active_words().data();
-    const std::size_t nw = ctx.word_count();
-    for (const Entry& e : entries) {
-      const logic::NetId net =
-          e.lf.net >= 0
-              ? e.lf.net
-              : ckt_.gate(e.lf.gate).in[static_cast<std::size_t>(e.lf.pin)];
-      const std::uint64_t* crit = ctx.crit_plane(net);
-      const std::uint64_t* good = ctx.good_plane(net);
-      DetectionRecord& rec = records[e.rec];
-      for (std::size_t w = 0; w < nw; ++w) {
-        const std::uint64_t det =
-            crit[w] & (e.lf.stuck_one ? ~good[w] : good[w]) & active[w];
-        if (det == 0) continue;
-        rec.detected_output = true;
-        rec.first_pattern =
-            static_cast<int>(w * 64) + __builtin_ctzll(det);
-        break;
-      }
-    }
-    if (stats != nullptr) {
-      LineBatchStats local;
-      local.faults = entries.size();
-      local.cpt_faults = entries.size();
-      stats->merge(local);
-    }
-    return;
-  }
   // Stable counting sort by position — positions are bounded by the gate
   // count, so two counting passes replace comparison sorting (which showed
   // up as the single largest fixed cost of this wrapper, ahead of the
@@ -309,50 +280,17 @@ void FaultSimulator::run_line_faults_batched(
   LineBatchStats local;
   local.faults = entries.size();
 
-  if (!options.drop_detected) {
-    // One full-width pass per group (the PR-7 shape, kept as the
-    // equivalence/bench baseline when dropping is off).
-    std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
-    for (std::size_t g = 0; g < entries.size();
-         g += CompiledCircuit::kBatchLanes) {
-      const std::size_t n =
-          std::min(CompiledCircuit::kBatchLanes, entries.size() - g);
-      CompiledCircuit::LineFault lfs[CompiledCircuit::kBatchLanes];
-      for (std::size_t j = 0; j < n; ++j) lfs[j] = entries[g + j].lf;
-      const std::size_t words_done = cc.eval_packed_line_batch(
-          ctx.good_planes(), ctx.plane_stride(), n_words,
-          ctx.active_words().data(), lfs, n, det.data(), lane_scratch);
-      for (std::size_t j = 0; j < n; ++j) {
-        DetectionRecord& rec = records[entries[g + j].rec];
-        const std::uint64_t* fd = det.data() + j * n_words;
-        for (std::size_t w = 0; w < words_done; ++w) {
-          if (fd[w] == 0) continue;
-          rec.detected_output = true;
-          rec.first_pattern =
-              static_cast<int>(w * 64) + __builtin_ctzll(fd[w]);
-          break;
-        }
-      }
-      ++local.groups;
-      local.lane_slots += n;
-      local.words += words_done;
-      ++local.fill[n - 1];
-    }
-    if (stats != nullptr) stats->merge(local);
-    return;
-  }
-
   // --- Fault dropping: walk the word range in strips and re-form the lane
   // groups from the *surviving* faults between strips, so a detected fault
   // stops consuming a lane for the rest of the walk (= mid-walk lane
   // refill from pending faults).  A fault's detection words depend only on
   // the fault, never on its group (the kernel early-exits a group only
   // once every lane detected), so any strip/group schedule yields the same
-  // record — dropping is bit-identical to the single pass above.  The
-  // first strip is narrow: most detectable faults die within a few words,
-  // so the expensive full-width walks only ever see the hard tail.
-  // Strips start on kSimdWords boundaries, which keeps the plane pointer
-  // offsets aligned with the padded row stride. ----------------------------
+  // record as one full-width pass.  The first strip is narrow: most
+  // detectable faults die within a few words, so the expensive full-width
+  // walks only ever see the hard tail.  Strips start on kSimdWords
+  // boundaries, which keeps the plane pointer offsets aligned with the
+  // padded row stride. -------------------------------------------------------
   std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * kWideStrip);
   std::vector<std::uint32_t> live(entries.size());
   for (std::size_t i = 0; i < live.size(); ++i)
@@ -446,42 +384,11 @@ DetectionRecord FaultSimulator::simulate_transistor_fault(
     const FaultSimOptions& options) const {
   if (fault.site != FaultSite::kGateTransistor)
     throw std::invalid_argument("simulate_transistor_fault: wrong site");
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
   const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
       ckt_.gate(fault.gate).kind, fault.cell_fault);
-
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const Pattern& p = patterns[pi];
-    const logic::SimResult good = sim_.simulate(p);
-    const logic::SimResult bad = sim_.simulate_faulty_with(
-        p, gf, fa, options.sequential_patterns && !state.empty() ? &state
-                                                                 : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt_.primary_outputs()) {
-      const LogicV g = good.value(po);
-      const LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-    if (rec.first_pattern >= 0 &&
-        options.detection_mode == DetectionMode::kFirstOnly)
-      break;
-  }
-  return rec;
+  return serial_walk(
+      sim_, patterns, [&](std::size_t pi) { return sim_.simulate(patterns[pi]); },
+      fault, fa, options);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_fault(
@@ -526,7 +433,7 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   // marginal rows take the dual-rail kernel, which threads retention along
   // the pattern axis.  Both need packed patterns: X-bearing sets keep the
   // serial walk.
-  if (options.batch_transistor_faults && ctx.packed()) {
+  if (ctx.packed()) {
     if (fa.compiled_binary) {
       if (stats != nullptr) ++stats->transistor_binary;
       return simulate_transistor_packed(ctx, fault, fa, options, scratch);
@@ -535,45 +442,10 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
     return simulate_transistor_retained(ctx, fault, fa, options, scratch);
   }
   if (stats != nullptr) ++stats->transistor_serial;
-  return simulate_transistor_serial(ctx, fault, fa, options);
-}
-
-DetectionRecord FaultSimulator::simulate_transistor_serial(
-    const EvalContext& ctx, const Fault& fault,
-    const gates::FaultAnalysis& fa, const FaultSimOptions& options) const {
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
-    const Pattern& p = ctx.patterns()[pi];
-    const logic::SimResult& good = ctx.good(pi);
-    const logic::SimResult bad = sim_.simulate_faulty_with(
-        p, gf, fa, options.sequential_patterns && !state.empty() ? &state
-                                                                 : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt_.primary_outputs()) {
-      const LogicV g = good.value(po);
-      const LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-    if (rec.first_pattern >= 0 &&
-        options.detection_mode == DetectionMode::kFirstOnly)
-      break;
-  }
-  return rec;
+  return serial_walk(
+      sim_, ctx.patterns(),
+      [&](std::size_t pi) -> const logic::SimResult& { return ctx.good(pi); },
+      fault, fa, options);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_packed(
@@ -582,61 +454,25 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
     TransistorScratch& scratch) const {
   // Faulty machine: every gate evaluates normally except the faulted one,
   // whose output words come from its compiled faulty table — pattern words
-  // share the context's good planes.
-  DetectionRecord rec;
+  // share the context's good planes.  A binary dictionary can only produce
+  // a nonzero diff word when some row is kWrongValue and a nonzero
+  // contention word when some row contends, so for a fault with neither
+  // the empty record is exact without any pass.
+  if (!fa.output_detectable && (!options.observe_iddq || !fa.iddq_detectable))
+    return {};
   const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
-  // A binary dictionary can only produce a nonzero diff word when some row
-  // is kWrongValue and a nonzero contention word when some row contends, so
-  // for a fault with neither the empty record is exact without any pass.
-  if (options.drop_detected && !fa.output_detectable &&
-      (!options.observe_iddq || !fa.iddq_detectable))
-    return rec;
   const logic::CompiledCircuit& cc = sim_.compiled();
   const std::size_t n_words = ctx.word_count();
   std::vector<std::uint64_t>& diff = scratch.diff;
   std::vector<std::uint64_t>& contention = scratch.contention;
   const std::uint64_t* const active = ctx.active_words().data();
 
-  if (!options.drop_detected && !first_only) {
-    // Full pass, no early exit: an IDDQ-only excitation in a late word must
-    // be observed.  Branch-free OR-accumulation first (the compiler
-    // vectorizes this flat loop; a branchy word-at-a-time scan was a
-    // measurable slice of the per-fault cost once the kernel itself was
-    // batched), then an early-exiting second pass for the first detecting
-    // pattern only when something actually hit.
-    diff.resize(n_words);
-    contention.resize(n_words);
-    cc.eval_packed_faulty_planes(ctx.good_planes(), ctx.plane_stride(),
-                                 n_words, fault.gate, fa, diff.data(),
-                                 contention.data(), scratch.lanes);
-    std::uint64_t any_d = 0;
-    std::uint64_t any_c = 0;
-    for (std::size_t w = 0; w < n_words; ++w) {
-      any_d |= diff[w] & active[w];
-      any_c |= contention[w] & active[w];
-    }
-    rec.detected_output = any_d != 0;
-    rec.detected_iddq = options.observe_iddq && any_c != 0;
-    if (any_d != 0 || rec.detected_iddq) {
-      for (std::size_t w = 0; w < n_words; ++w) {
-        const std::uint64_t hit =
-            (diff[w] | (options.observe_iddq ? contention[w] : 0)) & active[w];
-        if (hit != 0) {
-          rec.first_pattern = static_cast<int>(w * 64) + __builtin_ctzll(hit);
-          break;
-        }
-      }
-    }
-    return rec;
-  }
-
-  // --- Strip-mined walk (dropping and/or first-only).  In full mode the
-  // walk stops only once no later word can change the record — output side
-  // resolved (diff seen, or no kWrongValue row exists) AND IDDQ side
-  // resolved (contention seen, not observed, or no contending row) — so
-  // the record is bit-identical to the full pass above.  In first-only
-  // mode the walk stops at the word holding the first counted detection
-  // (see WordFold). ---------------------------------------------------------
+  // --- Strip-mined walk.  In full mode the walk stops only once no later
+  // word can change the record — output side resolved (diff seen, or no
+  // kWrongValue row exists) AND IDDQ side resolved (contention seen, not
+  // observed, or no contending row) — so the record equals a full pass.
+  // In first-only mode the walk stops at the word holding the first
+  // counted detection (see WordFold). ---------------------------------------
   diff.resize(kWideStrip);
   contention.resize(kWideStrip);
   WordFold fold{options.observe_iddq, first_only};
@@ -667,12 +503,12 @@ DetectionRecord FaultSimulator::simulate_transistor_retained(
     TransistorScratch& scratch) const {
   // The dual-rail kernel reproduces the serial walk pattern for pattern;
   // the carry threads the faulted output's retained charge from each strip
-  // into the next.  With dropping on, a full-mode walk stops once every
-  // observable is settled: a PO flip (impossible without a wrong-value
-  // row unless a floating row can retain a stale value), an X at a PO
-  // (always possible: every such dictionary has a marginal or a floating
-  // row, and floating reads X before pattern 0), and an observed IDDQ
-  // excitation (impossible without a contending row).
+  // into the next.  A full-mode walk stops once every observable is
+  // settled: a PO flip (impossible without a wrong-value row unless a
+  // floating row can retain a stale value), an X at a PO (always possible:
+  // every such dictionary has a marginal or a floating row, and floating
+  // reads X before pattern 0), and an observed IDDQ excitation (impossible
+  // without a contending row).
   const logic::CompiledCircuit& cc = sim_.compiled();
   const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
   const bool retain = options.sequential_patterns;
@@ -686,8 +522,7 @@ DetectionRecord FaultSimulator::simulate_transistor_retained(
   logic::CompiledCircuit::RetainedCarry carry;
   WordFold fold{options.observe_iddq, first_only};
   std::size_t w0 = 0;
-  std::size_t strip =
-      options.drop_detected || first_only ? kFirstStrip : kWideStrip;
+  std::size_t strip = kFirstStrip;
   while (w0 < n_words) {
     const std::size_t nw = std::min(strip, n_words - w0);
     strip = kWideStrip;
@@ -699,8 +534,7 @@ DetectionRecord FaultSimulator::simulate_transistor_retained(
                   scratch.contention.data(), ctx.active_words().data()))
       break;
     w0 += nw;
-    if (options.drop_detected && !first_only &&
-        (fold.any_d != 0 || !out_possible) && fold.any_p != 0 &&
+    if (!first_only && (fold.any_d != 0 || !out_possible) && fold.any_p != 0 &&
         (fold.any_c != 0 || !iddq_possible))
       break;
   }

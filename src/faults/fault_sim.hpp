@@ -46,7 +46,7 @@ struct DetectionRecord {
 enum class DetectionMode {
   /// Flags aggregate over the whole pattern set: detected_output,
   /// detected_iddq and potential reflect every pattern (the historical
-  /// semantics; byte-identical reports regardless of work reduction).
+  /// semantics).
   kFull,
   /// Simulation of a fault may stop at its first counted detection:
   /// flags reflect only patterns up to and including that one (exactly
@@ -56,11 +56,17 @@ enum class DetectionMode {
   kFirstOnly,
 };
 
-/// Default for the process-local work-reduction switches: on unless the
-/// environment sets CPSINW_WORK_REDUCTION=off (the CI equivalence leg).
-[[nodiscard]] bool work_reduction_default();
-
-/// Controls for a fault-simulation run.
+/// Controls for a fault-simulation run: the observables a record counts
+/// and the contract it keeps.  Every setting changes records, so all three
+/// travel on the shard_io wire.
+///
+/// Work reduction is not a setting: every walk drops a fault once nothing
+/// more can be learned about it.  Line faults leave the active universe at
+/// their first detecting word (the strip-mined walk refills freed lanes
+/// from pending faults); transistor faults stop once every observable of
+/// their dictionary (PO flip, X at a PO, IDDQ excitation) has fired or is
+/// impossible.  Full-mode records are exactly the whole-pattern-set
+/// records.
 struct FaultSimOptions {
   /// Count IDDQ anomalies as detections (the paper's polarity faults in
   /// pull-up networks are *only* detectable this way).
@@ -68,38 +74,8 @@ struct FaultSimOptions {
   /// Thread net state across consecutive patterns so floating outputs
   /// retain charge (enables two-pattern stuck-open detection).
   bool sequential_patterns = true;
-  /// Evaluate transistor faults on packed contexts with the plane kernels
-  /// (64 patterns per word): purely binary dictionaries via their
-  /// faulty-logic tables, dictionaries with floating/marginal rows via the
-  /// dual-rail retained-state kernel.  Bit-identical to the serial path —
-  /// the switch exists so the golden-equivalence tests can compare both.
-  bool batch_transistor_faults = true;
-  /// Evaluate line faults in groups of CompiledCircuit::kBatchLanes
-  /// through the multi-fault batch kernel (one forward walk shared by the
-  /// whole group) instead of one packed pass per fault per batch.
-  /// Bit-identical to the single-fault path — the switch exists for the
-  /// equivalence tests and the bench's before/after legs.  Process-local:
-  /// deliberately not serialized on the shard_io wire (both settings
-  /// produce identical records, so remote workers may pick either).
-  bool batch_line_faults = true;
-  /// Fault dropping: stop simulating a fault once nothing more can be
-  /// learned about it.  Line faults leave the active universe at their
-  /// first detecting word (the batched walk refills freed lanes from
-  /// pending faults strip by strip); transistor faults stop once every
-  /// observable of their dictionary (PO flip, IDDQ excitation) has fired
-  /// or is impossible.  In kFull detection mode the records are
-  /// bit-identical with dropping on or off, so this stays process-local
-  /// (not serialized on the shard_io wire), like batch_line_faults.
-  bool drop_detected = work_reduction_default();
-  /// Critical-path-tracing fast path: for contexts whose circuit is a
-  /// single-output fan-out-free cone (EvalContext::cpt_available()), line
-  /// stuck-at detection is deduced from the good-machine planes alone —
-  /// no faulty pass at all.  Exact there (no reconvergence can mask), so
-  /// records stay bit-identical; process-local like the switches above.
-  bool critical_path_tracing = work_reduction_default();
   /// Contract for per-fault flags after the first counted detection (see
-  /// DetectionMode).  kFirstOnly is serialized on the shard_io wire — it
-  /// changes records, so every worker must agree.
+  /// DetectionMode).
   DetectionMode detection_mode = DetectionMode::kFull;
 };
 
@@ -118,7 +94,7 @@ struct LineBatchStats {
   /// occupied lanes, so occupancy = lane_slots / (groups * kBatchLanes).
   std::size_t lane_slots = 0;
   std::size_t words = 0;       ///< pattern words evaluated (post early-exit)
-  /// Line faults resolved by critical-path tracing alone (no kernel pass).
+  /// Always 0 (critical-path tracing was removed); perfbench still reads it.
   std::size_t cpt_faults = 0;
   /// fill[k]: kernel invocations that carried k+1 faults.
   std::array<std::size_t, logic::CompiledCircuit::kBatchLanes> fill{};
@@ -209,7 +185,10 @@ class FaultSimulator {
                                          const Fault& fault,
                                          std::size_t pattern_index) const;
 
-  /// Serial simulation of one transistor fault over a pattern sequence.
+  /// Serial simulation of one transistor fault over a pattern sequence,
+  /// with the good machine simulated per pattern.  It builds no context:
+  /// ATPG calls it per candidate test (stuck_open_detected), and a context
+  /// per call would recompile the circuit each time.
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
@@ -229,26 +208,21 @@ class FaultSimulator {
   [[nodiscard]] const logic::Circuit& circuit() const { return ckt_; }
 
  private:
-  /// Packed faulty simulation with a line forced to a constant, written
-  /// into `values` — a scratch buffer the callers reuse across faults and
-  /// batches (the interpreted predecessor allocated a fresh vector per
-  /// fault per batch).
+  /// Packed faulty simulation of one 64-pattern word with a line forced to
+  /// a constant, written into `values` (the single-pattern checks).
   void packed_line_fault(const std::vector<std::uint64_t>& pi_words,
                          const Fault& fault,
                          std::vector<std::uint64_t>& values) const;
 
-  /// Batched line-fault path of run_range: validates and gathers the line
-  /// faults of [begin, end), sorts them by injection position, and feeds
-  /// kBatchLanes-sized groups through eval_packed_line_batch, deriving
-  /// each fault's DetectionRecord from its detection words.  With
-  /// critical-path tracing available the whole range resolves from the
-  /// good planes instead; with dropping on, the word range is walked in
-  /// strips and detected faults leave the groups between strips (freed
-  /// lanes refill from the surviving faults).  All shapes bit-identical.
+  /// Line-fault walk of run_range: validates and gathers the line faults
+  /// of [begin, end), sorts them by injection position, and walks the word
+  /// range in strips, feeding kBatchLanes-sized groups of the surviving
+  /// faults through eval_packed_line_batch.  A fault leaves the groups at
+  /// its first detecting word (freed lanes refill from the survivors), and
+  /// its DetectionRecord derives from its own detection words.
   void run_line_faults_batched(const EvalContext& ctx,
                                const std::vector<Fault>& faults,
                                std::size_t begin, std::size_t end,
-                               const FaultSimOptions& options,
                                std::vector<DetectionRecord>& records,
                                LineBatchStats* stats) const;
 
@@ -274,19 +248,12 @@ class FaultSimulator {
   /// Dispatching body of simulate_transistor_fault with caller-owned
   /// scratch (the public overload wraps it with a local set): packed +
   /// binary dictionary -> simulate_transistor_packed, packed + floating or
-  /// marginal rows -> simulate_transistor_retained, X-bearing patterns or
-  /// batch_transistor_faults off -> simulate_transistor_serial.  Counts
-  /// the path taken into `stats` when non-null.
+  /// marginal rows -> simulate_transistor_retained, X-bearing patterns ->
+  /// the serial walk.  Counts the path taken into `stats` when non-null.
   [[nodiscard]] DetectionRecord simulate_transistor_scratch(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options, TransistorScratch& scratch,
       LineBatchStats* stats = nullptr) const;
-
-  /// Serial retained-state transistor path over the context's patterns:
-  /// the fallback for X-bearing pattern sets and the plane kernels' oracle.
-  [[nodiscard]] DetectionRecord simulate_transistor_serial(
-      const EvalContext& ctx, const Fault& fault,
-      const gates::FaultAnalysis& fa, const FaultSimOptions& options) const;
 
   /// Packed transistor path: valid only for dictionaries with all-binary,
   /// non-floating rows (checked by the caller).

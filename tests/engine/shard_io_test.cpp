@@ -70,6 +70,19 @@ TEST(ShardIo, InputSurvivesARoundTripByteIdentically) {
       serialize_shard_input(parsed.circuit, parsed.patterns, parsed.faults,
                             parsed.shard, parsed.options);
   EXPECT_EQ(doc, again);
+
+  // Documents from older writers may carry options this reader no longer
+  // knows.  Unknown keys are ignored, so such a document still parses to
+  // the same input.
+  std::string older = doc;
+  const std::size_t at = older.find("\"detection_mode\"");
+  ASSERT_NE(at, std::string::npos);
+  older.insert(at, "\"retired_option\":true,");
+  const ShardWorkInput from_older = parse_shard_input(older);
+  EXPECT_EQ(serialize_shard_input(from_older.circuit, from_older.patterns,
+                                  from_older.faults, from_older.shard,
+                                  from_older.options),
+            doc);
 }
 
 TEST(ShardIo, CircuitIdsAndStructureArePreserved) {
@@ -185,6 +198,33 @@ TEST(ShardIo, MalformedDocumentsThrowInsteadOfMisbehaving) {
   ASSERT_NE(at, std::string::npos);
   wrong_version.replace(at, 11, "\"version\":9");
   EXPECT_THROW((void)parse_shard_input(wrong_version), std::runtime_error);
+}
+
+TEST(ShardIo, OutOfRangeBridgeNetsThrowInsteadOfCrashing) {
+  // Bridge net ids are plain ints on the wire, so a document may name a
+  // net the circuit does not have.  Simulating it used to index the net
+  // vectors unchecked and kill the shard server with SIGSEGV.
+  const logic::Circuit ckt = logic::c17();
+  const std::vector<CampaignFault> universe = {CampaignFault::from_bridge(
+      {1, 2, faults::BridgeBehavior::kWiredAnd})};
+  Shard shard;
+  shard.end = universe.size();
+  const std::vector<logic::Pattern> patterns = {
+      logic::Pattern(ckt.primary_inputs().size(), logic::LogicV::k1)};
+  std::string doc =
+      serialize_shard_input(ckt, patterns, universe, shard, ShardExecOptions{});
+  const std::string pair = "\"a\":1,\"b\":2,";
+  const std::size_t at = doc.find(pair);
+  ASSERT_NE(at, std::string::npos);
+  doc.replace(at, pair.size(), "\"a\":1,\"b\":100000000,");
+
+  const ShardWorkInput parsed = parse_shard_input(doc);
+  ASSERT_EQ(parsed.faults.size(), 1u);
+  EXPECT_EQ(parsed.faults[0].bridge.b, 100000000);
+  const faults::EvalContext ctx(parsed.circuit, parsed.patterns);
+  EXPECT_THROW(
+      (void)run_shard(ctx, parsed.faults, parsed.shard, parsed.options),
+      std::invalid_argument);
 }
 
 TEST(ShardIo, DeeplyNestedDocumentsThrowInsteadOfOverflowingTheStack) {

@@ -128,9 +128,12 @@ TEST(Bridge, FeedbackBridgeResolvesWithoutHanging) {
 
 TEST(Bridge, RejectsBadPairs) {
   const logic::Circuit ckt = logic::c17();
-  EXPECT_THROW((void)simulate_bridge(ckt, {3, 3, BridgeBehavior::kWiredOr},
-                                     bits_to_pattern(0, 5)),
-               std::invalid_argument);
+  for (const BridgeFault& bad :
+       {BridgeFault{3, 3, BridgeBehavior::kWiredOr},
+        BridgeFault{-1, 3, BridgeBehavior::kWiredOr},
+        BridgeFault{3, 100000000, BridgeBehavior::kWiredOr}})
+    EXPECT_THROW((void)simulate_bridge(ckt, bad, bits_to_pattern(0, 5)),
+                 std::invalid_argument);
 }
 
 TEST(Bridge, BehaviorNames) {

@@ -1,15 +1,15 @@
 // Golden-equivalence suite for the shared evaluation context: the
-// context-based run/run_range paths — including the packed 64-pattern
-// transistor batch — must be bit-identical to the seed's serial
-// algorithm, re-implemented here verbatim as the reference.
+// context-based run/run_range paths — including both transistor plane
+// kernels — must be bit-identical to the seed's serial algorithm
+// (reference_sim.hpp).
 #include "faults/eval_context.hpp"
 
 #include <gtest/gtest.h>
 
 #include "atpg/two_pattern.hpp"
 #include "faults/fault_sim.hpp"
-#include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
+#include "reference_sim.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::faults {
@@ -28,63 +28,6 @@ std::vector<Pattern> random_patterns(const logic::Circuit& ckt, int count,
     out.push_back(std::move(p));
   }
   return out;
-}
-
-/// The seed's serial transistor-fault algorithm, verbatim: scalar good
-/// machine per pattern, ad-hoc analyze_fault, retained-state threading.
-DetectionRecord reference_transistor(const logic::Circuit& ckt,
-                                     const Fault& fault,
-                                     const std::vector<Pattern>& patterns,
-                                     const FaultSimOptions& options) {
-  const logic::Simulator sim(ckt);
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
-  const gates::FaultAnalysis fa =
-      gates::analyze_fault(ckt.gate(fault.gate).kind, fault.cell_fault);
-
-  DetectionRecord rec;
-  std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const Pattern& p = patterns[pi];
-    const logic::SimResult good = sim.simulate(p);
-    const logic::SimResult bad = sim.simulate_faulty_with(
-        p, gf, fa, options.sequential_patterns && !state.empty() ? &state
-                                                                 : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
-
-    bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
-      rec.detected_iddq = true;
-      hit = true;
-    }
-    for (const logic::NetId po : ckt.primary_outputs()) {
-      const LogicV g = good.value(po);
-      const LogicV b = bad.value(po);
-      if (is_binary(g) && is_binary(b) && g != b) {
-        rec.detected_output = true;
-        hit = true;
-      } else if (is_binary(g) && !is_binary(b)) {
-        rec.potential = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-  }
-  return rec;
-}
-
-/// Reference for line faults: the untouched single-pattern check, one
-/// pattern at a time (equivalent to the seed's packed batches).
-DetectionRecord reference_line(const FaultSimulator& fsim, const Fault& fault,
-                               const std::vector<Pattern>& patterns) {
-  DetectionRecord rec;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    if (fsim.line_fault_detected(fault, patterns[pi])) {
-      rec.detected_output = true;
-      rec.first_pattern = static_cast<int>(pi);
-      break;
-    }
-  }
-  return rec;
 }
 
 void expect_record_eq(const DetectionRecord& got, const DetectionRecord& want,
@@ -131,6 +74,19 @@ TEST(EvalContext, RunMatchesSeedSerialReferenceForAllFaultClasses) {
     const FaultSimulator fsim(w.ckt);
     const EvalContext ctx(w.ckt, w.patterns);
     ASSERT_TRUE(ctx.packed()) << w.name;
+
+    // The universe must actually exercise both plane kernels (binary and
+    // retained-state dictionaries).
+    int binary = 0, retained = 0;
+    for (const Fault& f : w.faults) {
+      if (f.site != FaultSite::kGateTransistor) continue;
+      ctx.dictionary(w.ckt.gate(f.gate).kind, f.cell_fault).compiled_binary
+          ? ++binary
+          : ++retained;
+    }
+    ASSERT_GT(binary, 0) << w.name;
+    ASSERT_GT(retained, 0) << w.name;
+
     for (const bool observe_iddq : {true, false}) {
       for (const bool sequential : {true, false}) {
         FaultSimOptions opt;
@@ -139,47 +95,14 @@ TEST(EvalContext, RunMatchesSeedSerialReferenceForAllFaultClasses) {
         const FaultSimReport got = fsim.run(ctx, w.faults, opt);
         ASSERT_EQ(got.records.size(), w.faults.size());
         for (std::size_t fi = 0; fi < w.faults.size(); ++fi) {
-          const Fault& f = w.faults[fi];
-          const DetectionRecord want =
-              f.site == FaultSite::kGateTransistor
-                  ? reference_transistor(w.ckt, f, w.patterns, opt)
-                  : reference_line(fsim, f, w.patterns);
-          expect_record_eq(got.records[fi], want,
+          expect_record_eq(got.records[fi],
+                           reference::record(ctx, w.faults[fi], opt),
                            w.name + " fault " + std::to_string(fi) +
                                " iddq=" + std::to_string(observe_iddq) +
                                " seq=" + std::to_string(sequential));
         }
       }
     }
-  }
-}
-
-TEST(EvalContext, PackedTransistorBatchIsBitIdenticalToSerialPath) {
-  for (const Workload& w : workloads()) {
-    const FaultSimulator fsim(w.ckt);
-    const EvalContext ctx(w.ckt, w.patterns);
-
-    // The universe must actually exercise both plane kernels (binary and
-    // retained-state dictionaries).
-    int binary = 0, retained = 0;
-    for (const Fault& f : w.faults) {
-      if (f.site != FaultSite::kGateTransistor) continue;
-      const gates::FaultAnalysis& fa =
-          ctx.dictionary(w.ckt.gate(f.gate).kind, f.cell_fault);
-      (!fa.needs_sequence && !fa.marginal_detectable) ? ++binary : ++retained;
-    }
-    ASSERT_GT(binary, 0) << w.name;
-    ASSERT_GT(retained, 0) << w.name;
-
-    FaultSimOptions batched;
-    FaultSimOptions serial;
-    serial.batch_transistor_faults = false;
-    const FaultSimReport a = fsim.run(ctx, w.faults, batched);
-    const FaultSimReport b = fsim.run(ctx, w.faults, serial);
-    ASSERT_EQ(a.records.size(), b.records.size());
-    for (std::size_t fi = 0; fi < a.records.size(); ++fi)
-      expect_record_eq(a.records[fi], b.records[fi],
-                       w.name + " fault " + std::to_string(fi));
   }
 }
 
@@ -229,26 +152,22 @@ TEST(EvalContext, TwoPatternStuckOpenSequencesRetainState) {
       if (r.status != atpg::AtpgStatus::kDetected || !r.test) continue;
       ++verified;
       // The (init, test) retention sequence must detect through the
-      // context path exactly as through the seed serial check, with
-      // batching enabled (floating dictionaries take the dual-rail
-      // retained-state plane kernel) and disabled (the serial walk).
-      const EvalContext ctx(ckt, {r.test->init, r.test->test});
-      for (const bool batching : {true, false}) {
-        FaultSimOptions opt;
-        opt.batch_transistor_faults = batching;
-        const FaultSimReport rep = fsim.run(ctx, {f}, opt);
-        EXPECT_TRUE(rep.records[0].detected_output)
-            << g.name << ".t" << t << " batching=" << batching;
-        EXPECT_EQ(rep.records[0].first_pattern, 1)
-            << g.name << ".t" << t << " batching=" << batching;
-      }
+      // context path (floating dictionaries take the dual-rail
+      // retained-state plane kernel) exactly as through the seed serial
+      // algorithm.
+      const std::vector<Pattern> seq = {r.test->init, r.test->test};
+      const EvalContext ctx(ckt, seq);
+      const FaultSimReport rep = fsim.run(ctx, {f}, {});
+      EXPECT_TRUE(rep.records[0].detected_output) << g.name << ".t" << t;
+      EXPECT_EQ(rep.records[0].first_pattern, 1) << g.name << ".t" << t;
+      expect_record_eq(rep.records[0], reference::transistor(ckt, f, seq, {}),
+                       g.name + ".t" + std::to_string(t));
       // Without sequence threading the retained value is lost: the same
       // two patterns must not report a definite output detection.
       FaultSimOptions no_seq;
       no_seq.sequential_patterns = false;
-      const FaultSimReport rep =
-          fsim.run(ctx, {f}, no_seq);
-      EXPECT_FALSE(rep.records[0].detected_output) << g.name << ".t" << t;
+      EXPECT_FALSE(fsim.run(ctx, {f}, no_seq).records[0].detected_output)
+          << g.name << ".t" << t;
     }
   }
   EXPECT_GT(verified, 0);
@@ -263,17 +182,33 @@ TEST(EvalContext, XBearingPatternsStayScalarAndRejectLineFaults) {
   EXPECT_TRUE(ctx.batches().empty());
 
   const FaultSimulator fsim(ckt);
-  // Transistor faults still simulate (scalar serial path)...
+  // Transistor faults still simulate (scalar serial path), under every
+  // observation option and detection mode...
   std::vector<Fault> trans;
   for (const Fault& f : generate_fault_list(ckt, {}))
     if (f.site == FaultSite::kGateTransistor) trans.push_back(f);
   ASSERT_FALSE(trans.empty());
-  const FaultSimReport got = fsim.run(ctx, trans, {});
-  ASSERT_EQ(got.records.size(), trans.size());
-  for (std::size_t fi = 0; fi < trans.size(); ++fi)
-    expect_record_eq(got.records[fi],
-                     reference_transistor(ckt, trans[fi], patterns, {}),
-                     "fault " + std::to_string(fi));
+  for (const bool observe_iddq : {true, false}) {
+    for (const bool sequential : {true, false}) {
+      for (const DetectionMode mode :
+           {DetectionMode::kFull, DetectionMode::kFirstOnly}) {
+        FaultSimOptions opt;
+        opt.observe_iddq = observe_iddq;
+        opt.sequential_patterns = sequential;
+        opt.detection_mode = mode;
+        const FaultSimReport got = fsim.run(ctx, trans, opt);
+        ASSERT_EQ(got.records.size(), trans.size());
+        for (std::size_t fi = 0; fi < trans.size(); ++fi)
+          expect_record_eq(
+              got.records[fi],
+              reference::transistor(ckt, trans[fi], patterns, opt),
+              "fault " + std::to_string(fi) +
+                  " iddq=" + std::to_string(observe_iddq) +
+                  " seq=" + std::to_string(sequential) + " first_only=" +
+                  std::to_string(mode == DetectionMode::kFirstOnly));
+      }
+    }
+  }
 
   // ...while the packed line path refuses, like the seed did.
   const Fault line = Fault::net_stuck(ckt.primary_outputs()[0], false);

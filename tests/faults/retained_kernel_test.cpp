@@ -1,12 +1,12 @@
 // Differential suite for the dual-rail retained-state transistor kernel
 // (CompiledCircuit::eval_packed_retained_planes behind
-// FaultSimulator's packed dispatch).  The serial walk —
-// batch_transistor_faults = false — is the oracle: every record must be
-// bit-identical to it across pattern counts that straddle word and strip
-// boundaries, sequential on/off, IDDQ observation on/off, kFull and
-// kFirstOnly, dropping on/off, and the portable vs SIMD backends.  Binary
-// and retained faults of a gate interleave in fault-list order, so the
-// shared cone cache is exercised on every gate.
+// FaultSimulator's packed dispatch).  The seed's serial walk
+// (reference_sim.hpp) is the oracle: every record must be bit-identical
+// to it across pattern counts that straddle word and strip boundaries,
+// sequential on/off, IDDQ observation on/off, kFull and kFirstOnly, and
+// the portable vs SIMD backends.  Binary and retained faults of a gate
+// interleave in fault-list order, so the shared cone cache is exercised
+// on every gate.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -27,6 +27,7 @@
 #include "logic/logic_sim.hpp"
 #include "logic/packed_kernels.hpp"
 #include "logic/simd.hpp"
+#include "reference_sim.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::faults {
@@ -121,7 +122,7 @@ void expect_same(const std::vector<DetectionRecord>& got,
                   << "): got out=" << g.detected_output
                   << " iddq=" << g.detected_iddq << " pot=" << g.potential
                   << " first=" << g.first_pattern
-                  << ", serial out=" << w.detected_output
+                  << ", reference out=" << w.detected_output
                   << " iddq=" << w.detected_iddq << " pot=" << w.potential
                   << " first=" << w.first_pattern;
     return;
@@ -197,7 +198,7 @@ TEST(RetainedKernel, SlotZeroTrapPutsAliasedPinsInTheFaultedCone) {
 
 // (b) ------------------------------------------------------------------------
 
-TEST(RetainedKernel, RecordsMatchTheSerialPathAcrossTheOptionMatrix) {
+TEST(RetainedKernel, RecordsMatchTheSerialReferenceAcrossTheOptionMatrix) {
   const std::size_t counts[] = {0, 1, 2, 63, 64, 65, 130, 300};
   for (const Named& c : roster()) {
     const std::vector<Fault> faults = transistor_faults(c.ckt);
@@ -209,37 +210,30 @@ TEST(RetainedKernel, RecordsMatchTheSerialPathAcrossTheOptionMatrix) {
         for (const bool iddq : {true, false}) {
           for (const DetectionMode mode :
                {DetectionMode::kFull, DetectionMode::kFirstOnly}) {
-            FaultSimOptions serial;
-            serial.sequential_patterns = sequential;
-            serial.observe_iddq = iddq;
-            serial.detection_mode = mode;
-            serial.batch_transistor_faults = false;
+            FaultSimOptions opt;
+            opt.sequential_patterns = sequential;
+            opt.observe_iddq = iddq;
+            opt.detection_mode = mode;
             const std::vector<DetectionRecord> want =
-                fsim.run_range(ctx, faults, 0, faults.size(), serial);
-            for (const bool drop : {false, true}) {
-              for (const bool portable : {false, true}) {
-                logic::simd::force_portable(portable);
-                FaultSimOptions opt = serial;
-                opt.batch_transistor_faults = true;
-                opt.drop_detected = drop;
-                LineBatchStats stats;
-                const std::vector<DetectionRecord> got = fsim.run_range(
-                    ctx, faults, 0, faults.size(), opt, &stats);
-                logic::simd::force_portable(false);
-                expect_same(got, want, faults,
-                            c.name + " patterns=" + std::to_string(count) +
-                                " seq=" + std::to_string(sequential) +
-                                " iddq=" + std::to_string(iddq) +
-                                " first_only=" +
-                                std::to_string(mode ==
-                                               DetectionMode::kFirstOnly) +
-                                " drop=" + std::to_string(drop) +
-                                " portable=" + std::to_string(portable));
-                EXPECT_EQ(stats.transistor_serial, 0u) << c.name;
-                EXPECT_EQ(stats.transistor_binary + stats.transistor_retained,
-                          faults.size());
-                retained = stats.transistor_retained;
-              }
+                reference::records(ctx, faults, opt);
+            for (const bool portable : {false, true}) {
+              logic::simd::force_portable(portable);
+              LineBatchStats stats;
+              const std::vector<DetectionRecord> got =
+                  fsim.run_range(ctx, faults, 0, faults.size(), opt, &stats);
+              logic::simd::force_portable(false);
+              expect_same(got, want, faults,
+                          c.name + " patterns=" + std::to_string(count) +
+                              " seq=" + std::to_string(sequential) +
+                              " iddq=" + std::to_string(iddq) +
+                              " first_only=" +
+                              std::to_string(mode ==
+                                             DetectionMode::kFirstOnly) +
+                              " portable=" + std::to_string(portable));
+              EXPECT_EQ(stats.transistor_serial, 0u) << c.name;
+              EXPECT_EQ(stats.transistor_binary + stats.transistor_retained,
+                        faults.size());
+              retained = stats.transistor_retained;
             }
           }
         }
@@ -250,10 +244,10 @@ TEST(RetainedKernel, RecordsMatchTheSerialPathAcrossTheOptionMatrix) {
 }
 
 TEST(RetainedKernel, DroppingWaitsForAPotentialDetectionPastTheFirstStrip) {
-  // A full-mode walk with dropping may stop only once potential is
-  // settled too.  A marginal-row fault without floating rows has every
-  // other observable settled from the start (IDDQ unobserved here), yet
-  // its only X reaches the PO at pattern 280 — past the first strip.
+  // A full-mode walk may stop only once potential is settled too.  A
+  // marginal-row fault without floating rows has every other observable
+  // settled from the start (IDDQ unobserved here), yet its only X reaches
+  // the PO at pattern 280 — past the first strip.
   const gates::FaultAnalysis* pick = nullptr;
   for (const CellKind kind : gates::all_cell_kinds())
     for (const gates::CellFault& cf :
@@ -295,16 +289,11 @@ TEST(RetainedKernel, DroppingWaitsForAPotentialDetectionPastTheFirstStrip) {
       Fault::transistor(0, pick->fault.transistor, pick->fault.kind)};
 
   const FaultSimulator fsim(ckt);
-  FaultSimOptions serial;
-  serial.observe_iddq = false;
-  serial.batch_transistor_faults = false;
-  FaultSimOptions dropping = serial;
-  dropping.batch_transistor_faults = true;
-  dropping.drop_detected = true;
-  const std::vector<DetectionRecord> want =
-      fsim.run_range(ctx, f, 0, 1, serial);
+  FaultSimOptions opt;
+  opt.observe_iddq = false;
+  const std::vector<DetectionRecord> want = reference::records(ctx, f, opt);
   ASSERT_TRUE(want[0].potential);
-  expect_same(fsim.run_range(ctx, f, 0, 1, dropping), want, f, "late X");
+  expect_same(fsim.run_range(ctx, f, 0, 1, opt), want, f, "late X");
 }
 
 TEST(RetainedKernel, RandomRosterCoversXor3AndMaj3Cells) {
@@ -336,13 +325,6 @@ TEST(RetainedKernel, PathCountersSeeNoSerialFallbackOnPackedContexts) {
   EXPECT_EQ(on_packed.transistor_binary + on_packed.transistor_retained,
             faults.size());
 
-  FaultSimOptions unbatched;
-  unbatched.batch_transistor_faults = false;
-  LineBatchStats switched_off;
-  (void)fsim.run_range(packed, faults, 0, faults.size(), unbatched,
-                       &switched_off);
-  EXPECT_EQ(switched_off.transistor_serial, faults.size());
-
   std::vector<Pattern> with_x = random_patterns(ckt, 65, 3);
   with_x[7][0] = LogicV::kX;
   const EvalContext x_ctx(ckt, with_x);
@@ -356,14 +338,14 @@ TEST(RetainedKernel, PathCountersSeeNoSerialFallbackOnPackedContexts) {
 #ifndef CPSINW_TELEMETRY_OFF
 TEST(RetainedKernel, RunShardExportsThePathCounters) {
   const logic::Circuit ckt = logic::c17();
-  const std::vector<engine::CampaignFault> universe = engine::build_universe(
-      ckt, engine::FaultModelSelection{}, /*observe_iddq=*/true);
+  // Transistor classes only: an X-bearing pattern set rejects line faults.
+  engine::FaultModelSelection models;
+  models.line_stuck_at = false;
+  const std::vector<engine::CampaignFault> universe =
+      engine::build_universe(ckt, models, /*observe_iddq=*/true);
   engine::Shard shard;
   shard.end = universe.size();
-  std::size_t transistor = 0;
-  for (const engine::CampaignFault& cf : universe)
-    transistor += cf.cls != engine::FaultClass::kLineStuckAt &&
-                  cf.cls != engine::FaultClass::kBridge;
+  const std::size_t transistor = universe.size();
   ASSERT_GT(transistor, 0u);
 
   engine::telemetry::Registry& reg = engine::telemetry::Registry::global();
@@ -385,12 +367,19 @@ TEST(RetainedKernel, RunShardExportsThePathCounters) {
   EXPECT_EQ(packed[2], 0u);
   EXPECT_EQ(packed[0] + packed[1], transistor);
   EXPECT_GT(packed[1], 0u);
+
+  // X-bearing patterns: every transistor fault takes the serial walk.
+  std::vector<Pattern> with_x = random_patterns(ckt, 40, 9);
+  with_x[3][1] = LogicV::kX;
+  const std::array<std::uint64_t, 3> x_bearing = run(with_x);
+  EXPECT_EQ(x_bearing[2], transistor);
+  EXPECT_EQ(x_bearing[0] + x_bearing[1], 0u);
 }
 #endif
 
 // (d) ------------------------------------------------------------------------
 
-TEST(RetainedKernel, FiveClassCampaignIsByteIdenticalAcrossThreadsAndPaths) {
+TEST(RetainedKernel, FiveClassCampaignThreadIdenticalAndShardsMatchOracles) {
   engine::CampaignSpec spec;
   spec.jobs.push_back({"alu_array_1", logic::alu_array(1)});
   spec.jobs.push_back({"c17", logic::c17()});
@@ -405,10 +394,30 @@ TEST(RetainedKernel, FiveClassCampaignIsByteIdenticalAcrossThreadsAndPaths) {
     EXPECT_EQ(engine::run_campaign(spec).to_json(), reference)
         << threads << " threads";
   }
-  // The serial walk is the oracle at campaign level too.
-  spec.threads = 1;
-  spec.sim.batch_transistor_faults = false;
-  EXPECT_EQ(engine::run_campaign(spec).to_json(), reference);
+
+  // The oracles at shard level: what every campaign shard executes, record
+  // by record, over the same five-class universes.  Bridges have a single
+  // evaluation path.
+  for (const engine::CircuitJobSpec& job : spec.jobs) {
+    const std::vector<engine::CampaignFault> universe =
+        engine::build_universe(job.circuit, spec.models,
+                               spec.sim.observe_iddq);
+    const EvalContext ctx(job.circuit, random_patterns(job.circuit, 130, 41));
+    const std::vector<engine::Shard> shards = engine::make_shards(
+        0, universe.size(), spec.shard_size, util::SplitMix64(spec.seed));
+    for (const engine::Shard& shard : shards) {
+      const engine::ShardResult sr =
+          engine::run_shard(ctx, universe, shard, {});
+      for (std::size_t i = shard.begin; i < shard.end; ++i) {
+        if (universe[i].cls == engine::FaultClass::kBridge) continue;
+        const DetectionRecord want =
+            reference::record(ctx, universe[i].fault, spec.sim);
+        expect_same({sr.results[i - shard.begin].record}, {want},
+                    {universe[i].fault}, job.name + " fault " +
+                                             std::to_string(i));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Work-reduction equivalence suite: fault dropping and critical-path
-// tracing must be invisible in full detection mode (bit-identical records
-// with every switch combination), the first-only detection mode must be a
-// well-defined truncation contract that serial and packed paths agree on,
-// and sampled-coverage accounting must survive shard failures.
+// Work-reduction equivalence suite: fault dropping must be invisible in
+// full detection mode (records bit-identical to the oracles of
+// reference_sim.hpp, which simulate every pattern), the first-only
+// detection mode must be a well-defined truncation contract that the
+// oracles agree on, and sampled-coverage accounting must survive shard
+// failures.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,11 +12,13 @@
 
 #include "engine/campaign.hpp"
 #include "engine/executor.hpp"
+#include "engine/report.hpp"
 #include "engine/shard.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
 #include "logic/benchmarks.hpp"
+#include "reference_sim.hpp"
 #include "util/rng.hpp"
 
 namespace cpsinw::faults {
@@ -62,14 +65,12 @@ void expect_record_eq(const DetectionRecord& got, const DetectionRecord& want,
   EXPECT_EQ(got.first_pattern, want.first_pattern) << label;
 }
 
-// In full detection mode every combination of the work-reduction switches
-// must produce bit-identical records: dropping, critical-path tracing,
-// batching, for universes mixing all fault classes, with and without IDDQ
-// observation.  The all-off corner is the PR-7 baseline.
-TEST(WorkReduction, FullModeRecordsIdenticalAcrossAllSwitches) {
+// In full detection mode the dropping walks must produce the oracles'
+// records, for universes mixing all fault classes, with and without IDDQ
+// observation.
+TEST(WorkReduction, FullModeRecordsMatchTheOracles) {
   for (const Named& w : roster()) {
-    // 130 patterns: > 2 words, so the strip schedule (4-word first strip,
-    // 16-word wide strips) exercises narrow, wide and ragged strips.
+    // 130 patterns: three words, a ragged first strip.
     const EvalContext ctx(w.ckt, random_patterns(w.ckt, 130, 7));
     const FaultSimulator fsim(w.ckt);
     FaultListOptions flo;
@@ -77,72 +78,56 @@ TEST(WorkReduction, FullModeRecordsIdenticalAcrossAllSwitches) {
     const std::vector<Fault> universe = generate_fault_list(w.ckt, flo);
 
     for (const bool iddq : {false, true}) {
-      FaultSimOptions base;
-      base.observe_iddq = iddq;
-      base.drop_detected = false;
-      base.critical_path_tracing = false;
+      FaultSimOptions opt;
+      opt.observe_iddq = iddq;
       const std::vector<DetectionRecord> want =
-          fsim.run_range(ctx, universe, 0, universe.size(), base);
-
-      for (const bool drop : {false, true}) {
-        for (const bool cpt : {false, true}) {
-          for (const bool batch : {false, true}) {
-            FaultSimOptions opt = base;
-            opt.drop_detected = drop;
-            opt.critical_path_tracing = cpt;
-            opt.batch_line_faults = batch;
-            const std::vector<DetectionRecord> got =
-                fsim.run_range(ctx, universe, 0, universe.size(), opt);
-            ASSERT_EQ(got.size(), want.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-              expect_record_eq(
-                  got[i], want[i],
-                  w.name + " iddq=" + std::to_string(iddq) + " drop=" +
-                      std::to_string(drop) + " cpt=" + std::to_string(cpt) +
-                      " batch=" + std::to_string(batch) + " fault " +
-                      std::to_string(i));
-          }
-        }
-      }
+          reference::records(ctx, universe, opt);
+      const std::vector<DetectionRecord> got =
+          fsim.run_range(ctx, universe, 0, universe.size(), opt);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i)
+        expect_record_eq(got[i], want[i],
+                         w.name + " iddq=" + std::to_string(iddq) +
+                             " fault " + std::to_string(i));
     }
   }
 }
 
-// Critical-path tracing only arms on single-output fan-out-free cones and
-// resolves the whole line universe there without a kernel pass.
-TEST(WorkReduction, CriticalPathTracingQualificationAndStats) {
-  const Circuit tree = logic::parity_tree(9);
-  const EvalContext tree_ctx(tree, random_patterns(tree, 200, 11));
-  EXPECT_TRUE(tree_ctx.cpt_available());
+// A long pattern set: 1000 copies of one pattern, then 300 random ones.
+// At 21 words every walk takes the narrow first strip, a wide strip and a
+// ragged one.  Faults the repeated pattern detects must leave the walk at
+// pattern 0, and detections (PO flips or IDDQ excitations) that only the
+// random tail reaches land past the first strip, after the survivors have
+// been regrouped.
+TEST(WorkReduction, StripRefillMatchesTheOraclesPastTheFirstStrip) {
+  std::size_t late = 0;
+  for (const Named& w : roster()) {
+    std::vector<Pattern> patterns(1000, random_patterns(w.ckt, 1, 5)[0]);
+    for (Pattern& p : random_patterns(w.ckt, 300, 17))
+      patterns.push_back(std::move(p));
+    const EvalContext ctx(w.ckt, patterns);
+    const FaultSimulator fsim(w.ckt);
+    FaultListOptions flo;
+    flo.cross_class_collapse = false;
+    const std::vector<Fault> universe = generate_fault_list(w.ckt, flo);
 
-  const Circuit c17 = logic::c17();  // fanout stems and two POs
-  const EvalContext c17_ctx(c17, random_patterns(c17, 64, 11));
-  EXPECT_FALSE(c17_ctx.cpt_available());
-
-  FaultListOptions flo;
-  flo.include_transistor_faults = false;
-  const std::vector<Fault> universe = generate_fault_list(tree, flo);
-  FaultSimOptions opt;
-  opt.critical_path_tracing = true;
-  LineBatchStats stats;
-  const FaultSimulator fsim(tree);
-  (void)fsim.run_range(tree_ctx, universe, 0, universe.size(), opt, &stats);
-  EXPECT_EQ(stats.cpt_faults, universe.size());
-  EXPECT_EQ(stats.groups, 0u);
-
-  LineBatchStats no_cpt_stats;
-  FaultSimOptions no_cpt = opt;
-  no_cpt.critical_path_tracing = false;
-  (void)fsim.run_range(tree_ctx, universe, 0, universe.size(), no_cpt,
-                       &no_cpt_stats);
-  EXPECT_EQ(no_cpt_stats.cpt_faults, 0u);
-  EXPECT_GT(no_cpt_stats.groups, 0u);
+    const std::vector<DetectionRecord> want =
+        reference::records(ctx, universe, {});
+    const std::vector<DetectionRecord> got =
+        fsim.run_range(ctx, universe, 0, universe.size());
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      expect_record_eq(got[i], want[i], w.name + " fault " + std::to_string(i));
+      late += want[i].first_pattern >= 1000;
+    }
+  }
+  EXPECT_GT(late, 0u);
 }
 
 // First-only mode: a fault's record equals the full-mode record of the
 // pattern list truncated right after the full-mode first_pattern — and the
-// serial and packed transistor paths agree on it.
-TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
+// oracles agree on it.
+TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndMatchesTheOracles) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 130, 23);
     const EvalContext ctx(w.ckt, patterns);
@@ -156,24 +141,18 @@ TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
       full.observe_iddq = iddq;
       FaultSimOptions first = full;
       first.detection_mode = DetectionMode::kFirstOnly;
-      FaultSimOptions first_serial = first;
-      first_serial.batch_transistor_faults = false;
-      first_serial.batch_line_faults = false;
-      first_serial.drop_detected = false;
-      first_serial.critical_path_tracing = false;
 
       const auto full_rec =
           fsim.run_range(ctx, universe, 0, universe.size(), full);
       const auto got =
           fsim.run_range(ctx, universe, 0, universe.size(), first);
-      const auto serial =
-          fsim.run_range(ctx, universe, 0, universe.size(), first_serial);
+      const auto oracle = reference::records(ctx, universe, first);
 
       for (std::size_t i = 0; i < universe.size(); ++i) {
         const std::string label = w.name + " iddq=" + std::to_string(iddq) +
                                   " fault " + std::to_string(i);
-        // Packed/batched first-only equals serial first-only.
-        expect_record_eq(got[i], serial[i], label + " (paths)");
+        // Packed/batched first-only equals the oracle's first-only.
+        expect_record_eq(got[i], oracle[i], label + " (oracle)");
         // Same first counted detection as full mode; flags are the
         // truncated-pattern-list reference.
         EXPECT_EQ(got[i].first_pattern, full_rec[i].first_pattern) << label;
@@ -193,10 +172,11 @@ TEST(WorkReduction, FirstOnlyModeIsExactTruncationAndPathsAgree) {
   }
 }
 
-// Campaign level: dropping (and CPT) off vs on is byte-identical in full
-// mode, including under fault sampling — work reduction must never touch
-// the sampled universe that forms the coverage denominator.
-TEST(WorkReduction, CampaignJsonIdenticalWithWorkReductionToggled) {
+// Campaign level: the full-mode report equals the report folded from the
+// oracles' records over the campaign's own universes, pattern sets and
+// shards, including under fault sampling — dropping must never touch the
+// sampled universe that forms the coverage denominator.
+TEST(WorkReduction, CampaignJsonMatchesTheOraclesUnderSampling) {
   for (const double fraction : {1.0, 0.6}) {
     engine::CampaignSpec spec;
     spec.jobs.push_back({"c17", logic::c17()});
@@ -208,18 +188,41 @@ TEST(WorkReduction, CampaignJsonIdenticalWithWorkReductionToggled) {
     spec.threads = 2;
     spec.fault_sample_fraction = fraction;
     spec.executor.backend = engine::ExecutorBackend::kThreadPool;
+    const engine::CampaignReport got = engine::run_campaign(spec);
+    ASSERT_TRUE(got.ok()) << got.error;
 
-    spec.sim.drop_detected = true;
-    spec.sim.critical_path_tracing = true;
-    const engine::CampaignReport on = engine::run_campaign(spec);
-    ASSERT_TRUE(on.ok()) << on.error;
-
-    spec.sim.drop_detected = false;
-    spec.sim.critical_path_tracing = false;
-    const engine::CampaignReport off = engine::run_campaign(spec);
-    ASSERT_TRUE(off.ok()) << off.error;
-
-    EXPECT_EQ(on.to_json(), off.to_json()) << "fraction=" << fraction;
+    // The campaign's setup, replayed job by job with the campaign's RNG
+    // streams; every sampled fault's record comes from the oracles.
+    engine::CampaignReport want = got;
+    const util::SplitMix64 campaign_rng(spec.seed);
+    engine::ShardExecOptions options;
+    options.fault_sample_fraction = fraction;
+    for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
+      const Circuit& ckt = spec.jobs[j].circuit;
+      const std::vector<engine::CampaignFault> universe =
+          engine::build_universe(ckt, spec.models, spec.sim.observe_iddq);
+      const EvalContext ctx(
+          ckt, engine::build_patterns(ckt, spec.patterns,
+                                      campaign_rng.fork(2 * j)));
+      engine::JobReport& job = want.jobs[j];
+      job.by_class = {};
+      job.first_detect_histogram = {};
+      job.shard_count = 0;
+      for (const engine::Shard& shard :
+           engine::make_shards(static_cast<int>(j), universe.size(),
+                               spec.shard_size, campaign_rng.fork(2 * j + 1))) {
+        engine::ShardResult sr =
+            engine::run_shard(ctx, universe, shard, options);
+        for (std::size_t i = shard.begin; i < shard.end; ++i) {
+          engine::FaultResult& r = sr.results[i - shard.begin];
+          if (!r.sampled_out)
+            r.record = reference::record(ctx, universe[i].fault, spec.sim);
+        }
+        engine::accumulate_shard(job, sr, job.pattern_count,
+                                 spec.sim.observe_iddq);
+      }
+    }
+    EXPECT_EQ(got.to_json(), want.to_json()) << "fraction=" << fraction;
   }
 }
 

@@ -1,12 +1,13 @@
 // Randomized property suite for the vectorized compiled core: the
 // multi-fault batch kernel (every batch size 1..kBatchLanes, ragged
 // pattern tails) and every SIMD backend must be bit-identical to the
-// single-fault PR-5 kernels — which the golden-equivalence suite in
-// compiled_circuit_test.cpp pins to the seed's interpreted evaluators, so
-// transitively everything here is pinned to the seed too.  Covers all
-// five fault classes (line stuck-at stems and branches, transistor
-// stuck-open/stuck-on, polarity via IDDQ dictionaries, bridges through
-// the shard path) plus X-bearing pattern sets.
+// single-fault kernels of the reference oracles (reference_sim.hpp) —
+// which the golden-equivalence suite in compiled_circuit_test.cpp pins to
+// the seed's interpreted evaluators, so transitively everything here is
+// pinned to the seed too.  Covers line stuck-at stems and branches,
+// transistor stuck-open/stuck-on and polarity (via IDDQ dictionaries),
+// all five classes through the shard path (bridges, with a single
+// evaluation path, ride along unchecked), plus X-bearing pattern sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "logic/logic_sim.hpp"
 #include "logic/simd.hpp"
 #include "util/rng.hpp"
+#include "../faults/reference_sim.hpp"
 
 namespace cpsinw::logic {
 namespace {
@@ -30,7 +32,6 @@ namespace {
 using faults::DetectionRecord;
 using faults::EvalContext;
 using faults::Fault;
-using faults::FaultSimOptions;
 using faults::FaultSimulator;
 using faults::FaultSite;
 using faults::LineBatchStats;
@@ -79,27 +80,6 @@ std::vector<Fault> all_line_faults(const Circuit& ckt) {
       for (const bool sa1 : {false, true})
         out.push_back(Fault::input_stuck(g.id, pin, sa1));
   return out;
-}
-
-/// Reference per-word detection words via the single-fault PR-5 kernel:
-/// one init_packed + eval_packed_line per (fault, word).
-std::vector<std::uint64_t> reference_det_words(const Circuit& ckt,
-                                               const EvalContext& ctx,
-                                               const Fault& f) {
-  const CompiledCircuit& cc = ctx.compiled();
-  const auto lf = faults::checked_line_fault(ckt, f);
-  std::vector<std::uint64_t> det(ctx.word_count(), 0);
-  std::vector<std::uint64_t> values;
-  for (std::size_t w = 0; w < ctx.word_count(); ++w) {
-    const EvalContext::Batch& batch = ctx.batches()[w];
-    cc.init_packed(batch.pi_words, values);
-    cc.eval_packed_line(values, lf);
-    std::uint64_t diff = 0;
-    for (const NetId po : ckt.primary_outputs())
-      diff |= ctx.good_plane(po)[w] ^ values[static_cast<std::size_t>(po)];
-    det[w] = diff & batch.active;
-  }
-  return det;
 }
 
 void expect_record_eq(const DetectionRecord& got, const DetectionRecord& want,
@@ -158,7 +138,7 @@ TEST(CompiledBatch, BatchKernelMatchesSingleFaultKernelAllBatchSizes) {
     std::vector<std::vector<std::uint64_t>> want;
     std::vector<CompiledCircuit::LineFault> lfs;
     for (const Fault& f : universe) {
-      want.push_back(reference_det_words(w.ckt, ctx, f));
+      want.push_back(faults::reference::line_det_words(ctx, f));
       lfs.push_back(faults::checked_line_fault(w.ckt, f));
     }
 
@@ -192,7 +172,7 @@ TEST(CompiledBatch, BatchKernelMatchesSingleFaultKernelAllBatchSizes) {
   }
 }
 
-TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
+TEST(CompiledBatch, RunRangeMatchesReferenceRecords) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 90, 31);
     const EvalContext ctx(w.ckt, patterns);
@@ -201,15 +181,10 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
     flo.collapse = false;
     const std::vector<Fault> universe = faults::generate_fault_list(w.ckt, flo);
 
-    FaultSimOptions batched;
-    batched.batch_line_faults = true;
-    FaultSimOptions single;
-    single.batch_line_faults = false;
-
     LineBatchStats stats;
     const auto got =
-        fsim.run_range(ctx, universe, 0, universe.size(), batched, &stats);
-    const auto ref = fsim.run_range(ctx, universe, 0, universe.size(), single);
+        fsim.run_range(ctx, universe, 0, universe.size(), {}, &stats);
+    const auto ref = faults::reference::records(ctx, universe, {});
     ASSERT_EQ(got.size(), ref.size());
     for (std::size_t i = 0; i < got.size(); ++i)
       expect_record_eq(got[i], ref[i], w.name + " fault " + std::to_string(i));
@@ -227,24 +202,18 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
     for (std::size_t k = 0; k < stats.fill.size(); ++k)
       fill_sum += stats.fill[k] * (k + 1);
     EXPECT_EQ(fill_sum, stats.lane_slots) << w.name;
-    // Every fault is either routed through the kernel (dropping strips may
-    // route one through several invocations) or resolved by critical-path
-    // tracing with no kernel pass at all.
-    EXPECT_GE(stats.lane_slots + stats.cpt_faults, stats.faults) << w.name;
-    if (stats.groups > 0) {
-      EXPECT_GT(stats.words, 0u) << w.name;
-    }
-    if (stats.cpt_faults > 0) {
-      EXPECT_EQ(stats.cpt_faults, stats.faults);
-    }
+    // Every fault rides at least one kernel invocation (dropping strips
+    // may route one through several).
+    EXPECT_GE(stats.lane_slots, stats.faults) << w.name;
+    EXPECT_GT(stats.words, 0u) << w.name;
 
     // Concatenating sub-range records equals the whole-list run (the
-    // campaign sharding contract), with batching on.
+    // campaign sharding contract).
     const std::size_t cut = universe.size() / 3 + 1;
     std::vector<DetectionRecord> cat;
     for (std::size_t b = 0; b < universe.size(); b += cut) {
       const std::size_t e = std::min(universe.size(), b + cut);
-      const auto part = fsim.run_range(ctx, universe, b, e, batched);
+      const auto part = fsim.run_range(ctx, universe, b, e);
       cat.insert(cat.end(), part.begin(), part.end());
     }
     ASSERT_EQ(cat.size(), got.size());
@@ -253,9 +222,10 @@ TEST(CompiledBatch, RunRangeBatchedMatchesSingleFaultPath) {
   }
 }
 
-TEST(CompiledBatch, ShardResultsIdenticalWithBatchingToggledAllClasses) {
+TEST(CompiledBatch, ShardRecordsMatchReferenceAllClasses) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 80, 53);
+    const EvalContext ctx(w.ckt, patterns);
 
     std::vector<engine::CampaignFault> universe;
     faults::FaultListOptions flo;
@@ -268,20 +238,16 @@ TEST(CompiledBatch, ShardResultsIdenticalWithBatchingToggledAllClasses) {
     engine::Shard shard;
     shard.begin = 0;
     shard.end = universe.size();
-    engine::ShardExecOptions batched;
-    batched.sim.batch_line_faults = true;
-    engine::ShardExecOptions single;
-    single.sim.batch_line_faults = false;
-    single.sim.batch_transistor_faults = false;
-
-    const auto got = engine::run_shard(w.ckt, universe, patterns, shard,
-                                       batched);
-    const auto ref = engine::run_shard(w.ckt, universe, patterns, shard,
-                                       single);
-    ASSERT_EQ(got.results.size(), ref.results.size());
-    for (std::size_t i = 0; i < got.results.size(); ++i)
-      expect_record_eq(got.results[i].record, ref.results[i].record,
+    const auto got = engine::run_shard(ctx, universe, shard, {});
+    ASSERT_EQ(got.results.size(), universe.size());
+    // Bridges have a single evaluation path; every other class is checked
+    // against its oracle.
+    for (std::size_t i = 0; i < universe.size(); ++i) {
+      if (universe[i].cls == engine::FaultClass::kBridge) continue;
+      expect_record_eq(got.results[i].record,
+                       faults::reference::record(ctx, universe[i].fault, {}),
                        w.name + " fault " + std::to_string(i));
+    }
   }
 }
 
@@ -371,21 +337,15 @@ TEST(CompiledBatch, XBearingPatternsKeepScalarPathsAndRejectLineFaults) {
   for (const Fault& f : faults::generate_fault_list(ckt, {}))
     if (f.site == FaultSite::kGateTransistor) trans.push_back(f);
   ASSERT_FALSE(trans.empty());
-  FaultSimOptions batched;
-  batched.batch_line_faults = true;
-  FaultSimOptions single;
-  single.batch_line_faults = false;
-  const auto got = fsim.run_range(ctx, trans, 0, trans.size(), batched);
-  const auto ref = fsim.run_range(ctx, trans, 0, trans.size(), single);
+  const auto got = fsim.run_range(ctx, trans, 0, trans.size());
   for (std::size_t i = 0; i < trans.size(); ++i)
-    expect_record_eq(got[i], ref[i], "trans " + std::to_string(i));
+    expect_record_eq(got[i],
+                     faults::reference::transistor(ckt, trans[i], patterns, {}),
+                     "trans " + std::to_string(i));
 
-  // Line faults still demand packable patterns, batched or not.
+  // Line faults still demand packable patterns.
   const std::vector<Fault> line = {Fault::net_stuck(0, true)};
-  EXPECT_THROW((void)fsim.run_range(ctx, line, 0, 1, batched),
-               std::invalid_argument);
-  EXPECT_THROW((void)fsim.run_range(ctx, line, 0, 1, single),
-               std::invalid_argument);
+  EXPECT_THROW((void)fsim.run_range(ctx, line, 0, 1), std::invalid_argument);
 }
 
 TEST(CompiledBatch, EmptyPatternSetYieldsUndetectedRecords) {
