@@ -32,9 +32,9 @@ bool transition_detected(const logic::Circuit& ckt,
   const faults::EvalContext ctx(ckt, {launch, capture});
 
   // Launch must establish the pre-transition value...
-  if (ctx.good(0).value(fault.net) != old_v) return false;
+  if (ctx.good_value(0, fault.net) != old_v) return false;
   // ...and capture must create the transition.
-  if (ctx.good(1).value(fault.net) != logic_not(old_v)) return false;
+  if (ctx.good_value(1, fault.net) != logic_not(old_v)) return false;
 
   // Gross delay: the late net still holds the old value at capture time —
   // a temporary stuck-at that must reach a primary output.

@@ -67,13 +67,12 @@ faults::DetectionRecord simulate_bridge_fault(
   const logic::Circuit& ckt = ctx.circuit();
   faults::DetectionRecord rec;
   for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
-    const logic::SimResult& good = ctx.good(pi);
     bool hit = false;
     if (!rec.detected_output) {
       const std::vector<logic::LogicV> bad =
           faults::simulate_bridge(ckt, bridge, ctx.patterns()[pi]);
       for (const logic::NetId po : ckt.primary_outputs()) {
-        const logic::LogicV g = good.value(po);
+        const logic::LogicV g = ctx.good_value(pi, po);
         const logic::LogicV b = bad[static_cast<std::size_t>(po)];
         if (logic::is_binary(g) && logic::is_binary(b) && g != b) {
           rec.detected_output = true;
@@ -83,8 +82,8 @@ faults::DetectionRecord simulate_bridge_fault(
       }
     }
     if (options.observe_iddq) {
-      const logic::LogicV va = good.value(bridge.a);
-      const logic::LogicV vb = good.value(bridge.b);
+      const logic::LogicV va = ctx.good_value(pi, bridge.a);
+      const logic::LogicV vb = ctx.good_value(pi, bridge.b);
       if (logic::is_binary(va) && logic::is_binary(vb) && va != vb) {
         rec.detected_iddq = true;
         hit = true;

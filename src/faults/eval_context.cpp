@@ -21,23 +21,23 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
       cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
       patterns_(std::move(patterns)),
       sim_(require_finalized(ckt)) {
-  // Scalar good machine, once per pattern (this also validates arity);
-  // the compilation behind sim_ is shared by every pass below.
-  good_.reserve(patterns_.size());
-  for (const logic::Pattern& p : patterns_) good_.push_back(sim_.simulate(p));
-
-  // Packed batches need fully-specified patterns; an X anywhere keeps the
-  // context scalar-only (the serial transistor paths still work).
+  // Every pattern must fit the circuit, whichever good machine is built:
+  // patterns may come off the wire (shard_io), and the plane fill below
+  // indexes them unchecked.  An X anywhere keeps the context scalar-only.
+  const std::size_t n_pi = ckt.primary_inputs().size();
   packed_ = true;
   for (const logic::Pattern& p : patterns_) {
-    for (const logic::LogicV v : p)
-      if (!is_binary(v)) {
-        packed_ = false;
-        break;
-      }
-    if (!packed_) break;
+    if (p.size() != n_pi)
+      throw std::invalid_argument("EvalContext: pattern arity mismatch");
+    for (const logic::LogicV v : p) packed_ = packed_ && is_binary(v);
   }
-  if (!packed_) return;
+
+  if (!packed_) {
+    // Scalar good machine, once per pattern, for the serial walk and bridges.
+    good_.reserve(patterns_.size());
+    for (const logic::Pattern& p : patterns_) good_.push_back(sim_.simulate(p));
+    return;
+  }
 
   // SoA bit-planes: word `w` of net `n` lives at [n * stride + w], so the
   // multi-word kernels stream one net's words contiguously.  The stride
@@ -45,24 +45,15 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
   // all-zero-input pattern and are masked off by active_words().
   n_words_ = (patterns_.size() + 63) / 64;
   stride_ = logic::CompiledCircuit::plane_stride(n_words_);
-  const std::size_t n_pi = ckt.primary_inputs().size();
   pi_planes_.assign(n_pi * stride_, 0);
-  for (std::size_t base = 0; base < patterns_.size(); base += 64) {
-    const std::size_t count =
-        std::min<std::size_t>(64, patterns_.size() - base);
-    Batch b;
-    b.base = base;
-    b.count = count;
-    b.active = count == 64 ? ~0ull : ((1ull << count) - 1ull);
-    const std::vector<logic::Pattern> slice(
-        patterns_.begin() + static_cast<long>(base),
-        patterns_.begin() + static_cast<long>(base + count));
-    b.pi_words = logic::pack_patterns(ckt, slice);
-    const std::size_t w = base / 64;
+  active_words_.assign(n_words_, 0);
+  for (std::size_t k = 0; k < patterns_.size(); ++k) {
+    const std::size_t w = k / 64;
+    const std::uint64_t bit = 1ull << (k % 64);
+    active_words_[w] |= bit;
     for (std::size_t i = 0; i < n_pi; ++i)
-      pi_planes_[i * stride_ + w] = b.pi_words[i];
-    active_words_.push_back(b.active);
-    batches_.push_back(std::move(b));
+      if (patterns_[k][i] == logic::LogicV::k1)
+        pi_planes_[i * stride_ + w] |= bit;
   }
   sim_.compiled().init_packed_planes(pi_planes_.data(), stride_, good_planes_);
   sim_.compiled().eval_packed_planes(good_planes_, stride_);

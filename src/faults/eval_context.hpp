@@ -3,9 +3,9 @@
 // reused across the whole fault universe.  The seed hot loop re-simulated
 // the good machine and re-packed patterns for *every single fault*
 // (O(faults x patterns) good-machine work); an EvalContext makes that
-// O(patterns): packed PI words and packed good-machine words per
-// 64-pattern batch, the per-pattern scalar good SimResult sequence, and a
-// memoized fault-dictionary cache.
+// O(patterns).  It holds the good machine once: as SoA bit planes when
+// every pattern is fully specified (packed()), as per-pattern scalar
+// SimResults otherwise; plus a memoized fault-dictionary cache.
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
@@ -29,23 +29,13 @@ namespace cpsinw::faults {
 
 class EvalContext {
  public:
-  /// One 64-pattern slice.  The good-machine words that used to live here
-  /// (`net_words`) moved to the context-wide SoA planes (good_plane()):
-  /// one contiguous row of words per net instead of one vector per batch,
-  /// which is what the multi-word SIMD kernels walk.
-  struct Batch {
-    std::size_t base = 0;        ///< index of the first pattern
-    std::size_t count = 0;       ///< patterns in this batch (<= 64)
-    std::uint64_t active = 0;    ///< low `count` bits set
-    std::vector<std::uint64_t> pi_words;   ///< per PI (pack_patterns order)
-  };
-
-  /// Builds the context: per-pattern scalar good simulation always; packed
-  /// batches only when every pattern is fully specified (binary).  X-bearing
-  /// pattern sets still work for the serial transistor paths — only the
-  /// packed line/batch paths require packability.
+  /// Builds the good machine: SoA planes when every pattern is fully
+  /// specified (binary), per-pattern scalar results otherwise.  Only the
+  /// line-fault path requires packability.
   /// @param ckt finalized circuit; must outlive the context
   /// @param cache borrowed dictionary cache; nullptr selects global()
+  /// @throws std::invalid_argument for an unfinalized circuit or a pattern
+  ///   whose length is not the circuit's primary-input count
   EvalContext(const logic::Circuit& ckt, std::vector<logic::Pattern> patterns,
               gates::DictionaryCache* cache = nullptr);
 
@@ -55,14 +45,13 @@ class EvalContext {
   }
   [[nodiscard]] std::size_t pattern_count() const { return patterns_.size(); }
 
-  /// True when every pattern is fully specified and the packed batches
-  /// (and their good-machine planes) were built.
+  /// True when every pattern is fully specified and the good machine was
+  /// built as SoA bit planes (false: as per-pattern scalar results).
   [[nodiscard]] bool packed() const { return packed_; }
-  [[nodiscard]] const std::vector<Batch>& batches() const { return batches_; }
 
   // ---- SoA bit-planes (built only when packed()) ---------------------------
 
-  /// Pattern words (= batches().size()).
+  /// Pattern words: ceil(pattern_count() / 64) (0 when !packed()).
   [[nodiscard]] std::size_t word_count() const { return n_words_; }
   /// Row stride of the plane buffers, in words: word_count() padded to a
   /// multiple of CompiledCircuit::kSimdWords (padding words are computed
@@ -81,13 +70,28 @@ class EvalContext {
   [[nodiscard]] const std::uint64_t* pi_planes() const {
     return pi_planes_.data();
   }
-  /// Per pattern word: the valid-pattern mask (batches()[w].active).
+  /// Per pattern word `w`: the valid-pattern mask (bit k set when pattern
+  /// 64 * w + k exists).
   [[nodiscard]] const std::vector<std::uint64_t>& active_words() const {
     return active_words_;
   }
 
-  /// Fault-free scalar simulation of pattern `index` (precomputed).
+  /// Fault-free value of `net` under pattern `pattern`: a plane bit on
+  /// packed contexts, the scalar result otherwise.
+  [[nodiscard]] logic::LogicV good_value(std::size_t pattern,
+                                         logic::NetId net) const {
+    assert(pattern < patterns_.size());
+    assert(net >= 0 && net < ckt_->net_count());
+    if (!packed_) return good_[pattern].value(net);
+    const std::uint64_t word = good_plane(net)[pattern / 64];
+    return logic::from_bool(((word >> (pattern % 64)) & 1u) != 0);
+  }
+
+  /// Fault-free scalar simulation of pattern `index`.  X-bearing contexts
+  /// only (!packed()): a packed context keeps its good machine in the
+  /// planes alone.
   [[nodiscard]] const logic::SimResult& good(std::size_t index) const {
+    assert(!packed_);
     assert(index < good_.size());
     return good_[index];
   }
@@ -111,8 +115,7 @@ class EvalContext {
   gates::DictionaryCache* cache_;
   std::vector<logic::Pattern> patterns_;
   logic::Simulator sim_;
-  std::vector<logic::SimResult> good_;
-  std::vector<Batch> batches_;
+  std::vector<logic::SimResult> good_;  ///< X-bearing contexts only
   std::size_t n_words_ = 0;
   std::size_t stride_ = 0;
   std::vector<std::uint64_t> pi_planes_;    ///< [pi][stride_] PI words

@@ -367,11 +367,14 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
     throw std::invalid_argument("line_fault_detected: bad pattern index");
   if (!ctx.packed())
     return line_fault_detected(fault, ctx.patterns()[pattern_index]);
+  // The PI words of the pattern's word; `bit` masks off its 63 neighbours.
   const std::size_t w = pattern_index / 64;
-  const EvalContext::Batch& batch = ctx.batches()[w];
+  std::vector<std::uint64_t> pi_words(ckt_.primary_inputs().size());
+  for (std::size_t i = 0; i < pi_words.size(); ++i)
+    pi_words[i] = ctx.pi_planes()[i * ctx.plane_stride() + w];
   const std::uint64_t bit = 1ull << (pattern_index % 64);
   std::vector<std::uint64_t> faulty;
-  packed_line_fault(batch.pi_words, fault, faulty);
+  packed_line_fault(pi_words, fault, faulty);
   for (const logic::NetId po : ckt_.primary_outputs())
     if (((ctx.good_plane(po)[w] ^ faulty[static_cast<std::size_t>(po)]) &
          bit) != 0)

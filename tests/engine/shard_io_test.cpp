@@ -227,6 +227,28 @@ TEST(ShardIo, OutOfRangeBridgeNetsThrowInsteadOfCrashing) {
       std::invalid_argument);
 }
 
+TEST(ShardIo, ShortPatternsThrowWhenTheContextIsBuilt) {
+  // Pattern strings are not checked against the circuit when a document
+  // is parsed, so the context built from it, as the shard server and the
+  // worker build it, must reject a pattern one input short.
+  const Fixture fx(/*with_x_pattern=*/false);
+  std::string doc = serialize_shard_input(fx.ckt, fx.patterns, fx.universe,
+                                          fx.shard, fx.options);
+  const std::size_t pis = fx.ckt.primary_inputs().size();
+  std::string second = "\"";
+  for (const logic::LogicV v : fx.patterns[1]) second += logic::to_string(v);
+  second += "\"";
+  const std::size_t at = doc.find(second, doc.find("\"patterns\""));
+  ASSERT_NE(at, std::string::npos);
+  doc.erase(at + pis, 1);
+
+  const ShardWorkInput parsed = parse_shard_input(doc);
+  ASSERT_EQ(parsed.patterns.size(), fx.patterns.size());
+  EXPECT_EQ(parsed.patterns[1].size(), pis - 1);
+  EXPECT_THROW((void)faults::EvalContext(parsed.circuit, parsed.patterns),
+               std::invalid_argument);
+}
+
 TEST(ShardIo, DeeplyNestedDocumentsThrowInsteadOfOverflowingTheStack) {
   // The reader recurses once per container level: unbounded, 1 MiB of
   // '[' (far below the frame limit) overflowed the stack and killed the

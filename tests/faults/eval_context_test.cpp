@@ -179,7 +179,16 @@ TEST(EvalContext, XBearingPatternsStayScalarAndRejectLineFaults) {
   patterns[2][0] = LogicV::kX;
   const EvalContext ctx(ckt, patterns);
   EXPECT_FALSE(ctx.packed());
-  EXPECT_TRUE(ctx.batches().empty());
+  EXPECT_EQ(ctx.word_count(), 0u);
+
+  // The scalar good machine is the only copy, and good_value reads it.
+  const logic::Simulator sim(ckt);
+  for (std::size_t k = 0; k < patterns.size(); ++k) {
+    const logic::SimResult want = sim.simulate(patterns[k]);
+    for (logic::NetId n = 0; n < ckt.net_count(); ++n)
+      EXPECT_EQ(ctx.good_value(k, n), want.value(n))
+          << "pattern " << k << " net " << n;
+  }
 
   const FaultSimulator fsim(ckt);
   // Transistor faults still simulate (scalar serial path), under every
@@ -246,6 +255,19 @@ TEST(EvalContext, RejectsForeignCircuitAndBadRanges) {
   EXPECT_THROW(
       (void)fsim.run_range(ctx_a, faults, 0, faults.size() + 1, {}),
       std::invalid_argument);
+
+  // Every pattern must be as long as the circuit has primary inputs, on
+  // binary and X-bearing sets alike; the wrong-length pattern comes after
+  // the X, so a check that stopped at the first X would miss it.
+  for (const bool with_x : {false, true}) {
+    for (const int extra : {-1, 1}) {
+      std::vector<Pattern> patterns = random_patterns(a, 4, 7);
+      if (with_x) patterns[1][0] = LogicV::kX;
+      patterns[3].resize(a.primary_inputs().size() + extra, LogicV::k0);
+      EXPECT_THROW((void)EvalContext(a, patterns), std::invalid_argument)
+          << "with_x=" << with_x << " extra=" << extra;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // says about the fault.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -63,9 +64,31 @@ inline DetectionRecord transistor(const logic::Circuit& ckt,
   return rec;
 }
 
+/// One pattern word of PI values, packed by the oracle itself.
+struct PackedWord {
+  std::vector<std::uint64_t> pi_words;  ///< per PI: bit k = pattern 64w + k
+  std::uint64_t active = 0;             ///< one bit per pattern of the word
+};
+
+/// Pattern word `w` of the context's pattern list, packed on its own with
+/// logic::pack_patterns rather than read from the context.
+inline PackedWord pack_word(const EvalContext& ctx, std::size_t w) {
+  const std::vector<logic::Pattern>& patterns = ctx.patterns();
+  const std::size_t base = w * 64;
+  const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
+  const auto first = patterns.begin() + static_cast<long>(base);
+  PackedWord out;
+  out.pi_words = logic::pack_patterns(
+      ctx.circuit(), std::vector<logic::Pattern>(
+                         first, first + static_cast<long>(count)));
+  out.active = count == 64 ? ~0ull : ((1ull << count) - 1ull);
+  return out;
+}
+
 /// Per-word detection words of one line fault on a packed context: one
-/// init_packed + eval_packed_line per (fault, word), PO-differenced
-/// against the good planes and masked by the word's active patterns.
+/// pack_word + init_packed + eval_packed_line per (fault, word),
+/// PO-differenced against the good planes and masked by the word's
+/// patterns.
 inline std::vector<std::uint64_t> line_det_words(const EvalContext& ctx,
                                                  const Fault& fault) {
   const logic::Circuit& ckt = ctx.circuit();
@@ -74,13 +97,13 @@ inline std::vector<std::uint64_t> line_det_words(const EvalContext& ctx,
   std::vector<std::uint64_t> det(ctx.word_count(), 0);
   std::vector<std::uint64_t> values;
   for (std::size_t w = 0; w < ctx.word_count(); ++w) {
-    const EvalContext::Batch& batch = ctx.batches()[w];
-    cc.init_packed(batch.pi_words, values);
+    const PackedWord word = pack_word(ctx, w);
+    cc.init_packed(word.pi_words, values);
     cc.eval_packed_line(values, lf);
     std::uint64_t diff = 0;
     for (const logic::NetId po : ckt.primary_outputs())
       diff |= ctx.good_plane(po)[w] ^ values[static_cast<std::size_t>(po)];
-    det[w] = diff & batch.active;
+    det[w] = diff & word.active;
   }
   return det;
 }

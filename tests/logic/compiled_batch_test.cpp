@@ -109,16 +109,28 @@ TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
     ASSERT_TRUE(ctx.packed());
     ASSERT_EQ(ctx.word_count(), (patterns.size() + 63) / 64);
     ASSERT_EQ(ctx.plane_stride() % CompiledCircuit::kSimdWords, 0u);
+    ASSERT_EQ(ctx.active_words().size(), ctx.word_count());
     const CompiledCircuit& cc = ctx.compiled();
     std::vector<std::uint64_t> values;
-    for (std::size_t b = 0; b < ctx.batches().size(); ++b) {
-      cc.init_packed(ctx.batches()[b].pi_words, values);
+    for (std::size_t b = 0; b < ctx.word_count(); ++b) {
+      const faults::reference::PackedWord word =
+          faults::reference::pack_word(ctx, b);
+      ASSERT_EQ(ctx.active_words()[b], word.active)
+          << w.name << " word " << b;
+      cc.init_packed(word.pi_words, values);
       cc.eval_packed(values);
       for (NetId n = 0; n < w.ckt.net_count(); ++n)
         ASSERT_EQ(ctx.good_plane(n)[b],
                   values[static_cast<std::size_t>(n)])
             << w.name << " word " << b << " net " << n;
     }
+    // good_value(k, n) is bit k % 64 of word k / 64 of net n's plane.
+    for (std::size_t k = 0; k < patterns.size(); ++k)
+      for (NetId n = 0; n < w.ckt.net_count(); ++n)
+        ASSERT_EQ(ctx.good_value(k, n),
+                  logic::from_bool(
+                      ((ctx.good_plane(n)[k / 64] >> (k % 64)) & 1u) != 0))
+            << w.name << " pattern " << k << " net " << n;
   }
 }
 

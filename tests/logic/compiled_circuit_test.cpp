@@ -393,7 +393,6 @@ TEST(CompiledCircuit, PackedGoodMatchesInterpretedSimulatePacked) {
     // of every net's row must match the interpreted single-word words.
     const faults::EvalContext ctx(w.ckt, patterns);
     ASSERT_TRUE(ctx.packed());
-    ASSERT_EQ(ctx.batches().size(), 1u);
     ASSERT_EQ(ctx.word_count(), 1u);
     for (logic::NetId n = 0; n < w.ckt.net_count(); ++n)
       EXPECT_EQ(ctx.good_plane(n)[0], want[static_cast<std::size_t>(n)])
@@ -462,6 +461,29 @@ TEST(CompiledCircuit, XBearingPatternsMatchInterpretedScalarPath) {
     expect_record_eq(got.records[i],
                      interp::transistor_serial(ckt, trans[i], patterns, {}),
                      "fault " + std::to_string(i));
+
+  // Bridges read the same context's scalar good machine, its only copy
+  // on an X-bearing set: at the POs, and at the bridged nets for IDDQ.
+  std::vector<engine::CampaignFault> universe;
+  const auto bridges = faults::enumerate_adjacent_bridges(ckt);
+  for (std::size_t i = 0; i < bridges.size(); i += 5)
+    universe.push_back(engine::CampaignFault::from_bridge(bridges[i]));
+  ASSERT_FALSE(universe.empty());
+  engine::Shard shard;
+  shard.end = universe.size();
+  for (const bool observe_iddq : {true, false}) {
+    engine::ShardExecOptions options;
+    options.sim.observe_iddq = observe_iddq;
+    const engine::ShardResult bridged =
+        engine::run_shard(ctx, universe, shard, options);
+    ASSERT_EQ(bridged.results.size(), universe.size());
+    for (std::size_t i = 0; i < universe.size(); ++i)
+      expect_record_eq(bridged.results[i].record,
+                       interp::bridge_fault(ckt, universe[i].bridge, patterns,
+                                            options.sim),
+                       "bridge " + std::to_string(i) +
+                           " iddq=" + std::to_string(observe_iddq));
+  }
 }
 
 TEST(CompiledCircuit, TwoPatternStuckOpenRetentionMatchesReference) {
