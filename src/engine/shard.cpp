@@ -1,7 +1,6 @@
 #include "engine/shard.hpp"
 
 #include <chrono>
-#include <optional>
 #include <stdexcept>
 
 #include "engine/telemetry.hpp"
@@ -54,55 +53,6 @@ std::vector<Shard> make_shards(int job, std::size_t fault_count,
   return shards;
 }
 
-namespace {
-
-/// Simulates one bridge over the pattern sequence, mirroring the hit
-/// semantics of FaultSimulator::simulate_transistor_fault.  The good
-/// machine comes from the job's shared context — simulated once per
-/// pattern set, serving both the PO comparison and the IDDQ excitation
-/// check for every bridge of every shard.
-faults::DetectionRecord simulate_bridge_fault(
-    const faults::EvalContext& ctx, const faults::BridgeFault& bridge,
-    const faults::FaultSimOptions& options) {
-  const logic::Circuit& ckt = ctx.circuit();
-  faults::DetectionRecord rec;
-  for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
-    bool hit = false;
-    if (!rec.detected_output) {
-      const std::vector<logic::LogicV> bad =
-          faults::simulate_bridge(ckt, bridge, ctx.patterns()[pi]);
-      for (const logic::NetId po : ckt.primary_outputs()) {
-        const logic::LogicV g = ctx.good_value(pi, po);
-        const logic::LogicV b = bad[static_cast<std::size_t>(po)];
-        if (logic::is_binary(g) && logic::is_binary(b) && g != b) {
-          rec.detected_output = true;
-          hit = true;
-          break;
-        }
-      }
-    }
-    if (options.observe_iddq) {
-      const logic::LogicV va = ctx.good_value(pi, bridge.a);
-      const logic::LogicV vb = ctx.good_value(pi, bridge.b);
-      if (logic::is_binary(va) && logic::is_binary(vb) && va != vb) {
-        rec.detected_iddq = true;
-        hit = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0)
-      rec.first_pattern = static_cast<int>(pi);
-    if (rec.first_pattern >= 0 &&
-        options.detection_mode == faults::DetectionMode::kFirstOnly)
-      break;  // first-only semantics: stop at the first counted detection
-    if (rec.detected_output &&
-        (rec.detected_iddq || !options.observe_iddq))
-      break;  // nothing left to learn about this bridge
-  }
-  return rec;
-}
-
-}  // namespace
-
 ShardResult run_shard(const faults::EvalContext& ctx,
                       const std::vector<CampaignFault>& universe,
                       const Shard& shard, const ShardExecOptions& options) {
@@ -131,14 +81,22 @@ ShardResult run_shard(const faults::EvalContext& ctx,
   }
 
   // Circuit faults (line + transistor) go through the shared simulator
-  // hook in one gathered batch; bridges have their own evaluation.
+  // hook in one gathered batch, bridges through their own entry point in
+  // another (one call per shard, so its kernel scratch is hoisted here).
   std::vector<faults::Fault> gathered;
   std::vector<std::size_t> gathered_slot;
+  std::vector<faults::BridgeFault> bridges;
+  std::vector<std::size_t> bridge_slot;
   for (std::size_t i = shard.begin; i < shard.end; ++i) {
     const FaultResult& r = out.results[i - shard.begin];
-    if (r.sampled_out || universe[i].cls == FaultClass::kBridge) continue;
-    gathered.push_back(universe[i].fault);
-    gathered_slot.push_back(i - shard.begin);
+    if (r.sampled_out) continue;
+    if (universe[i].cls == FaultClass::kBridge) {
+      bridges.push_back(universe[i].bridge);
+      bridge_slot.push_back(i - shard.begin);
+    } else {
+      gathered.push_back(universe[i].fault);
+      gathered_slot.push_back(i - shard.begin);
+    }
   }
   faults::LineBatchStats batch_stats;
   if (!gathered.empty()) {
@@ -148,11 +106,11 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     for (std::size_t k = 0; k < gathered.size(); ++k)
       out.results[gathered_slot[k]].record = records[k];
   }
-
-  for (std::size_t i = shard.begin; i < shard.end; ++i) {
-    FaultResult& r = out.results[i - shard.begin];
-    if (r.sampled_out || r.cls != FaultClass::kBridge) continue;
-    r.record = simulate_bridge_fault(ctx, universe[i].bridge, options.sim);
+  if (!bridges.empty()) {
+    const std::vector<faults::DetectionRecord> records =
+        faults::simulate_bridges(ctx, bridges, options.sim, &batch_stats);
+    for (std::size_t k = 0; k < bridges.size(); ++k)
+      out.results[bridge_slot[k]].record = records[k];
   }
 
   out.elapsed_s = std::chrono::duration<double>(
@@ -189,14 +147,16 @@ ShardResult run_shard(const faults::EvalContext& ctx,
     reg.counter("engine.faults_batched").add(batch_stats.faults);
     reg.counter("engine.batch_groups").add(batch_stats.groups);
     reg.counter("engine.batch_width").add(batch_stats.lane_slots);
-    // Transistor faults by evaluation path: a nonzero serial count on a
-    // packed (fully specified) pattern set would be a silent fallback.
+    // Transistor faults by evaluation path, and bridges that took the
+    // scalar loop: a nonzero serial count on a packed (fully specified)
+    // pattern set would be a silent fallback.
     reg.counter("engine.faults_transistor_binary")
         .add(batch_stats.transistor_binary);
     reg.counter("engine.faults_transistor_retained")
         .add(batch_stats.transistor_retained);
     reg.counter("engine.faults_transistor_serial")
         .add(batch_stats.transistor_serial);
+    reg.counter("engine.faults_bridge_serial").add(batch_stats.bridge_serial);
     auto& fill_hist = reg.histogram("shard.batch_fill");
     for (std::size_t k = 0; k < batch_stats.fill.size(); ++k) {
       const double encoded_s = static_cast<double>(1ull << k) * 1e-6;

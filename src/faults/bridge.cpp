@@ -1,7 +1,10 @@
 #include "faults/bridge.hpp"
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
+
+#include "faults/word_fold.hpp"
 
 namespace cpsinw::faults {
 
@@ -80,15 +83,122 @@ std::pair<LogicV, LogicV> resolve(BridgeBehavior behavior, LogicV a,
 
 }  // namespace
 
-std::vector<LogicV> simulate_bridge(const logic::Circuit& ckt,
-                                    const BridgeFault& fault,
-                                    const Pattern& pattern) {
-  // Net ids may come from outside (shard_io documents): the unsigned
-  // casts reject negative ids and ids past the circuit in one compare.
+logic::CompiledCircuit::Bridge checked_bridge(const logic::Circuit& ckt,
+                                             const BridgeFault& fault) {
+  // The unsigned casts reject negative ids and ids past the circuit in
+  // one compare.
   const auto n_nets = static_cast<std::size_t>(ckt.net_count());
   if (static_cast<std::size_t>(fault.a) >= n_nets ||
       static_cast<std::size_t>(fault.b) >= n_nets || fault.a == fault.b)
-    throw std::invalid_argument("simulate_bridge: bad net pair");
+    throw std::invalid_argument("bridge: bad net pair");
+  using Wire = logic::CompiledCircuit::Bridge::Wire;
+  Wire wire = Wire::kAnd;
+  switch (fault.behavior) {
+    case BridgeBehavior::kWiredAnd: wire = Wire::kAnd; break;
+    case BridgeBehavior::kWiredOr: wire = Wire::kOr; break;
+    case BridgeBehavior::kDominantA: wire = Wire::kDominantA; break;
+    case BridgeBehavior::kDominantB: wire = Wire::kDominantB; break;
+  }
+  return {fault.a, fault.b, wire};
+}
+
+namespace {
+
+/// The per-pattern scalar loop of X-bearing contexts: simulate_bridge per
+/// pattern against the context's scalar good machine.
+DetectionRecord serial_bridge(const EvalContext& ctx,
+                              const BridgeFault& bridge,
+                              const FaultSimOptions& options) {
+  const logic::Circuit& ckt = ctx.circuit();
+  DetectionRecord rec;
+  for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
+    bool hit = false;
+    if (!rec.detected_output) {
+      const std::vector<LogicV> bad =
+          simulate_bridge(ckt, bridge, ctx.patterns()[pi]);
+      for (const logic::NetId po : ckt.primary_outputs()) {
+        const LogicV g = ctx.good_value(pi, po);
+        const LogicV b = bad[static_cast<std::size_t>(po)];
+        if (is_binary(g) && is_binary(b) && g != b) {
+          rec.detected_output = true;
+          hit = true;
+          break;
+        }
+      }
+    }
+    if (options.observe_iddq) {
+      const LogicV va = ctx.good_value(pi, bridge.a);
+      const LogicV vb = ctx.good_value(pi, bridge.b);
+      if (is_binary(va) && is_binary(vb) && va != vb) {
+        rec.detected_iddq = true;
+        hit = true;
+      }
+    }
+    if (hit && rec.first_pattern < 0)
+      rec.first_pattern = static_cast<int>(pi);
+    if (rec.first_pattern >= 0 &&
+        options.detection_mode == DetectionMode::kFirstOnly)
+      break;  // first-only semantics: stop at the first counted detection
+    if (rec.detected_output && (rec.detected_iddq || !options.observe_iddq))
+      break;  // nothing left to learn about this bridge
+  }
+  return rec;
+}
+
+}  // namespace
+
+std::vector<DetectionRecord> simulate_bridges(
+    const EvalContext& ctx, const std::vector<BridgeFault>& bridges,
+    const FaultSimOptions& options, LineBatchStats* stats) {
+  std::vector<logic::CompiledCircuit::Bridge> checked;
+  checked.reserve(bridges.size());
+  for (const BridgeFault& b : bridges)
+    checked.push_back(checked_bridge(ctx.circuit(), b));
+  std::vector<DetectionRecord> records(bridges.size());
+  if (!ctx.packed()) {
+    for (std::size_t i = 0; i < bridges.size(); ++i)
+      records[i] = serial_bridge(ctx, bridges[i], options);
+    if (stats != nullptr) stats->bridge_serial += bridges.size();
+    return records;
+  }
+
+  // Strip-mined walk per bridge, like the transistor walks: a full-mode
+  // walk stops once a PO flip and (when observed) an IDDQ excitation have
+  // both been seen, a first-only walk at its first counted hit.
+  const logic::CompiledCircuit& cc = ctx.compiled();
+  const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
+  const std::size_t n_words = ctx.word_count();
+  std::vector<std::uint64_t> detect(kWideStrip);
+  std::vector<std::uint64_t> contention(kWideStrip);
+  std::vector<std::uint64_t> lanes;
+  std::vector<std::uint64_t> n1_lanes;
+  for (std::size_t i = 0; i < checked.size(); ++i) {
+    WordFold fold{options.observe_iddq, first_only};
+    std::size_t w0 = 0;
+    std::size_t strip = kFirstStrip;
+    while (w0 < n_words) {
+      const std::size_t nw = std::min(strip, n_words - w0);
+      strip = kWideStrip;
+      cc.eval_packed_bridge_planes(ctx.good_planes() + w0, ctx.plane_stride(),
+                                   nw, checked[i], detect.data(),
+                                   contention.data(), lanes, n1_lanes);
+      if (fold.fold(w0, nw, detect.data(), nullptr, contention.data(),
+                    ctx.active_words().data()))
+        break;
+      w0 += nw;
+      if (!first_only && fold.any_d != 0 &&
+          (fold.any_c != 0 || !options.observe_iddq))
+        break;
+    }
+    records[i] = fold.record();
+  }
+  return records;
+}
+
+std::vector<LogicV> simulate_bridge(const logic::Circuit& ckt,
+                                    const BridgeFault& fault,
+                                    const Pattern& pattern) {
+  (void)checked_bridge(ckt, fault);
   const logic::Simulator sim(ckt);
 
   // Fixpoint iteration over levelized evaluation with the wired values

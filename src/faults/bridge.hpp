@@ -7,10 +7,21 @@
 // detection only needs the two nets driven to opposite values — the
 // shorted drivers then fight and the supply current rises by orders of
 // magnitude, exactly like the paper's polarity-bridge observation.
+//
+// simulate_bridges is the one entry point for bridge records over a
+// pattern set.  On fully specified patterns it runs the word-parallel
+// plane kernel (CompiledCircuit::eval_packed_bridge_planes), which
+// reproduces simulate_bridge's bounded feedback fixpoint bit for bit; on
+// X-bearing patterns it calls simulate_bridge per pattern.  simulate_bridge
+// itself remains the scalar definition: the X-bearing path and the
+// differential tests' oracle.
 #pragma once
 
 #include <vector>
 
+#include "faults/eval_context.hpp"
+#include "faults/fault_sim.hpp"
+#include "logic/compiled_circuit.hpp"
 #include "logic/logic_sim.hpp"
 
 namespace cpsinw::faults {
@@ -42,10 +53,32 @@ struct BridgeFault {
 [[nodiscard]] std::vector<BridgeFault> enumerate_adjacent_bridges(
     const logic::Circuit& ckt);
 
+/// Validates a bridge against the circuit and converts it to the
+/// compiled-kernel descriptor.  Net ids may come from untrusted shard_io
+/// documents, and the kernels index planes with them unchecked.
+/// @throws std::invalid_argument when a or b is outside the circuit or
+///   a == b
+[[nodiscard]] logic::CompiledCircuit::Bridge checked_bridge(
+    const logic::Circuit& ckt, const BridgeFault& fault);
+
+/// Detection records of `bridges` over the context's pattern set, parallel
+/// to the list, with the same hit rules as the transistor walks (no
+/// potential flag: a bridge's X never counts).  Every bridge is validated
+/// before any is simulated, also on an empty pattern set.  Packed contexts
+/// run the plane kernel with one scratch set for the whole list (the cone
+/// cache then serves a pair's four behaviours listed back to back);
+/// X-bearing contexts run simulate_bridge per pattern and count each
+/// bridge into `stats->bridge_serial` when `stats` is non-null.
+/// @throws std::invalid_argument on a bad pair (see checked_bridge)
+[[nodiscard]] std::vector<DetectionRecord> simulate_bridges(
+    const EvalContext& ctx, const std::vector<BridgeFault>& bridges,
+    const FaultSimOptions& options, LineBatchStats* stats = nullptr);
+
 /// Simulates the bridged circuit for one pattern.  Bridges that close a
 /// feedback loop over the pair are evaluated to a fixpoint; oscillation
 /// resolves to X.
 /// @returns faulty net values
+/// @throws std::invalid_argument on a bad pair (see checked_bridge)
 [[nodiscard]] std::vector<logic::LogicV> simulate_bridge(
     const logic::Circuit& ckt, const BridgeFault& fault,
     const logic::Pattern& pattern);

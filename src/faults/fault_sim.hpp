@@ -80,11 +80,11 @@ struct FaultSimOptions {
 };
 
 /// Occupancy accounting for the batched line-fault kernel plus the
-/// per-path transistor counts, filled by run_range when a caller passes a
-/// sink (the engine shard loop feeds these into the
-/// `engine.faults_batched` / `engine.batch_width` /
-/// `engine.faults_transistor_*` counters and the `shard.batch_fill`
-/// histogram).
+/// per-path transistor and bridge counts, filled by run_range and
+/// simulate_bridges when a caller passes a sink (the engine shard loop
+/// feeds these into the `engine.faults_batched` / `engine.batch_width` /
+/// `engine.faults_transistor_*` / `engine.faults_bridge_serial` counters
+/// and the `shard.batch_fill` histogram).
 struct LineBatchStats {
   std::size_t faults = 0;      ///< line faults handled (counted once each)
   std::size_t groups = 0;      ///< kernel invocations (strips re-group, so a
@@ -103,6 +103,8 @@ struct LineBatchStats {
   std::size_t transistor_binary = 0;
   std::size_t transistor_retained = 0;
   std::size_t transistor_serial = 0;
+  /// Bridges that took the per-pattern scalar loop (X-bearing patterns).
+  std::size_t bridge_serial = 0;
 
   void merge(const LineBatchStats& o) {
     faults += o.faults;
@@ -114,6 +116,7 @@ struct LineBatchStats {
     transistor_binary += o.transistor_binary;
     transistor_retained += o.transistor_retained;
     transistor_serial += o.transistor_serial;
+    bridge_serial += o.bridge_serial;
   }
 };
 

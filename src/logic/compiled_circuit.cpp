@@ -378,4 +378,40 @@ void CompiledCircuit::eval_packed_retained_planes(
       detect, potential, contention, lane_scratch, x_scratch);
 }
 
+void CompiledCircuit::eval_packed_bridge_planes(
+    const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
+    const Bridge& bridge, std::uint64_t* detect, std::uint64_t* contention,
+    std::vector<std::uint64_t>& lane_scratch,
+    std::vector<std::uint64_t>& n1_scratch) const {
+  assert(bridge.a >= 0 && bridge.a < ckt_->net_count());
+  assert(bridge.b >= 0 && bridge.b < ckt_->net_count());
+  assert(bridge.a != bridge.b);
+  assert(n_words <= stride);
+  if (n_words == 0) return;
+#if defined(CPSINW_SIMD_AVX512)
+  if (simd::active_backend() == simd::Backend::kAvx512)
+    return kernels::eval_bridge_planes_avx512(*this, good_planes, stride,
+                                              n_words, bridge, detect,
+                                              contention, lane_scratch,
+                                              n1_scratch);
+#endif
+#if defined(CPSINW_SIMD_AVX2)
+  if (simd::active_backend() == simd::Backend::kAvx2)
+    return kernels::eval_bridge_planes_avx2(*this, good_planes, stride,
+                                            n_words, bridge, detect,
+                                            contention, lane_scratch,
+                                            n1_scratch);
+#endif
+#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
+  if (simd::active_backend() == simd::Backend::kNeon)
+    return kernels::eval_bridge_planes_t<kernels::U64x2x2>(
+        *this, good_planes, stride, n_words, bridge, detect, contention,
+        lane_scratch, n1_scratch);
+#endif
+  kernels::eval_bridge_planes_t<kernels::U64x4>(*this, good_planes, stride,
+                                                n_words, bridge, detect,
+                                                contention, lane_scratch,
+                                                n1_scratch);
+}
+
 }  // namespace cpsinw::logic

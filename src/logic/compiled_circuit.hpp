@@ -62,6 +62,15 @@ class CompiledCircuit {
     bool stuck_one = false;
   };
 
+  /// A bridge at the logic layer: nets `a` and `b` (distinct) shorted, so
+  /// both read one wired value of their two driver values.
+  struct Bridge {
+    enum class Wire : std::uint8_t { kAnd, kOr, kDominantA, kDominantB };
+    NetId a = -1;
+    NetId b = -1;
+    Wire wire = Wire::kAnd;
+  };
+
   /// @param ckt finalized circuit; borrowed, must outlive this object
   /// @throws std::invalid_argument when not finalized
   explicit CompiledCircuit(const Circuit& ckt);
@@ -238,6 +247,33 @@ class CompiledCircuit {
       std::uint64_t* potential, std::uint64_t* contention,
       std::vector<std::uint64_t>& lane_scratch,
       std::vector<std::uint64_t>& x_scratch) const;
+
+  /// Plane-wide bridge kernel, bit-identical per pattern to the bounded
+  /// (4-round) feedback fixpoint of faults::simulate_bridge on binary
+  /// patterns.  Both nets read one wired value w per round, so every round
+  /// is one of two binary passes over the fan-out cone of {a, b} (their
+  /// drivers skipped): N0 with a = b = 0 and N1 with a = b = 1.  Per
+  /// pattern bit the next round's w is G(w) = wire(driver_a(N_w),
+  /// driver_b(N_w)), where a net without a driver (a PI or a constant)
+  /// reads w itself.  A constant or identity G converges, on the wired
+  /// value of the good a and b, and the bit reads that N_w.  The negation
+  /// oscillates, and the scalar path's oscillation rule (a = b = X) can
+  /// never flip a PO: three-valued propagation is sound, so a binary PO
+  /// equals the good machine's value.  The cone is cached in
+  /// `lane_scratch` (the transistor kernels' layout) and rediscovered
+  /// only when the pair changes, so a pair's four behaviours share it.
+  /// Writes per word (unmasked): `detect` (some PO binary and different
+  /// from good) and `contention` (the good machine drives a and b to
+  /// opposite values: the IDDQ excitation).
+  /// @param bridge validated descriptor (see faults::checked_bridge)
+  /// @param n1_scratch the N1 lane set, parallel to the N0 lanes of
+  ///   `lane_scratch`; reused across calls, resized internally
+  void eval_packed_bridge_planes(const std::uint64_t* good_planes,
+                                 std::size_t stride, std::size_t n_words,
+                                 const Bridge& bridge, std::uint64_t* detect,
+                                 std::uint64_t* contention,
+                                 std::vector<std::uint64_t>& lane_scratch,
+                                 std::vector<std::uint64_t>& n1_scratch) const;
 
  private:
   void eval_scalar_range(LogicV* values, std::size_t from,

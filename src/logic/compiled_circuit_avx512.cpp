@@ -123,6 +123,16 @@ void eval_retained_planes_avx512(
                                 lane_scratch, x_scratch);
 }
 
+void eval_bridge_planes_avx512(
+    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
+    std::size_t n_words, const CompiledCircuit::Bridge& bridge,
+    std::uint64_t* detect, std::uint64_t* contention,
+    std::vector<std::uint64_t>& lane_scratch,
+    std::vector<std::uint64_t>& n1_scratch) {
+  eval_bridge_planes_t<M256T>(cc, good, stride, n_words, bridge, detect,
+                              contention, lane_scratch, n1_scratch);
+}
+
 }  // namespace cpsinw::logic::kernels
 
 #endif  // CPSINW_SIMD_AVX512

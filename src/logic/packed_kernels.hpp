@@ -373,8 +373,9 @@ std::size_t eval_line_batch_t(const CompiledCircuit& cc,
 /// early exit to lose.
 inline constexpr std::size_t kConeGroups = 4;
 
-/// The cached fan-out cone of one faulted gate, as laid out in the lane
-/// scratch that the binary and the retained transistor kernels share.
+/// The cached fan-out cone of one faulted gate or one bridged net pair, as
+/// laid out in the lane scratch that the transistor and bridge kernels
+/// share.
 struct FaultCone {
   /// Lane storage: word j of a strip for net n lives at
   /// lanes[n * kSimdWords * kConeGroups + j].
@@ -385,23 +386,36 @@ struct FaultCone {
   std::size_t gate_count = 0;
   const std::uint64_t* po_nets = nullptr;  ///< PO nets inside the cone
   std::size_t po_count = 0;
+  const std::uint64_t* marks = nullptr;  ///< per net: == mark when in the cone
+  std::uint64_t mark = 0;
+
+  /// The lane-read mask of a gate outside the cone list (a seed's driver).
+  [[nodiscard]] unsigned lane_pins(const CompiledCircuit::GateRec& g) const {
+    return (marks[static_cast<std::size_t>(g.in[0])] == mark ? 1u : 0u) |
+           (marks[static_cast<std::size_t>(g.in[1])] == mark ? 2u : 0u) |
+           (marks[static_cast<std::size_t>(g.in[2])] == mark ? 4u : 0u);
+  }
 };
 
-/// Sizes the shared lane scratch and returns the fan-out cone of
-/// `fault_gate`, rediscovering it only when the gate changed since the
-/// last call.  The cone — which gates diverge, which of their inputs read
-/// lanes vs. good planes, which POs can differ — is a property of the
-/// graph, not of the pattern words, so it is discovered once (versioned
-/// marks + persistent counter) and reused by every strip and by
-/// consecutive faults on the same gate (fault lists enumerate several
-/// transistor faults per gate back to back).  Both transistor kernels
-/// size the scratch identically, so faults of either kind interleaving
-/// in one range keep the cache (and skip the re-zeroing).
+/// Sizes the shared lane scratch and returns the fan-out cone of the seed
+/// nets s0 and s1 (equal for a single seed) over the gates from position
+/// `from` on, rediscovering it only when `key` changed since the last
+/// call.  A seed's own driver is skipped: the seed is forced, so its
+/// driver's value never reaches the cone.  The cone — which gates
+/// diverge, which of their inputs read lanes vs. good planes, which POs
+/// can differ — is a property of the graph, not of the pattern words, so
+/// it is discovered once (versioned marks + persistent counter) and reused
+/// by every strip and by consecutive faults with the same key (fault lists
+/// enumerate several transistor faults per gate back to back, bridge
+/// universes a pair's four behaviours).  Every kernel sizes the scratch
+/// identically, so faults of any kind interleaving in one range keep the
+/// cache (and skip the re-zeroing).
 ///
 /// Layout: [lanes: n_net * kW * kConeGroups][marks: n_net][counter]
 ///         [cone key][cone length][cone: n_gates][po count][po list]
-inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
-                            std::vector<std::uint64_t>& lane_scratch) {
+inline FaultCone seeded_cone(const CompiledCircuit& cc, std::uint64_t key,
+                             NetId s0, NetId s1, std::size_t from,
+                             std::vector<std::uint64_t>& lane_scratch) {
   constexpr std::size_t kW = CompiledCircuit::kSimdWords;
   const auto& gates = cc.gates();
   const Circuit& ckt = cc.circuit();
@@ -420,18 +434,21 @@ inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
   std::uint64_t& po_len = cone[n_gates];
   std::uint64_t* const po_list = cone + n_gates + 1;
 
-  if (cone_key != static_cast<std::uint64_t>(fault_gate) + 1) {
-    const std::size_t pos = cc.position_of(fault_gate);
+  if (cone_key != key) {
     const std::uint64_t cur = ++counter;  // never reused: marks stay valid
-    marks[static_cast<std::size_t>(gates[pos].out)] = cur;
+    marks[static_cast<std::size_t>(s0)] = cur;
+    marks[static_cast<std::size_t>(s1)] = cur;
     std::uint64_t len = 0;
-    for (std::size_t k = pos + 1; k < n_gates; ++k) {
+    for (std::size_t k = from; k < n_gates; ++k) {
       const CompiledCircuit::GateRec& g = gates[k];
       const std::uint64_t dmask =
           (marks[static_cast<std::size_t>(g.in[0])] == cur ? 1u : 0u) |
           (marks[static_cast<std::size_t>(g.in[1])] == cur ? 2u : 0u) |
           (marks[static_cast<std::size_t>(g.in[2])] == cur ? 4u : 0u);
-      if (dmask == 0) continue;  // outside the faulted gate's cone
+      if (dmask == 0) continue;  // outside the seeds' cone
+      // Each net has one driver, so an output marked before its driver is
+      // reached is a seed, whose driver stays out of the walk.
+      if (marks[static_cast<std::size_t>(g.out)] == cur) continue;
       marks[static_cast<std::size_t>(g.out)] = cur;
       cone[len++] = (static_cast<std::uint64_t>(k) << 3) | dmask;
     }
@@ -441,10 +458,30 @@ inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
       if (marks[static_cast<std::size_t>(po)] == cur)
         po_list[plen++] = static_cast<std::uint64_t>(po);
     po_len = plen;
-    cone_key = static_cast<std::uint64_t>(fault_gate) + 1;
+    cone_key = key;
   }
-  return FaultCone{lv, cone, static_cast<std::size_t>(cone_len), po_list,
-                   static_cast<std::size_t>(po_len)};
+  return FaultCone{lv,      cone,  static_cast<std::size_t>(cone_len),
+                   po_list, static_cast<std::size_t>(po_len),
+                   marks,   counter};
+}
+
+/// The fan-out cone of `fault_gate`'s output, keyed by the gate.
+inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
+                            std::vector<std::uint64_t>& lane_scratch) {
+  const std::size_t pos = cc.position_of(fault_gate);
+  const NetId out = cc.gates()[pos].out;
+  return seeded_cone(cc, static_cast<std::uint64_t>(fault_gate) + 1, out, out,
+                     pos + 1, lane_scratch);
+}
+
+/// The fan-out cone of a bridged pair, keyed by the unordered pair (the
+/// top bit keeps pair keys apart from gate keys).
+inline FaultCone bridge_cone(const CompiledCircuit& cc, NetId a, NetId b,
+                             std::vector<std::uint64_t>& lane_scratch) {
+  const std::uint64_t lo = static_cast<std::uint64_t>(std::min(a, b));
+  const std::uint64_t hi = static_cast<std::uint64_t>(std::max(a, b));
+  return seeded_cone(cc, (1ull << 63) | (hi << 31) | lo, a, b, 0,
+                     lane_scratch);
 }
 
 /// Clamped group store: full groups go straight to the output array
@@ -772,9 +809,147 @@ void eval_retained_planes_t(const CompiledCircuit& cc,
   for_each_strip(n_words, strip);
 }
 
+/// Wired value of a bridge, per pattern bit, from its two driver values.
+template <class V>
+inline V wired_value(CompiledCircuit::Bridge::Wire wire, const V& va,
+                     const V& vb) {
+  using Wire = CompiledCircuit::Bridge::Wire;
+  switch (wire) {
+    case Wire::kAnd: return va & vb;
+    case Wire::kOr: return va | vb;
+    case Wire::kDominantA: return va;
+    case Wire::kDominantB: return vb;
+  }
+  return va;
+}
+
+/// Plane-wide bridge kernel (see CompiledCircuit::eval_packed_bridge_planes
+/// for the fixpoint it reproduces).  Per strip, one walk of the bridge
+/// cone computes N0 into the value lanes and N1 into `n1_scratch`; the
+/// drivers of a and b read both, and the rest is word operations.
+template <class V>
+void eval_bridge_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
+                          std::size_t stride, std::size_t n_words,
+                          const CompiledCircuit::Bridge& br,
+                          std::uint64_t* detect, std::uint64_t* contention,
+                          std::vector<std::uint64_t>& lane_scratch,
+                          std::vector<std::uint64_t>& n1_scratch) {
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
+  const auto& gates = cc.gates();
+  const Circuit& ckt = cc.circuit();
+  const FaultCone fc = bridge_cone(cc, br.a, br.b, lane_scratch);
+  const std::size_t lanes_sz =
+      static_cast<std::size_t>(ckt.net_count()) * kRow;
+  if (n1_scratch.size() != lanes_sz) n1_scratch.assign(lanes_sz, 0);
+  std::uint64_t* const lo = fc.lanes;         // N0
+  std::uint64_t* const hi = n1_scratch.data();  // N1
+  const std::size_t net_a = static_cast<std::size_t>(br.a);
+  const std::size_t net_b = static_cast<std::size_t>(br.b);
+  const int da = ckt.driver_of(br.a);
+  const int db = ckt.driver_of(br.b);
+  const CompiledCircuit::GateRec* const drv_a =
+      da < 0 ? nullptr : &gates[cc.position_of(da)];
+  const CompiledCircuit::GateRec* const drv_b =
+      db < 0 ? nullptr : &gates[cc.position_of(db)];
+  const unsigned pins_a = drv_a == nullptr ? 0 : fc.lane_pins(*drv_a);
+  const unsigned pins_b = drv_b == nullptr ? 0 : fc.lane_pins(*drv_b);
+
+  const auto strip = [&]<std::size_t NW>(std::size_t wg) {
+    for (std::size_t gi = 0; gi < NW; ++gi) {
+      const std::size_t l = gi * kW;
+      V::store(lo + net_a * kRow + l, V::splat(0));
+      V::store(hi + net_a * kRow + l, V::splat(~0ull));
+      V::store(lo + net_b * kRow + l, V::splat(0));
+      V::store(hi + net_b * kRow + l, V::splat(~0ull));
+    }
+
+    // N0 and N1 in one walk.
+    for (std::size_t idx = 0; idx < fc.gate_count; ++idx) {
+      const std::uint64_t e = fc.gates[idx];
+      const CompiledCircuit::GateRec& g = gates[e >> 3];
+      const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
+      const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
+      const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
+      const bool l0 = (e & 1) != 0, l1 = (e & 2) != 0, l2 = (e & 4) != 0;
+      for (std::size_t gi = 0; gi < NW; ++gi) {
+        const std::size_t l = gi * kW;
+        // A pin outside the cone reads the same good word in both passes.
+        const V a0 = l0 ? V::load(lo + n0 * kRow + l)
+                        : V::load(good + n0 * stride + wg + l);
+        const V a1 = l0 ? V::load(hi + n0 * kRow + l) : a0;
+        const V b0 = l1 ? V::load(lo + n1 * kRow + l)
+                        : V::load(good + n1 * stride + wg + l);
+        const V b1 = l1 ? V::load(hi + n1 * kRow + l) : b0;
+        const V c0 = l2 ? V::load(lo + n2 * kRow + l)
+                        : V::load(good + n2 * stride + wg + l);
+        const V c1 = l2 ? V::load(hi + n2 * kRow + l) : c0;
+        const std::size_t o = static_cast<std::size_t>(g.out) * kRow + l;
+        V::store(lo + o, eval_cell_vec(g.kind, a0, b0, c0));
+        V::store(hi + o, eval_cell_vec(g.kind, a1, b1, c1));
+      }
+    }
+
+    // A bridged net's driver value under N0 or N1: its pins read the
+    // chosen lane set where the cone reaches them, the good planes
+    // elsewhere.  A net without a driver (a PI or a constant) reads the
+    // wired value, i.e. its own seed word.
+    const auto driver = [&](const CompiledCircuit::GateRec* g, unsigned pins,
+                            std::size_t net, const std::uint64_t* lanes,
+                            std::size_t l) {
+      if (g == nullptr) return V::load(lanes + net * kRow + l);
+      const auto pin = [&](unsigned i) {
+        const std::size_t n = static_cast<std::size_t>(g->in[i]);
+        return ((pins >> i) & 1u) != 0 ? V::load(lanes + n * kRow + l)
+                                       : V::load(good + n * stride + wg + l);
+      };
+      return eval_cell_vec(g->kind, pin(0), pin(1), pin(2));
+    };
+
+    // The fixpoint per bit.  Round r of simulate_bridge pins a = b = w_r,
+    // so its driver values are those of N_{w_r} and the next round's
+    // wired value is w_{r+1} = G(w_r), G(w) = wire(driver_a(N_w),
+    // driver_b(N_w)), from w_0 = wire(good a, good b).
+    //  * G is one of the four maps of {0, 1}: constant, identity or
+    //    negation.  A constant or the identity converges; the negation
+    //    flips w, and with it the driver values, every round, so the
+    //    scalar path gives up after four rounds and sets a = b = X.
+    //  * A converged bit settles on w_0.  At most one of a and b feeds
+    //    the other's driver (the circuit is acyclic), and a net without a
+    //    driver reads w, so a = b = v gives both nets their good driver
+    //    values for v = good a or v = good b, unless both are undriven (G
+    //    is then the identity).  So w_0 = G(v) for some v: a constant G
+    //    equals w_0, and the identity keeps it.  The bit reads N_{w_0}.
+    //  * An oscillating bit never flips a PO.  Its POs come from a = b = X
+    //    propagated three-valued, which is sound: a binary PO takes that
+    //    value under every binary a and b, including the good machine's.
+    for (std::size_t gi = 0; gi < NW; ++gi) {
+      const std::size_t l = gi * kW;
+      const V good_a = V::load(good + net_a * stride + wg + l);
+      const V good_b = V::load(good + net_b * stride + wg + l);
+      store_clamped(contention, wg + l, n_words, good_a ^ good_b);
+      const V g0 = wired_value(br.wire, driver(drv_a, pins_a, net_a, lo, l),
+                               driver(drv_b, pins_b, net_b, lo, l));
+      const V g1 = wired_value(br.wire, driver(drv_a, pins_a, net_a, hi, l),
+                               driver(drv_b, pins_b, net_b, hi, l));
+      const V w0 = wired_value(br.wire, good_a, good_b);
+      V d = V::splat(0);
+      for (std::size_t i = 0; i < fc.po_count; ++i) {
+        const std::size_t n = static_cast<std::size_t>(fc.po_nets[i]);
+        const V f = (w0 & V::load(hi + n * kRow + l)) |
+                    (~w0 & V::load(lo + n * kRow + l));
+        d = d | (f ^ V::load(good + n * stride + wg + l));
+      }
+      store_clamped(detect, wg + l, n_words, d & ~(g0 & ~g1));
+    }
+  };
+
+  for_each_strip(n_words, strip);
+}
+
 // ---- AVX2 entry points (defined in compiled_circuit_avx2.cpp) -------------
 
-// The __m256i instantiations of the four template kernels above, behind
+// The __m256i instantiations of the five template kernels above, behind
 // out-of-line entry points so -mavx2 code exists in exactly one TU.
 // Contracts (arguments, results, scratch reuse) are identical to the
 // templates'; compiled_circuit.cpp dispatches here when the running CPU
@@ -802,6 +977,13 @@ void eval_retained_planes_avx2(
     std::uint64_t* potential, std::uint64_t* contention,
     std::vector<std::uint64_t>& lane_scratch,
     std::vector<std::uint64_t>& x_scratch);
+void eval_bridge_planes_avx2(const CompiledCircuit& cc,
+                             const std::uint64_t* good, std::size_t stride,
+                             std::size_t n_words,
+                             const CompiledCircuit::Bridge& bridge,
+                             std::uint64_t* detect, std::uint64_t* contention,
+                             std::vector<std::uint64_t>& lane_scratch,
+                             std::vector<std::uint64_t>& n1_scratch);
 #endif
 
 // ---- AVX-512VL entry points (defined in compiled_circuit_avx512.cpp) ------
@@ -830,6 +1012,14 @@ void eval_retained_planes_avx512(
     std::uint64_t* potential, std::uint64_t* contention,
     std::vector<std::uint64_t>& lane_scratch,
     std::vector<std::uint64_t>& x_scratch);
+void eval_bridge_planes_avx512(const CompiledCircuit& cc,
+                               const std::uint64_t* good, std::size_t stride,
+                               std::size_t n_words,
+                               const CompiledCircuit::Bridge& bridge,
+                               std::uint64_t* detect,
+                               std::uint64_t* contention,
+                               std::vector<std::uint64_t>& lane_scratch,
+                               std::vector<std::uint64_t>& n1_scratch);
 #endif
 
 }  // namespace cpsinw::logic::kernels

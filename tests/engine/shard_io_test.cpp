@@ -202,29 +202,42 @@ TEST(ShardIo, MalformedDocumentsThrowInsteadOfMisbehaving) {
 
 TEST(ShardIo, OutOfRangeBridgeNetsThrowInsteadOfCrashing) {
   // Bridge net ids are plain ints on the wire, so a document may name a
-  // net the circuit does not have.  Simulating it used to index the net
-  // vectors unchecked and kill the shard server with SIGSEGV.
+  // net the circuit does not have, a negative one, or the same net twice.
+  // Simulating such a pair used to index the net vectors unchecked and
+  // kill the shard server with SIGSEGV; the pair must be rejected before
+  // any plane is read, also when the shard has no pattern to simulate.
   const logic::Circuit ckt = logic::c17();
   const std::vector<CampaignFault> universe = {CampaignFault::from_bridge(
       {1, 2, faults::BridgeBehavior::kWiredAnd})};
   Shard shard;
   shard.end = universe.size();
-  const std::vector<logic::Pattern> patterns = {
+  const std::vector<logic::Pattern> one = {
       logic::Pattern(ckt.primary_inputs().size(), logic::LogicV::k1)};
-  std::string doc =
-      serialize_shard_input(ckt, patterns, universe, shard, ShardExecOptions{});
-  const std::string pair = "\"a\":1,\"b\":2,";
-  const std::size_t at = doc.find(pair);
-  ASSERT_NE(at, std::string::npos);
-  doc.replace(at, pair.size(), "\"a\":1,\"b\":100000000,");
+  for (const std::vector<logic::Pattern>& patterns :
+       {one, std::vector<logic::Pattern>{}}) {
+    for (const auto& [a, b] : {std::pair{1, 100000000}, std::pair{2, 2},
+                               std::pair{-1, 2}, std::pair{1, -5}}) {
+      std::string doc = serialize_shard_input(ckt, patterns, universe, shard,
+                                              ShardExecOptions{});
+      const std::string pair = "\"a\":1,\"b\":2,";
+      const std::size_t at = doc.find(pair);
+      ASSERT_NE(at, std::string::npos);
+      doc.replace(at, pair.size(),
+                  "\"a\":" + std::to_string(a) + ",\"b\":" +
+                      std::to_string(b) + ",");
 
-  const ShardWorkInput parsed = parse_shard_input(doc);
-  ASSERT_EQ(parsed.faults.size(), 1u);
-  EXPECT_EQ(parsed.faults[0].bridge.b, 100000000);
-  const faults::EvalContext ctx(parsed.circuit, parsed.patterns);
-  EXPECT_THROW(
-      (void)run_shard(ctx, parsed.faults, parsed.shard, parsed.options),
-      std::invalid_argument);
+      const ShardWorkInput parsed = parse_shard_input(doc);
+      ASSERT_EQ(parsed.faults.size(), 1u);
+      EXPECT_EQ(parsed.faults[0].bridge.a, a);
+      EXPECT_EQ(parsed.faults[0].bridge.b, b);
+      EXPECT_EQ(parsed.patterns.size(), patterns.size());
+      const faults::EvalContext ctx(parsed.circuit, parsed.patterns);
+      EXPECT_THROW(
+          (void)run_shard(ctx, parsed.faults, parsed.shard, parsed.options),
+          std::invalid_argument)
+          << "a=" << a << " b=" << b << " patterns=" << patterns.size();
+    }
+  }
 }
 
 TEST(ShardIo, ShortPatternsThrowWhenTheContextIsBuilt) {

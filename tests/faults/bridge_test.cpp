@@ -109,21 +109,35 @@ TEST(Bridge, CoverageOnBenchmarks) {
 }
 
 TEST(Bridge, FeedbackBridgeResolvesWithoutHanging) {
-  // Bridge a gate's output to its own input: a feedback loop.  The
-  // simulation must terminate and produce a defined or X result.
+  // Bridge an inverter's output to its own input: a feedback loop the
+  // simulation must close in a bounded number of rounds.  Wired-AND and
+  // wired-OR settle on the rail they favour, dominant-A on the input, and
+  // dominant-B (y = NOT a fed back onto a) flips every round and resolves
+  // to X on both nets.
   logic::Circuit c;
   const auto a = c.add_primary_input("a");
   const auto y = c.add_net("y");
   c.add_gate(gates::CellKind::kInv, {a}, y);
   c.mark_primary_output(y);
   c.finalize();
-  const BridgeFault f{a, y, BridgeBehavior::kWiredAnd};
-  const auto vals = simulate_bridge(c, f, {LogicV::k1});
-  // wired-AND of a=1, y=NOT(a)=0 -> both 0; re-evaluating: y=NOT(0)=1,
-  // wired again -> oscillation or stable 0 depending on the driver; either
-  // a binary fixpoint or X is acceptable, a hang is not.
-  SUCCEED() << "terminated with y="
-            << to_string(vals[static_cast<std::size_t>(y)]);
+  const auto at = [](const std::vector<LogicV>& v, logic::NetId n) {
+    return v[static_cast<std::size_t>(n)];
+  };
+  for (const LogicV in : {LogicV::k0, LogicV::k1}) {
+    EXPECT_EQ(at(simulate_bridge(c, {a, y, BridgeBehavior::kWiredAnd}, {in}),
+                 y),
+              LogicV::k0);
+    EXPECT_EQ(at(simulate_bridge(c, {a, y, BridgeBehavior::kWiredOr}, {in}),
+                 y),
+              LogicV::k1);
+    EXPECT_EQ(at(simulate_bridge(c, {a, y, BridgeBehavior::kDominantA}, {in}),
+                 y),
+              in);
+    const std::vector<LogicV> dom_b =
+        simulate_bridge(c, {a, y, BridgeBehavior::kDominantB}, {in});
+    EXPECT_EQ(at(dom_b, a), LogicV::kX);
+    EXPECT_EQ(at(dom_b, y), LogicV::kX);
+  }
 }
 
 TEST(Bridge, RejectsBadPairs) {

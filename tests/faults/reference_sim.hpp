@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "faults/bridge.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault.hpp"
 #include "faults/fault_sim.hpp"
@@ -59,6 +60,53 @@ inline DetectionRecord transistor(const logic::Circuit& ckt,
       rec.first_pattern = static_cast<int>(pi);
     if (rec.first_pattern >= 0 &&
         options.detection_mode == DetectionMode::kFirstOnly)
+      break;
+  }
+  return rec;
+}
+
+/// The engine's bridge record before the plane kernel: per pattern, a
+/// scalar good machine and faults::simulate_bridge (the bounded feedback
+/// fixpoint with its oscillation -> X rule), a PO flip counting where
+/// both values are binary, and an IDDQ hit where the good machine drives
+/// the two nets to opposite binary values.  In first-only mode it stops
+/// after the first counted detection.
+inline DetectionRecord bridge(const logic::Circuit& ckt,
+                              const BridgeFault& bridge,
+                              const std::vector<logic::Pattern>& patterns,
+                              const FaultSimOptions& options) {
+  using logic::LogicV;
+  const logic::Simulator sim(ckt);
+  DetectionRecord rec;
+  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
+    const logic::SimResult good = sim.simulate(patterns[pi]);
+    bool hit = false;
+    if (!rec.detected_output) {
+      const std::vector<LogicV> bad =
+          simulate_bridge(ckt, bridge, patterns[pi]);
+      for (const logic::NetId po : ckt.primary_outputs()) {
+        const LogicV g = good.net_values[static_cast<std::size_t>(po)];
+        const LogicV b = bad[static_cast<std::size_t>(po)];
+        if (is_binary(g) && is_binary(b) && g != b) {
+          rec.detected_output = true;
+          hit = true;
+          break;
+        }
+      }
+    }
+    if (options.observe_iddq) {
+      const LogicV va = good.net_values[static_cast<std::size_t>(bridge.a)];
+      const LogicV vb = good.net_values[static_cast<std::size_t>(bridge.b)];
+      if (is_binary(va) && is_binary(vb) && va != vb) {
+        rec.detected_iddq = true;
+        hit = true;
+      }
+    }
+    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
+    if (rec.first_pattern >= 0 &&
+        options.detection_mode == DetectionMode::kFirstOnly)
+      break;
+    if (rec.detected_output && (rec.detected_iddq || !options.observe_iddq))
       break;
   }
   return rec;

@@ -396,8 +396,8 @@ TEST(RetainedKernel, FiveClassCampaignThreadIdenticalAndShardsMatchOracles) {
   }
 
   // The oracles at shard level: what every campaign shard executes, record
-  // by record, over the same five-class universes.  Bridges have a single
-  // evaluation path.
+  // by record, over the same five-class universes.  A shard boundary may
+  // split a bridge pair's four behaviours.
   for (const engine::CircuitJobSpec& job : spec.jobs) {
     const std::vector<engine::CampaignFault> universe =
         engine::build_universe(job.circuit, spec.models,
@@ -409,9 +409,12 @@ TEST(RetainedKernel, FiveClassCampaignThreadIdenticalAndShardsMatchOracles) {
       const engine::ShardResult sr =
           engine::run_shard(ctx, universe, shard, {});
       for (std::size_t i = shard.begin; i < shard.end; ++i) {
-        if (universe[i].cls == engine::FaultClass::kBridge) continue;
+        const engine::CampaignFault& cf = universe[i];
         const DetectionRecord want =
-            reference::record(ctx, universe[i].fault, spec.sim);
+            cf.cls == engine::FaultClass::kBridge
+                ? reference::bridge(job.circuit, cf.bridge, ctx.patterns(),
+                                    spec.sim)
+                : reference::record(ctx, cf.fault, spec.sim);
         expect_same({sr.results[i - shard.begin].record}, {want},
                     {universe[i].fault}, job.name + " fault " +
                                              std::to_string(i));

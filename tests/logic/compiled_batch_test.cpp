@@ -6,8 +6,8 @@
 // the seed's interpreted evaluators, so transitively everything here is
 // pinned to the seed too.  Covers line stuck-at stems and branches,
 // transistor stuck-open/stuck-on and polarity (via IDDQ dictionaries),
-// all five classes through the shard path (bridges, with a single
-// evaluation path, ride along unchecked), plus X-bearing pattern sets.
+// all five classes through the shard path (bridges against their
+// per-pattern oracle), plus X-bearing pattern sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -252,13 +252,14 @@ TEST(CompiledBatch, ShardRecordsMatchReferenceAllClasses) {
     shard.end = universe.size();
     const auto got = engine::run_shard(ctx, universe, shard, {});
     ASSERT_EQ(got.results.size(), universe.size());
-    // Bridges have a single evaluation path; every other class is checked
-    // against its oracle.
     for (std::size_t i = 0; i < universe.size(); ++i) {
-      if (universe[i].cls == engine::FaultClass::kBridge) continue;
-      expect_record_eq(got.results[i].record,
-                       faults::reference::record(ctx, universe[i].fault, {}),
-                       w.name + " fault " + std::to_string(i));
+      const engine::CampaignFault& cf = universe[i];
+      expect_record_eq(
+          got.results[i].record,
+          cf.cls == engine::FaultClass::kBridge
+              ? faults::reference::bridge(w.ckt, cf.bridge, patterns, {})
+              : faults::reference::record(ctx, cf.fault, {}),
+          w.name + " fault " + std::to_string(i));
     }
   }
 }

@@ -22,6 +22,7 @@
 #include "logic/benchmarks.hpp"
 #include "logic/logic_sim.hpp"
 #include "util/rng.hpp"
+#include "../faults/reference_sim.hpp"
 
 namespace cpsinw::logic {
 namespace {
@@ -205,43 +206,6 @@ DetectionRecord line_fault(const Circuit& ckt, const Fault& fault,
       rec.detected_output = true;
       rec.first_pattern = static_cast<int>(base) + __builtin_ctzll(diff);
     }
-  }
-  return rec;
-}
-
-/// Reference bridge evaluation, mirroring the engine's hit semantics.
-DetectionRecord bridge_fault(const Circuit& ckt,
-                             const faults::BridgeFault& bridge,
-                             const std::vector<Pattern>& patterns,
-                             const FaultSimOptions& options) {
-  DetectionRecord rec;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const SimResult good = simulate(ckt, patterns[pi]);
-    bool hit = false;
-    if (!rec.detected_output) {
-      const std::vector<LogicV> bad =
-          faults::simulate_bridge(ckt, bridge, patterns[pi]);
-      for (const NetId po : ckt.primary_outputs()) {
-        const LogicV g = good.net_values[static_cast<std::size_t>(po)];
-        const LogicV b = bad[static_cast<std::size_t>(po)];
-        if (is_binary(g) && is_binary(b) && g != b) {
-          rec.detected_output = true;
-          hit = true;
-          break;
-        }
-      }
-    }
-    if (options.observe_iddq) {
-      const LogicV va = good.net_values[static_cast<std::size_t>(bridge.a)];
-      const LogicV vb = good.net_values[static_cast<std::size_t>(bridge.b)];
-      if (is_binary(va) && is_binary(vb) && va != vb) {
-        rec.detected_iddq = true;
-        hit = true;
-      }
-    }
-    if (hit && rec.first_pattern < 0) rec.first_pattern = static_cast<int>(pi);
-    if (rec.detected_output && (rec.detected_iddq || !options.observe_iddq))
-      break;
   }
   return rec;
 }
@@ -432,7 +396,8 @@ TEST(CompiledCircuit, AllFiveFaultClassesMatchInterpretedReferences) {
       const engine::CampaignFault& cf = universe[i];
       DetectionRecord want;
       if (cf.cls == engine::FaultClass::kBridge)
-        want = interp::bridge_fault(w.ckt, cf.bridge, patterns, options.sim);
+        want = faults::reference::bridge(w.ckt, cf.bridge, patterns,
+                                          options.sim);
       else if (cf.fault.site == FaultSite::kGateTransistor)
         want = interp::transistor_serial(w.ckt, cf.fault, patterns,
                                          options.sim);
@@ -479,8 +444,8 @@ TEST(CompiledCircuit, XBearingPatternsMatchInterpretedScalarPath) {
     ASSERT_EQ(bridged.results.size(), universe.size());
     for (std::size_t i = 0; i < universe.size(); ++i)
       expect_record_eq(bridged.results[i].record,
-                       interp::bridge_fault(ckt, universe[i].bridge, patterns,
-                                            options.sim),
+                       faults::reference::bridge(ckt, universe[i].bridge,
+                                                 patterns, options.sim),
                        "bridge " + std::to_string(i) +
                            " iddq=" + std::to_string(observe_iddq));
   }
