@@ -1,11 +1,11 @@
 // Campaign-engine scaling across execution backends: throughput (sampled
 // faults x patterns per second) of the same parity_tree(64) campaign on
-// the inline reference, the thread pool at 1/2/4/8 threads, the
-// subprocess worker backend, and a loopback remote shard server.  The
-// deterministic JSON of every run is checked against the inline reference
-// — a scaling number only counts if the answer is bit-identical.  Results
-// land in BENCH_engine_scaling.json (also the last stdout line) so the
-// bench trajectory captures executor overhead per backend over time.
+// the inline reference, the thread pool at 1/2/4/8 threads, and a
+// loopback remote shard server.  The deterministic JSON of every run is
+// checked against the inline reference — a scaling number only counts if
+// the answer is bit-identical.  Results land in BENCH_engine_scaling.json
+// (also the last stdout line) so the bench trajectory captures executor
+// overhead per backend over time.
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -19,14 +19,6 @@
 #include "util/table.hpp"
 
 namespace {
-
-std::string worker_path() {
-#ifdef CPSINW_SHARD_WORKER_PATH
-  return CPSINW_SHARD_WORKER_PATH;
-#else
-  return {};
-#endif
-}
 
 std::string server_path() {
 #ifdef CPSINW_SHARD_SERVER_PATH
@@ -103,8 +95,6 @@ int main() {
     spec.seed = 1;
     spec.threads = cfg.threads;
     spec.executor.backend = cfg.backend;
-    if (cfg.backend == engine::ExecutorBackend::kSubprocess)
-      spec.executor.worker_path = worker_path();
     if (cfg.backend == engine::ExecutorBackend::kRemote) {
       spec.executor.endpoints = {server->endpoint()};
       // The reported thread count must be the real concurrency: lift the
@@ -127,11 +117,6 @@ int main() {
       {engine::ExecutorBackend::kThreadPool, 4},
       {engine::ExecutorBackend::kThreadPool, 8},
   };
-  if (!worker_path().empty())
-    configs.push_back({engine::ExecutorBackend::kSubprocess,
-                       engine::ThreadPool::hardware_threads()});
-  else
-    std::cout << "(no worker path compiled in: subprocess backend skipped)\n";
   if (server != nullptr)
     configs.push_back({engine::ExecutorBackend::kRemote,
                        engine::ThreadPool::hardware_threads()});

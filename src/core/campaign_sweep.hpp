@@ -22,8 +22,8 @@ struct CampaignSweepOptions {
   bool include_bridges = false;
   engine::PatternSourceSpec::Kind pattern_source =
       engine::PatternSourceSpec::Kind::kRandom;
-  /// Shard-phase backend (inline / thread pool / subprocess workers /
-  /// remote shard servers — kRemote endpoints ride along in this spec).
+  /// Shard-phase backend (inline / thread pool / remote shard servers —
+  /// kRemote endpoints ride along in this spec).
   /// Every backend produces byte-identical stable report JSON.
   engine::ExecutorSpec executor;
   /// Passed through to CampaignSpec: opt-in telemetry block in the

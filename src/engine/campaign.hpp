@@ -74,9 +74,9 @@ struct CampaignSpec {
   faults::DetectionMode detection_mode = faults::DetectionMode::kFull;
   std::uint64_t seed = 1;
   std::size_t shard_size = 64;  ///< faults per work unit (must be > 0)
-  /// Worker threads (kThreadPool), or maximum concurrent child processes
-  /// (kSubprocess); 0 = hardware concurrency, ignored by kInline.  Must
-  /// not be negative.
+  /// Worker threads (kThreadPool), or maximum concurrent shard exchanges
+  /// (kRemote); 0 = hardware concurrency, ignored by kInline.  Must not be
+  /// negative.
   int threads = 1;
   double fault_sample_fraction = 1.0;
   /// How the shard phase executes.  Any backend and any thread count
@@ -114,10 +114,11 @@ struct CampaignSpec {
 /// on that order (nor on the backend).
 /// @throws std::invalid_argument on a malformed spec (shard_size == 0,
 ///   negative threads, fault_sample_fraction outside (0, 1], unfinalized
-///   circuits, explicit-pattern arity mismatches, a subprocess backend
-///   without a worker_path, or a remote backend with an empty endpoint
-///   list or a malformed "host:port" entry); per-shard execution failures
-///   never throw — they surface on CampaignReport::error
+///   circuits, explicit-pattern arity mismatches, or a remote backend with
+///   an empty endpoint list, a malformed "host:port" entry, or
+///   non-positive timeout/in-flight/quarantine knobs); per-shard
+///   execution failures never throw — they surface on
+///   CampaignReport::error
 [[nodiscard]] CampaignReport run_campaign(const CampaignSpec& spec);
 
 }  // namespace cpsinw::engine

@@ -1,22 +1,9 @@
 #include "engine/executor.hpp"
 
-#include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <mutex>
 #include <stdexcept>
-#include <utility>
-
-#include <fcntl.h>
-#include <poll.h>
-#include <pthread.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "engine/remote_executor.hpp"
-#include "engine/shard_io.hpp"
 #include "engine/thread_pool.hpp"
 
 namespace cpsinw::engine {
@@ -25,7 +12,6 @@ const char* to_string(ExecutorBackend backend) {
   switch (backend) {
     case ExecutorBackend::kInline: return "inline";
     case ExecutorBackend::kThreadPool: return "thread_pool";
-    case ExecutorBackend::kSubprocess: return "subprocess";
     case ExecutorBackend::kRemote: return "remote";
   }
   return "?";
@@ -70,7 +56,7 @@ namespace {
 
 /// Picks the error the campaign reports: the first failure in canonical
 /// (job, shard) task order, so the surfaced message does not depend on
-/// which worker or thread happened to fail first on the wall clock.
+/// which thread or endpoint happened to fail first on the wall clock.
 std::string first_error(const std::vector<std::string>& errors) {
   for (const std::string& e : errors)
     if (!e.empty()) return e;
@@ -187,270 +173,6 @@ class ThreadPoolExecutor final : public PooledExecutorBase {
   }
 };
 
-// ------------------------------------------------------------ subprocess
-
-/// Runs each shard in a freshly fork/exec'd cpsinw_shard_worker, up to
-/// `threads` children at a time.  The parent speaks the shard_io protocol
-/// over two pipes with a single poll loop (write stdin while draining
-/// stdout — a worker that misbehaves and writes early can never deadlock
-/// the campaign) and a hard wall-clock deadline per shard.
-class SubprocessExecutor final : public PooledExecutorBase {
- public:
-  SubprocessExecutor(ExecutorSpec spec, int threads)
-      : PooledExecutorBase(threads), spec_(std::move(spec)) {}
-
-  [[nodiscard]] const char* name() const override { return "subprocess"; }
-
-  [[nodiscard]] std::string run(const std::vector<ShardTask>& tasks,
-                                const ShardExecOptions& options) override {
-    // Metric handles are resolved once per run; all null when telemetry
-    // is off.
-    queue_wait_s_ = exec_s_ = fork_exec_s_ = nullptr;
-    spawns_ = failures_ = stdin_bytes_ = stdout_bytes_ = nullptr;
-    if (telemetry_ != nullptr) {
-      telemetry::Registry& reg = telemetry_->registry;
-      queue_wait_s_ = &reg.histogram("subprocess.queue_wait_s");
-      exec_s_ = &reg.histogram("subprocess.shard_exec_s");
-      fork_exec_s_ = &reg.histogram("subprocess.fork_exec_s");
-      spawns_ = &reg.counter("subprocess.spawns");
-      failures_ = &reg.counter("subprocess.failures");
-      stdin_bytes_ = &reg.counter("subprocess.stdin_bytes");
-      stdout_bytes_ = &reg.counter("subprocess.stdout_bytes");
-    }
-    std::vector<std::string> errors(tasks.size());
-    for (std::size_t t = 0; t < tasks.size(); ++t) {
-      const ShardTask& task = tasks[t];
-      // Each pool task blocks on one child, so `threads` caps the number
-      // of live workers.
-      const telemetry::TimePoint enqueued = telemetry::Clock::now();
-      pool_.submit([this, &task, &options, &errors, enqueued, t] {
-        if (queue_wait_s_ != nullptr)
-          CPSINW_TELEM(queue_wait_s_->record_since(enqueued));
-        const telemetry::TimePoint start = telemetry::Clock::now();
-        errors[t] = run_one(task, options);
-        if (exec_s_ != nullptr) CPSINW_TELEM(exec_s_->record_since(start));
-        trace_shard_span(trace(), "subprocess", *task.shard, start);
-      });
-    }
-    pool_.wait_idle();
-    return first_error(errors);
-  }
-
- private:
-  /// Executes one shard in a child process; returns "" or the failure
-  /// text.  On any failure the slot is placeholder-filled here.
-  [[nodiscard]] std::string run_one(const ShardTask& task,
-                                    const ShardExecOptions& options) {
-    std::string error = exchange_with_worker(task, options);
-    if (!error.empty()) {
-      if (failures_ != nullptr) CPSINW_TELEM(failures_->add());
-      fill_failed_shard(*task.universe, *task.shard,
-                        options.fault_sample_fraction, *task.slot);
-      error = "subprocess worker (job " + std::to_string(task.shard->job) +
-              ", shard " + std::to_string(task.shard->index) + "): " + error;
-    }
-    return error;
-  }
-
-  [[nodiscard]] std::string exchange_with_worker(
-      const ShardTask& task, const ShardExecOptions& options) {
-    // A worker that died mid-conversation turns our writes into EPIPE;
-    // keep the signal from killing the campaign.  The mask is per-thread
-    // and the pool's threads are private to this run.
-    sigset_t sigpipe;
-    sigemptyset(&sigpipe);
-    sigaddset(&sigpipe, SIGPIPE);
-    pthread_sigmask(SIG_BLOCK, &sigpipe, nullptr);
-
-    const std::string input = serialize_shard_input(
-        task.context->circuit(), task.context->patterns(), *task.universe,
-        *task.shard, options);
-
-    // argv must be ready before fork(): only async-signal-safe calls are
-    // allowed in the child of a multithreaded process.
-    std::vector<std::string> argv_store;
-    argv_store.push_back(spec_.worker_path);
-    for (const std::string& a : spec_.worker_args) argv_store.push_back(a);
-    std::vector<char*> argv;
-    for (std::string& a : argv_store) argv.push_back(a.data());
-    argv.push_back(nullptr);
-
-    // O_CLOEXEC from birth: pool threads fork concurrently, so a plain
-    // pipe() could leak this conversation's fds into a sibling's child —
-    // whose inherited copy of our write end would then hold our worker's
-    // stdin open past EOF until that sibling exited.  dup2 below clears
-    // the flag on the child's own stdio copies.
-    int to_child[2];
-    int from_child[2];
-    if (pipe2(to_child, O_CLOEXEC) != 0)
-      return std::string("pipe2: ") + std::strerror(errno);
-    if (pipe2(from_child, O_CLOEXEC) != 0) {
-      const std::string e = std::string("pipe2: ") + std::strerror(errno);
-      close(to_child[0]);
-      close(to_child[1]);
-      return e;
-    }
-
-    [[maybe_unused]] const telemetry::TimePoint t_fork =
-        telemetry::Clock::now();
-    const pid_t pid = fork();
-    if (pid < 0) {
-      const std::string e = std::string("fork: ") + std::strerror(errno);
-      for (const int fd : {to_child[0], to_child[1], from_child[0],
-                           from_child[1]})
-        close(fd);
-      return e;
-    }
-    if (pid == 0) {
-      dup2(to_child[0], STDIN_FILENO);
-      dup2(from_child[1], STDOUT_FILENO);
-      for (const int fd : {to_child[0], to_child[1], from_child[0],
-                           from_child[1]})
-        close(fd);
-      execv(argv[0], argv.data());
-      _exit(127);  // exec failed (missing or non-executable worker)
-    }
-    if (fork_exec_s_ != nullptr)
-      CPSINW_TELEM(fork_exec_s_->record_since(t_fork));
-    if (spawns_ != nullptr) CPSINW_TELEM(spawns_->add());
-
-    close(to_child[0]);
-    close(from_child[1]);
-    const int in_fd = to_child[1];
-    const int out_fd = from_child[0];
-    fcntl(in_fd, F_SETFL, O_NONBLOCK);
-    fcntl(out_fd, F_SETFL, O_NONBLOCK);
-
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(
-                              spec_.worker_timeout_s);
-    std::string output;
-    std::size_t written = 0;
-    bool stdin_open = true;
-    bool timed_out = false;
-    bool io_failed = false;
-
-    while (true) {
-      struct pollfd fds[2];
-      int nfds = 0;
-      int write_slot = -1;
-      if (stdin_open) {
-        fds[nfds] = {in_fd, POLLOUT, 0};
-        write_slot = nfds++;
-      }
-      const int read_slot = nfds;
-      fds[nfds++] = {out_fd, POLLIN, 0};
-
-      const auto remaining = std::chrono::duration_cast<
-          std::chrono::milliseconds>(deadline -
-                                     std::chrono::steady_clock::now());
-      if (remaining.count() <= 0) {
-        timed_out = true;
-        break;
-      }
-      const int rc = poll(fds, static_cast<nfds_t>(nfds),
-                          static_cast<int>(remaining.count()));
-      if (rc < 0) {
-        if (errno == EINTR) continue;
-        io_failed = true;
-        break;
-      }
-      if (rc == 0) {
-        timed_out = true;
-        break;
-      }
-
-      if (write_slot >= 0 && fds[write_slot].revents != 0) {
-        if ((fds[write_slot].revents & (POLLERR | POLLHUP)) != 0) {
-          // Worker hung up its stdin (crashed or done reading early);
-          // its exit status tells the real story below.
-          close(in_fd);
-          stdin_open = false;
-        } else {
-          const ssize_t n = write(in_fd, input.data() + written,
-                                  input.size() - written);
-          if (n > 0) {
-            written += static_cast<std::size_t>(n);
-            if (written == input.size()) {
-              close(in_fd);  // EOF tells the worker the document is done
-              stdin_open = false;
-            }
-          } else if (n < 0 && errno != EAGAIN && errno != EINTR) {
-            close(in_fd);
-            stdin_open = false;
-          }
-        }
-      }
-      if (fds[read_slot].revents != 0) {
-        char buf[1 << 16];
-        const ssize_t n = read(out_fd, buf, sizeof buf);
-        if (n > 0) {
-          output.append(buf, static_cast<std::size_t>(n));
-        } else if (n == 0) {
-          break;  // worker closed stdout: conversation over
-        } else if (errno != EAGAIN && errno != EINTR) {
-          io_failed = true;
-          break;
-        }
-      }
-    }
-    if (stdin_open) close(in_fd);
-    close(out_fd);
-    if (stdin_bytes_ != nullptr)
-      CPSINW_TELEM(stdin_bytes_->add(written));
-    if (stdout_bytes_ != nullptr)
-      CPSINW_TELEM(stdout_bytes_->add(output.size()));
-
-    int status = 0;
-    if (timed_out) {
-      kill(pid, SIGKILL);
-      waitpid(pid, &status, 0);
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "timed out after %.3gs (killed)",
-                    spec_.worker_timeout_s);
-      return buf;
-    }
-    if (waitpid(pid, &status, 0) < 0)
-      return std::string("waitpid: ") + std::strerror(errno);
-    if (WIFSIGNALED(status))
-      return "killed by signal " + std::to_string(WTERMSIG(status));
-    if (WIFEXITED(status) && WEXITSTATUS(status) != 0)
-      return "exited with code " + std::to_string(WEXITSTATUS(status));
-    if (io_failed) return "pipe I/O failed";
-
-    ShardResult result;
-    try {
-      result = parse_shard_result(output);
-    } catch (const std::exception& e) {
-      return std::string("malformed result: ") + e.what();
-    }
-    const std::string mismatch = check_shard_result(result, *task.shard);
-    if (!mismatch.empty()) return mismatch;
-    // The worker's execution span is reconstructed from its reported
-    // elapsed time, ending when its stdout closed, on this pool thread's
-    // dedicated worker lane (children run one at a time per thread, so
-    // lanes never carry overlapping spans).
-    if (trace() != nullptr)
-      trace()->add_remote_span(
-          "worker:run_shard j" + std::to_string(result.job) + "." +
-              std::to_string(result.index),
-          "subprocess", telemetry::Clock::now(), result.elapsed_s,
-          telemetry::TraceRecorder::remote_tid(
-              telemetry::TraceRecorder::current_tid()));
-    *task.slot = std::move(result);
-    return {};
-  }
-
-  ExecutorSpec spec_;
-  telemetry::Histogram* queue_wait_s_ = nullptr;
-  telemetry::Histogram* exec_s_ = nullptr;
-  telemetry::Histogram* fork_exec_s_ = nullptr;
-  telemetry::Counter* spawns_ = nullptr;
-  telemetry::Counter* failures_ = nullptr;
-  telemetry::Counter* stdin_bytes_ = nullptr;
-  telemetry::Counter* stdout_bytes_ = nullptr;
-};
-
 }  // namespace
 
 std::unique_ptr<ShardExecutor> make_shard_executor(const ExecutorSpec& spec,
@@ -460,14 +182,6 @@ std::unique_ptr<ShardExecutor> make_shard_executor(const ExecutorSpec& spec,
       return std::make_unique<InlineExecutor>();
     case ExecutorBackend::kThreadPool:
       return std::make_unique<ThreadPoolExecutor>(threads);
-    case ExecutorBackend::kSubprocess:
-      if (spec.worker_path.empty())
-        throw std::invalid_argument(
-            "make_shard_executor: subprocess backend requires worker_path");
-      if (!(spec.worker_timeout_s > 0.0))
-        throw std::invalid_argument(
-            "make_shard_executor: worker_timeout_s must be > 0");
-      return std::make_unique<SubprocessExecutor>(spec, threads);
     case ExecutorBackend::kRemote:
       return make_remote_executor(spec, threads);
   }

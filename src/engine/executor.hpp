@@ -1,10 +1,10 @@
 // Pluggable shard-executor backends.  A campaign's shard phase is "run
 // these shards, deliver every ShardResult into its canonical slot"; how
 // that happens — serially in-process, on the work-stealing pool, or
-// fanned out to worker processes — is a backend choice that must never
-// change the answer.  The campaign JSON is byte-identical across all
-// backends (and all thread counts): shards are pure functions of
-// (context, universe slice, shard seed), and the merge order is fixed
+// fanned out to cpsinw_shard_server endpoints — is a backend choice that
+// must never change the answer.  The campaign JSON is byte-identical
+// across all backends (and all thread counts): shards are pure functions
+// of (context, universe slice, shard seed), and the merge order is fixed
 // upstream of the executor.
 //
 // Failure contract (all backends): a failing shard never aborts the
@@ -29,25 +29,17 @@ namespace cpsinw::engine {
 enum class ExecutorBackend {
   kInline,      ///< serial in-process loop (zero-dependency reference)
   kThreadPool,  ///< work-stealing in-process pool
-  kSubprocess,  ///< fork/exec one cpsinw_shard_worker per shard
   kRemote,      ///< cpsinw_shard_server endpoints over TCP (multi-host)
 };
 
-/// Readable backend name ("inline", "thread_pool", "subprocess",
-/// "remote").
+/// Readable backend name ("inline", "thread_pool", "remote").
 [[nodiscard]] const char* to_string(ExecutorBackend backend);
 
 /// Backend selection plus the knobs only some backends consume.
 struct ExecutorSpec {
   ExecutorBackend backend = ExecutorBackend::kThreadPool;
-  /// kSubprocess: path to the cpsinw_shard_worker binary (required).
-  std::string worker_path;
-  /// kSubprocess: extra argv entries passed to every worker (the failure
-  /// injection tests use this; production campaigns leave it empty).
-  std::vector<std::string> worker_args;
-  /// kSubprocess + kRemote: per-shard wall-clock budget.  A worker that
-  /// exceeds it is killed; a remote attempt that exceeds it (connect +
-  /// send + receive) is abandoned and failed over.
+  /// kRemote: per-shard wall-clock budget.  An attempt that exceeds it
+  /// (connect + send + receive) is abandoned and failed over.
   double worker_timeout_s = 120.0;
   /// kRemote: cpsinw_shard_server addresses as "host:port" strings
   /// (required, non-empty; each entry must parse).
@@ -89,8 +81,8 @@ class ShardExecutor {
 
   /// Runs the campaign's per-job setup tasks (universe, patterns, shard
   /// decomposition) on the backend's compute resource: serially for
-  /// kInline, on the one shared pool otherwise (the subprocess backend
-  /// also sets up in-parent — workers only ever see finished shards).
+  /// kInline, on the one shared pool otherwise (the remote backend also
+  /// sets up in-process — servers only ever see finished shards).
   /// Setup failures are spec-level problems, not shard failures: the
   /// first exception is rethrown.
   virtual void run_setup(const std::vector<std::function<void()>>& tasks) = 0;
@@ -123,8 +115,8 @@ class ShardExecutor {
 
 /// Common base of the concurrent backends: one ThreadPool serves both the
 /// setup phase and the shard phase (no thread churn between phases; the
-/// subprocess and remote backends use the pool's threads to pump their
-/// per-shard I/O while setup always runs in-parent).
+/// remote backend uses the pool's threads to pump its per-shard I/O
+/// while setup always runs in-process).
 class PooledExecutorBase : public ShardExecutor {
  public:
   explicit PooledExecutorBase(int threads) : pool_(threads) {}
@@ -136,12 +128,10 @@ class PooledExecutorBase : public ShardExecutor {
 };
 
 /// Builds the backend selected by `spec`.  `threads` means: ignored by
-/// kInline, worker-thread count for kThreadPool, maximum concurrent child
-/// processes for kSubprocess, maximum concurrent shard exchanges for
-/// kRemote (0 selects the hardware concurrency).
-/// @throws std::invalid_argument for kSubprocess without a worker_path or
-///   with a non-positive timeout, and for kRemote with an empty endpoint
-///   list, a malformed "host:port" entry, or non-positive
+/// kInline, worker-thread count for kThreadPool, maximum concurrent shard
+/// exchanges for kRemote (0 selects the hardware concurrency).
+/// @throws std::invalid_argument for kRemote with an empty endpoint list,
+///   a malformed "host:port" entry, or non-positive
 ///   timeout/in-flight/quarantine knobs
 [[nodiscard]] std::unique_ptr<ShardExecutor> make_shard_executor(
     const ExecutorSpec& spec, int threads);

@@ -2,7 +2,7 @@
 // engine that consumes untrusted JSON: the shard_io wire documents, the
 // server stats responses, and the telemetry trace files the tests
 // validate.  Every malformed input becomes a std::runtime_error with a
-// byte offset, never UB — peers and workers are untrusted by design.
+// byte offset, never UB — peers are untrusted by design.
 // That includes nesting: containers deeper than JsonParser::kMaxDepth
 // are rejected, so recursion depth is bounded for any frame size.
 //

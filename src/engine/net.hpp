@@ -2,14 +2,13 @@
 // parsing, deadline-bounded connect, and the length-prefixed frame that
 // carries one shard_io v1 JSON document per direction.
 //
-// Framing: the subprocess backend delimits its documents with pipe EOF; a
-// TCP connection that serves several shards needs explicit boundaries.  A
-// frame is one ASCII header line `cpsinw-shard-io/1 <decimal-len>\n`
-// followed by exactly <len> payload bytes.  The header carries the
-// protocol version (checked on receive, in addition to the version field
-// inside the JSON) and lets a receiver reject an oversized declaration
-// before reading a single payload byte — remote peers are untrusted by
-// design.
+// Framing: a TCP connection that serves several shards needs explicit
+// document boundaries.  A frame is one ASCII header line
+// `cpsinw-shard-io/1 <decimal-len>\n` followed by exactly <len> payload
+// bytes.  The header carries the protocol version (checked on receive, in
+// addition to the version field inside the JSON) and lets a receiver
+// reject an oversized declaration before reading a single payload byte —
+// remote peers are untrusted by design.
 //
 // Every blocking operation takes an absolute deadline and every failure is
 // reported as an error string, never UB or an exception: the remote
@@ -42,7 +41,7 @@ inline constexpr const char* kFrameMagic = "cpsinw-shard-io/1";
 /// circuits while keeping a lying peer from making us allocate the moon.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;
 
-/// A parsed `host:port` worker address.
+/// A parsed `host:port` shard-server address.
 struct Endpoint {
   std::string host;
   std::uint16_t port = 0;

@@ -293,7 +293,9 @@ class RemoteExecutor final : public PooledExecutorBase {
     } catch (const std::exception& e) {
       return std::string("malformed result: ") + e.what();
     }
-    const std::string mismatch = check_shard_result(result, *task.shard);
+    const std::string mismatch =
+        check_shard_result(result, *task.shard, *task.universe,
+                           task.context->pattern_count());
     if (!mismatch.empty()) return mismatch;
     // The server's own clock never enters the trace: its execution span
     // is reconstructed from the reported elapsed time, ending when the

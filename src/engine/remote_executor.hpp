@@ -1,8 +1,9 @@
 // The distributed (kRemote) shard-executor backend: dispatches a
 // campaign's universe slices across a configured list of
-// cpsinw_shard_server endpoints over TCP, speaking the same shard_io v1
-// JSON documents the subprocess backend pipes to a forked worker — one
-// net-framed request/response per shard.
+// cpsinw_shard_server endpoints over TCP, one net-framed shard_io v1
+// request/response per shard.  It is the engine's only out-of-process
+// transport; over net::LocalServerProcess loopback servers it is also the
+// crash-isolation backend.
 //
 // Scheduling policy (none of it can affect the answer — slots are filled
 // in canonical order upstream):
@@ -16,6 +17,12 @@
 //   * dead-endpoint quarantine: `remote_quarantine_failures` consecutive
 //     failures retire an endpoint for the rest of the campaign, so a
 //     downed host costs a few timeouts, not one per shard.
+//
+// Crash isolation: a shard that kills a server costs every shard in
+// flight on that endpoint.  Later connections to it are refused, so the
+// endpoint is quarantined and later shards fail over to the others; with
+// no endpoint left they get placeholder records and the failure surfaces
+// on CampaignReport::error.  Restarting the server is the operator's job.
 #pragma once
 
 #include <memory>

@@ -1,7 +1,7 @@
 // Campaign result aggregation and JSON emission.  Everything outside the
 // `timing` section is a pure function of the campaign spec — the JSON of
 // the same spec is byte-identical at any thread count AND on any
-// execution backend (inline, thread pool, subprocess workers); the
+// execution backend (inline, thread pool, remote shard servers); the
 // cross-backend equivalence tests pin that guarantee down.
 #pragma once
 

@@ -57,7 +57,7 @@ ShardResult run_shard(const faults::EvalContext& ctx,
                       const std::vector<CampaignFault>& universe,
                       const Shard& shard, const ShardExecOptions& options) {
   // Every backend funnels through here — the in-process executors against
-  // the job's shared context, the shard worker against a context rebuilt
+  // the job's shared context, the shard server against a context rebuilt
   // from the wire — so this body is the single definition of what a shard
   // computes.
   if (shard.begin > shard.end || shard.end > universe.size())

@@ -3,8 +3,8 @@
 // executing it against the job's shared faults::EvalContext produces
 // records that depend only on (circuit, universe slice, patterns, shard
 // seed) — never on which thread ran it, when, or even in which process
-// (the subprocess backend ships a shard through engine/shard_io and gets
-// the same bytes back).  All shards of a job read one immutable context:
+// (the remote backend ships a shard through engine/shard_io and gets the
+// same bytes back).  All shards of a job read one immutable context:
 // patterns are packed and the good machine is simulated once per job, not
 // once per shard.
 #pragma once

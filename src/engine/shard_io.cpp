@@ -14,7 +14,7 @@ namespace {
 using Json = JsonWriter;  // shared canonical-form writer (json_writer.hpp)
 // Parsing rides on the shared engine/json_reader.hpp reader: every
 // malformed input becomes a std::runtime_error with a byte offset, never
-// UB — worker output is untrusted by design.
+// UB — server output is untrusted by design.
 
 // ------------------------------------------------------------ enum names
 // Protocol-owned tables (not the display to_string helpers) so a renamed
@@ -357,12 +357,21 @@ ShardWorkInput parse_shard_input(const std::string& text) {
       ov.at("observe_iddq").as_bool("observe_iddq");
   input.options.sim.sequential_patterns =
       ov.at("sequential_patterns").as_bool("sequential_patterns");
-  input.options.sim.detection_mode =
-      ov.at("detection_mode").as_string("detection_mode") == "first_only"
-          ? faults::DetectionMode::kFirstOnly
-          : faults::DetectionMode::kFull;
-  input.options.fault_sample_fraction =
+  const std::string& mode = ov.at("detection_mode").as_string("detection_mode");
+  if (mode == "full")
+    input.options.sim.detection_mode = faults::DetectionMode::kFull;
+  else if (mode == "first_only")
+    input.options.sim.detection_mode = faults::DetectionMode::kFirstOnly;
+  else
+    throw std::runtime_error("shard_io: unknown detection_mode '" + mode +
+                             "'");
+  const double fraction =
       ov.at("fault_sample_fraction").as_double("fault_sample_fraction");
+  // The same range run_campaign enforces; NaN fails both comparisons.
+  if (!(fraction > 0.0 && fraction <= 1.0))
+    throw std::runtime_error(
+        "shard_io: fault_sample_fraction must be in (0, 1]");
+  input.options.fault_sample_fraction = fraction;
   return input;
 }
 
@@ -550,8 +559,9 @@ ServerStats parse_stats_response(const std::string& text) {
   return stats;
 }
 
-std::string check_shard_result(const ShardResult& result,
-                               const Shard& shard) {
+std::string check_shard_result(const ShardResult& result, const Shard& shard,
+                               const std::vector<CampaignFault>& universe,
+                               std::size_t pattern_count) {
   if (result.job != shard.job || result.index != shard.index)
     return "result identifies shard (job " + std::to_string(result.job) +
            ", shard " + std::to_string(result.index) + "), expected (job " +
@@ -561,6 +571,19 @@ std::string check_shard_result(const ShardResult& result,
   if (result.results.size() != expected)
     return "result carries " + std::to_string(result.results.size()) +
            " records for " + std::to_string(expected) + " faults";
+  for (std::size_t i = 0; i < expected; ++i) {
+    const FaultResult& r = result.results[i];
+    const FaultClass cls = universe[shard.begin + i].cls;
+    if (r.cls != cls)
+      return "record " + std::to_string(i) + " has class " +
+             to_string(r.cls) + ", expected " + to_string(cls);
+    const int first = r.record.first_pattern;
+    if (first < -1 || (first >= 0 && static_cast<std::size_t>(first) >=
+                                          pattern_count))
+      return "record " + std::to_string(i) + " names first_pattern " +
+             std::to_string(first) + " outside [-1, " +
+             std::to_string(pattern_count) + ")";
+  }
   return {};
 }
 

@@ -1,12 +1,12 @@
-// Shard/result serialization for the subprocess execution backend.  A
-// parent campaign ships one shard of work to a `cpsinw_shard_worker`
-// process as a versioned JSON document on stdin and reads a versioned
-// `ShardResult` JSON back on stdout.
+// Shard/result serialization for the remote (kRemote) execution backend.
+// A campaign ships one shard of work to a `cpsinw_shard_server` as a
+// versioned JSON document in one net frame (engine/net.hpp) and reads a
+// versioned `ShardResult` JSON back in the reply frame.
 //
 // The circuit encoding preserves net and gate ids exactly (nets in id
 // order tagged pi/const/plain, gates in id order) — unlike the .cpn
 // exchange format, which renumbers both on read.  Identical ids are what
-// make the worker's records bit-identical to an in-process `run_shard`:
+// make the server's records bit-identical to an in-process `run_shard`:
 // every fault in the shipped universe slice references nets and gates by
 // index.
 #pragma once
@@ -23,7 +23,7 @@ namespace cpsinw::engine {
 /// Protocol version stamped into (and checked on) both documents.
 inline constexpr int kShardIoVersion = 1;
 
-/// Everything a worker process needs to execute one shard.  The fault
+/// Everything a shard server needs to execute one shard.  The fault
 /// slice is shipped re-based: `faults` holds exactly the universe slice
 /// [shard.begin, shard.end), and the reconstructed shard spans
 /// [0, faults.size()) while keeping the original job/index identity.
@@ -35,21 +35,25 @@ struct ShardWorkInput {
   ShardExecOptions options;
 };
 
-/// Serializes one shard of an in-process campaign for a worker.
+/// Serializes one shard of an in-process campaign for a shard server.
 [[nodiscard]] std::string serialize_shard_input(
     const logic::Circuit& ckt, const std::vector<logic::Pattern>& patterns,
     const std::vector<CampaignFault>& universe, const Shard& shard,
     const ShardExecOptions& options);
 
-/// Parses a worker's stdin document.
-/// @throws std::runtime_error on malformed JSON, an unknown version, or a
-///   document that fails circuit finalization
+/// Parses a shard work document (the server side of the exchange).
+/// Unknown keys are ignored, so documents from older writers still parse.
+/// @throws std::runtime_error on malformed JSON, an unknown version, a
+///   document that fails circuit finalization, a `detection_mode` other
+///   than "full" or "first_only", or a `fault_sample_fraction` outside
+///   (0, 1] (the range run_campaign enforces)
 [[nodiscard]] ShardWorkInput parse_shard_input(const std::string& text);
 
-/// Serializes a worker's result for stdout.
+/// Serializes a shard result for the reply frame.
 [[nodiscard]] std::string serialize_shard_result(const ShardResult& result);
 
-/// Parses a worker's stdout document.
+/// Parses a reply frame's shard result (untrusted: run
+/// check_shard_result before merging it).
 /// @throws std::runtime_error on malformed JSON or an unknown version
 [[nodiscard]] ShardResult parse_shard_result(const std::string& text);
 
@@ -97,11 +101,15 @@ struct ServerStats {
 [[nodiscard]] ServerStats parse_stats_response(const std::string& text);
 
 /// Cross-checks a parsed result against the shard it should answer for:
-/// identity (job, index) and record count.  Returns "" on a match or the
-/// mismatch description — shared by every backend that receives results
-/// from another process (a confused worker must never fill the wrong
-/// slot or a short slot).
-[[nodiscard]] std::string check_shard_result(const ShardResult& result,
-                                             const Shard& shard);
+/// identity (job, index), record count, each record's class against its
+/// entry of the job's `universe`, and each `first_pattern` against
+/// [-1, pattern_count).  Returns "" on a match or the mismatch
+/// description.  The remote backend runs it on every reply before the
+/// result can reach the merge: a confused or hostile server must never
+/// fill the wrong slot, a short slot, another class's totals, or a
+/// histogram bucket past the end.
+[[nodiscard]] std::string check_shard_result(
+    const ShardResult& result, const Shard& shard,
+    const std::vector<CampaignFault>& universe, std::size_t pattern_count);
 
 }  // namespace cpsinw::engine

@@ -201,7 +201,7 @@ class TraceRecorder {
   void add_span(std::string name, std::string category, TimePoint start,
                 TimePoint end);
   /// Records a reconstructed remote interval: `dur_s` of work that ended
-  /// at local time `end` on lane `tid` (server/worker spans are rebuilt
+  /// at local time `end` on lane `tid` (server spans are rebuilt
   /// client-side from the reported elapsed time — the remote clock never
   /// enters the trace, so lanes stay consistent).
   void add_remote_span(std::string name, std::string category, TimePoint end,

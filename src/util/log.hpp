@@ -4,8 +4,8 @@
 //
 // Two shapes: free-form `log(level, message)` for one-off lines, and
 // structured `log_kv(level, event, {fields...})` which renders
-// `event key=value ...` — the form every long-running tool (shard
-// server/worker) uses so lines stay grep- and machine-friendly.  Either
+// `event key=value ...` — the form every long-running tool (the shard
+// server) uses so lines stay grep- and machine-friendly.  Either
 // way a line is assembled in full and handed to the OS in a single
 // write, so concurrent threads never interleave mid-line.
 #pragma once

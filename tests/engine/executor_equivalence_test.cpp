@@ -1,10 +1,9 @@
 // Cross-backend determinism: the stable campaign JSON must be
 // byte-identical whether shards run inline, on the thread pool (at any
-// thread count), in forked cpsinw_shard_worker processes, or on remote
-// cpsinw_shard_server endpoints (1 or 2 of them).  This is the guarantee
-// that lets large fault-mode sweeps fan out — across threads, processes,
-// and hosts — without their statistics depending on where the work
-// happened to execute.
+// thread count), or on remote cpsinw_shard_server endpoints (1 or 2 of
+// them).  This is the guarantee that lets large fault-mode sweeps fan out
+// — across threads, processes, and hosts — without their statistics
+// depending on where the work happened to execute.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,19 +16,9 @@
 namespace cpsinw::engine {
 namespace {
 
-std::string worker_path() {
-#ifdef CPSINW_SHARD_WORKER_PATH
-  return CPSINW_SHARD_WORKER_PATH;
-#else
-  return {};
-#endif
-}
-
 CampaignReport run_on(CampaignSpec spec, ExecutorBackend backend,
                       int threads) {
   spec.executor.backend = backend;
-  if (backend == ExecutorBackend::kSubprocess)
-    spec.executor.worker_path = worker_path();
   spec.threads = threads;
   return run_campaign(spec);
 }
@@ -50,11 +39,6 @@ std::string assert_all_backends_identical(const CampaignSpec& spec,
     EXPECT_EQ(reference, r.to_json())
         << label << ": thread_pool(" << threads << ") diverged from inline";
   }
-
-  const CampaignReport sub = run_on(spec, ExecutorBackend::kSubprocess, 2);
-  EXPECT_TRUE(sub.ok()) << label << ": " << sub.error;
-  EXPECT_EQ(reference, sub.to_json())
-      << label << ": subprocess diverged from inline";
 
   // Remote loopback: the determinism guarantee widens from "any backend
   // on one host" to "any set of hosts" — one endpoint, then the work

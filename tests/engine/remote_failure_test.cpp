@@ -1,18 +1,26 @@
 // Failure injection for the remote backend: endpoints that refuse
-// connections, disconnect mid-shard, answer with garbage or an oversized
-// frame, or hang past the per-shard timeout must each surface on
-// CampaignReport::error (first failure in canonical shard order) while
-// every healthy shard still merges — and when a second endpoint is
-// available, failover must keep the campaign clean and byte-identical.
-// The server's --fail-mode / --fail-index flags misbehave on purpose
-// after parsing the request.
+// connections, disconnect mid-shard, answer with garbage, an oversized
+// frame or an out-of-contract result, hang past the per-shard timeout, or
+// die outright must each surface on CampaignReport::error (first failure
+// in canonical shard order) while every healthy shard still merges — and
+// when a second endpoint is available, failover must keep the campaign
+// clean and byte-identical.  The server's --fail-mode / --fail-index
+// flags misbehave on purpose after parsing the request.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <atomic>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 
 #include "engine/campaign.hpp"
+#include "engine/remote_executor.hpp"
+#include "engine/shard_io.hpp"
 #include "logic/benchmarks.hpp"
 #include "remote_test_util.hpp"
 
@@ -115,6 +123,162 @@ TEST(RemoteFailure, OversizedResponseIsRejectedBeforeItIsRead) {
 TEST(RemoteFailure, SlowEndpointHitsThePerShardTimeout) {
   const std::string error = run_with_failure("hang", 1.0);
   EXPECT_NE(error.find("timed out"), std::string::npos) << error;
+}
+
+TEST(RemoteFailure, DyingServerFailsItsShardsButTheRestStillMerges) {
+  // The server dies (_exit) on shard 0: every shard in flight on it fails
+  // with it, and later ones find the port refused until the endpoint is
+  // quarantined.  Which other shards merged before the crash depends on
+  // timing, so only shard 0's failure and the totals are pinned.
+  const CampaignReport healthy = healthy_reference();
+  net::LocalServerProcess dying(test_util::server_path(),
+                                {"--fail-mode", "exit", "--fail-index", "0"});
+  ASSERT_TRUE(dying.ok()) << dying.error();
+
+  CampaignSpec spec = base_spec();
+  spec.executor.endpoints = {dying.endpoint()};
+  const CampaignReport report = run_campaign(spec);
+
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.error.find("job 0, shard 0"), std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.totals().total, healthy.totals().total);
+  EXPECT_EQ(report.totals().sampled, healthy.totals().sampled);
+  EXPECT_LT(report.totals().detected, healthy.totals().detected);
+}
+
+TEST(RemoteFailure, DyingServerFailsOverToTheHealthyEndpoint) {
+  // EndpointRoster::acquire breaks ties by index, so the first shard
+  // always lands on the dying server and kills it.  Every shard it took
+  // down retries on the healthy endpoint: the campaign stays clean and
+  // byte-identical, and the dead server no longer answers.
+  const CampaignReport healthy = healthy_reference();
+  net::LocalServerProcess dying(test_util::server_path(),
+                                {"--fail-mode", "exit"});
+  net::LocalServerProcess good(test_util::server_path());
+  ASSERT_TRUE(dying.ok()) << dying.error();
+  ASSERT_TRUE(good.ok()) << good.error();
+
+  CampaignSpec spec = base_spec();
+  spec.executor.endpoints = {dying.endpoint(), good.endpoint()};
+  const CampaignReport report = run_campaign(spec);
+
+  EXPECT_TRUE(report.ok()) << report.error;
+  EXPECT_EQ(report.to_json(), healthy.to_json());
+
+  ServerStats stats;
+  std::string error;
+  EXPECT_FALSE(query_server_stats(dying.endpoint(), 5.0, &stats, &error))
+      << "the server given the first shard should have died";
+}
+
+/// An in-process stand-in for a shard server that runs every shard for
+/// real and then lets `poison` corrupt the well-formed result — the reply
+/// a buggy or hostile server could send.  Serves one connection at a
+/// time until destroyed.
+class PoisonedServer {
+ public:
+  explicit PoisonedServer(std::function<void(ShardResult&)> poison)
+      : poison_(std::move(poison)) {
+    std::string error;
+    listen_fd_ = net::listen_on_loopback(0, &error);
+    if (listen_fd_ >= 0) thread_ = std::thread([this] { serve(); });
+  }
+  ~PoisonedServer() {
+    if (listen_fd_ < 0) return;
+    stop_ = true;
+    // One throwaway connection wakes the blocking accept.
+    std::string error;
+    const int fd = net::connect_endpoint(
+        {"127.0.0.1", net::local_port(listen_fd_)}, net::deadline_after(5.0),
+        &error);
+    if (fd >= 0) ::close(fd);
+    thread_.join();
+    ::close(listen_fd_);
+  }
+  PoisonedServer(const PoisonedServer&) = delete;
+  PoisonedServer& operator=(const PoisonedServer&) = delete;
+
+  [[nodiscard]] bool ok() const { return listen_fd_ >= 0; }
+  [[nodiscard]] std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(net::local_port(listen_fd_));
+  }
+
+ private:
+  void serve() {
+    while (!stop_) {
+      std::string error;
+      const int fd = net::accept_connection(listen_fd_, &error);
+      if (fd < 0) return;
+      std::string request;
+      if (net::recv_frame(fd, &request, net::deadline_after(5.0),
+                          net::kMaxFrameBytes, &error)) {
+        try {
+          ShardWorkInput input = parse_shard_input(request);
+          const faults::EvalContext ctx(input.circuit,
+                                        std::move(input.patterns));
+          ShardResult result =
+              run_shard(ctx, input.faults, input.shard, input.options);
+          poison_(result);
+          (void)net::send_frame(fd, serialize_shard_result(result),
+                                net::deadline_after(5.0), &error);
+        } catch (const std::exception& e) {
+          ADD_FAILURE() << "poisoned server: " << e.what();
+        }
+      }
+      ::close(fd);
+    }
+  }
+
+  std::function<void(ShardResult&)> poison_;
+  int listen_fd_ = -1;
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
+
+/// Runs the fixture against one PoisonedServer and checks that every
+/// poisoned reply became a failed shard instead of reaching the merge.
+/// Returns the error text.
+std::string run_against_poisoned_server(
+    std::function<void(ShardResult&)> poison) {
+  const CampaignReport healthy = healthy_reference();
+  PoisonedServer server(std::move(poison));
+  EXPECT_TRUE(server.ok());
+
+  CampaignSpec spec = base_spec();
+  spec.executor.endpoints = {server.endpoint()};
+  // Quarantine off, so every shard's error is the real rejection.
+  spec.executor.remote_quarantine_failures = 1 << 20;
+  const CampaignReport report = run_campaign(spec);
+
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.error.find("job 0, shard 0"), std::string::npos)
+      << report.error;
+  EXPECT_EQ(report.totals().total, healthy.totals().total);
+  EXPECT_EQ(report.totals().sampled, healthy.totals().sampled);
+  EXPECT_EQ(report.totals().detected, 0);
+  return report.error;
+}
+
+TEST(RemoteFailure, OutOfRangeFirstPatternNeverReachesTheMerge) {
+  // Merged, this record would index the first-detect histogram with a
+  // negative bucket (134217728 * 16 overflows int).
+  const std::string error = run_against_poisoned_server([](ShardResult& r) {
+    r.results[0].record.detected_output = true;
+    r.results[0].record.first_pattern = 134217728;
+  });
+  EXPECT_NE(error.find("first_pattern 134217728"), std::string::npos)
+      << error;
+}
+
+TEST(RemoteFailure, ClassMismatchedRecordNeverReachesTheMerge) {
+  // Merged, this record would count toward another class's totals.
+  const std::string error = run_against_poisoned_server([](ShardResult& r) {
+    FaultClass& cls = r.results[0].cls;
+    cls = static_cast<FaultClass>((static_cast<int>(cls) + 1) %
+                                  kFaultClassCount);
+  });
+  EXPECT_NE(error.find("has class"), std::string::npos) << error;
 }
 
 TEST(RemoteFailure, FailoverToTheSecondEndpointKeepsTheCampaignClean) {

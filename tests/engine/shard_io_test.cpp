@@ -135,12 +135,12 @@ TEST(ShardIo, ParsedShardExecutesBitIdenticallyToTheOriginal) {
 
   ShardWorkInput parsed = parse_shard_input(serialize_shard_input(
       fx.ckt, fx.patterns, fx.universe, fx.shard, fx.options));
-  const faults::EvalContext worker_ctx(parsed.circuit,
+  const faults::EvalContext server_ctx(parsed.circuit,
                                        std::move(parsed.patterns));
   const ShardResult remote =
-      run_shard(worker_ctx, parsed.faults, parsed.shard, parsed.options);
+      run_shard(server_ctx, parsed.faults, parsed.shard, parsed.options);
 
-  // The worker-side result serializes to the same bytes as the in-process
+  // The server-side result serializes to the same bytes as the in-process
   // one (modulo timing, which the comparison below zeroes out).
   ShardResult a = direct;
   ShardResult b = remote;
@@ -240,10 +240,102 @@ TEST(ShardIo, OutOfRangeBridgeNetsThrowInsteadOfCrashing) {
   }
 }
 
+TEST(ShardIo, OutOfContractOptionsThrowInsteadOfRunningAnotherContract) {
+  // A misspelt detection mode used to run the kFull record contract, and
+  // a sample fraction outside (0, 1] (which run_campaign rejects) was
+  // accepted as is.  Both are now diagnostics.
+  const Fixture fx;
+  const std::string doc = serialize_shard_input(fx.ckt, fx.patterns,
+                                                fx.universe, fx.shard,
+                                                fx.options);
+  const auto replaced = [&doc](const std::string& from,
+                               const std::string& to) {
+    std::string out = doc;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  const auto expect_diagnostic = [](const std::string& text,
+                                    const char* what) {
+    try {
+      (void)parse_shard_input(text);
+      ADD_FAILURE() << what << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard_io:"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  };
+
+  for (const char* mode : {"first-only", "FULL", ""})
+    expect_diagnostic(replaced("\"detection_mode\":\"full\"",
+                               std::string("\"detection_mode\":\"") + mode +
+                                   "\""),
+                      "detection_mode");
+  for (const char* fraction : {"0", "-0.5", "1.5", "1e300"})
+    expect_diagnostic(replaced("\"fault_sample_fraction\":0.85",
+                               std::string("\"fault_sample_fraction\":") +
+                                   fraction),
+                      "fault_sample_fraction");
+
+  // Both ends of the contract still parse.
+  EXPECT_EQ(parse_shard_input(replaced("\"detection_mode\":\"full\"",
+                                       "\"detection_mode\":\"first_only\""))
+                .options.sim.detection_mode,
+            faults::DetectionMode::kFirstOnly);
+  EXPECT_DOUBLE_EQ(parse_shard_input(replaced("\"fault_sample_fraction\":0.85",
+                                              "\"fault_sample_fraction\":1"))
+                       .options.fault_sample_fraction,
+                   1.0);
+}
+
+TEST(ShardIo, CheckShardResultRejectsRecordsTheMergeCannotTrust) {
+  // A reply is untrusted: identity and count matching is not enough.  A
+  // first_pattern past the pattern set used to overflow the first-detect
+  // histogram index in accumulate_shard (134217728 * 16 wraps int), and a
+  // record of the wrong class was merged into that class's totals.
+  const Fixture fx(/*with_x_pattern=*/false);
+  const std::size_t pattern_count = fx.patterns.size();
+  const ShardResult good = run_shard(fx.ckt, fx.universe, fx.patterns,
+                                     fx.shard, fx.options);
+  const auto check = [&](const ShardResult& r) {
+    return check_shard_result(parse_shard_result(serialize_shard_result(r)),
+                              fx.shard, fx.universe, pattern_count);
+  };
+  EXPECT_EQ(check(good), "");
+
+  ShardResult edge = good;
+  edge.results[0].record.first_pattern = -1;
+  edge.results[1].record.first_pattern =
+      static_cast<int>(pattern_count) - 1;
+  EXPECT_EQ(check(edge), "");
+
+  for (const int first :
+       {134217728, static_cast<int>(pattern_count), -2, -2147483647}) {
+    ShardResult bad = good;
+    bad.results[3].record.detected_output = true;
+    bad.results[3].record.first_pattern = first;
+    const std::string error = check(bad);
+    EXPECT_NE(error.find("record 3 names first_pattern " +
+                         std::to_string(first)),
+              std::string::npos)
+        << error;
+  }
+
+  ShardResult mismatched = good;
+  FaultResult& r = mismatched.results[2];
+  r.cls = r.cls == FaultClass::kBridge ? FaultClass::kLineStuckAt
+                                       : FaultClass::kBridge;
+  const std::string error = check(mismatched);
+  EXPECT_NE(error.find("record 2 has class"), std::string::npos) << error;
+}
+
 TEST(ShardIo, ShortPatternsThrowWhenTheContextIsBuilt) {
   // Pattern strings are not checked against the circuit when a document
-  // is parsed, so the context built from it, as the shard server and the
-  // worker build it, must reject a pattern one input short.
+  // is parsed, so the context the shard server builds from it must reject
+  // a pattern one input short.
   const Fixture fx(/*with_x_pattern=*/false);
   std::string doc = serialize_shard_input(fx.ckt, fx.patterns, fx.universe,
                                           fx.shard, fx.options);

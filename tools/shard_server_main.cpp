@@ -2,9 +2,8 @@
 // TCP.  One listening socket, one thread per accepted connection; each
 // connection carries any number of framed shard_io v1 exchanges — the
 // client sends a shard work document in a net frame, the server answers
-// with the framed ShardResult JSON.  The documents are byte-identical to
-// the subprocess worker's stdin/stdout, so a shard produces the same
-// bytes whether it runs inline, in a forked worker, or on another host.
+// with the framed ShardResult JSON.  A shard produces the same bytes
+// whether it runs inline, on the thread pool, or on this server.
 //
 // Besides work documents, a connection may send the tiny shard_io v1
 // `stats` request and gets a live telemetry snapshot back (uptime,
@@ -21,8 +20,9 @@
 // so tests can exercise every client failure path: disconnect (close with
 // no reply), garbage (a well-framed non-result payload), oversized (a
 // header declaring a payload past the frame limit), hang (never reply —
-// the client's per-shard deadline fires), exit (the whole server dies —
-// later connections are refused).
+// the client's per-shard deadline fires), exit (the whole server dies, as
+// a crashing shard would — every shard in flight on it fails and later
+// connections are refused).
 //
 // Context caching: shards of one job share a (circuit, pattern set), so
 // the server memoizes the last compiled faults::EvalContext by content
