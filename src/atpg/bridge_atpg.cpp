@@ -1,16 +1,18 @@
 #include "atpg/bridge_atpg.hpp"
 
-#include <set>
+#include <algorithm>
 
 namespace cpsinw::atpg {
 
 using faults::BridgeFault;
 using logic::LogicV;
 
-BridgeTestResult generate_bridge_iddq_test(const logic::Circuit& ckt,
-                                           const BridgeFault& fault,
-                                           const PodemOptions& opt) {
-  const PodemEngine engine(ckt);
+namespace {
+
+/// generate_bridge_iddq_test against a caller-owned engine.
+BridgeTestResult bridge_iddq_test(const PodemEngine& engine,
+                                  const BridgeFault& fault,
+                                  const PodemOptions& opt) {
   BridgeTestResult result;
   bool aborted = false;
   for (const LogicV va : {LogicV::k0, LogicV::k1}) {
@@ -28,30 +30,39 @@ BridgeTestResult generate_bridge_iddq_test(const logic::Circuit& ckt,
   return result;
 }
 
+}  // namespace
+
+BridgeTestResult generate_bridge_iddq_test(const logic::Circuit& ckt,
+                                           const BridgeFault& fault,
+                                           const PodemOptions& opt) {
+  return bridge_iddq_test(PodemEngine(ckt), fault, opt);
+}
+
 BridgeCoverage generate_all_bridge_tests(const logic::Circuit& ckt,
                                          const PodemOptions& opt) {
   BridgeCoverage cov;
-  // The IDDQ excitation does not depend on the behaviour model, so each
-  // net pair is justified once and credits all four behaviours.
-  std::set<std::pair<logic::NetId, logic::NetId>> tested;
+  const PodemEngine engine(ckt);
   const std::vector<BridgeFault> universe =
       faults::enumerate_adjacent_bridges(ckt);
   cov.total = static_cast<int>(universe.size());
-  for (const BridgeFault& f : universe) {
-    const auto key = std::make_pair(std::min(f.a, f.b), std::max(f.a, f.b));
-    if (tested.count(key) != 0) continue;
-    tested.insert(key);
-    const BridgeTestResult r = generate_bridge_iddq_test(ckt, f, opt);
+  // The universe lists each net pair's four behaviours back to back.  The
+  // IDDQ excitation does not depend on the behaviour model, so each pair is
+  // justified once and credits all four; one context over the engine's
+  // compile scores their voltage detection.
+  for (auto it = universe.begin(); it != universe.end();) {
+    const auto next = std::find_if(it, universe.end(), [&](const auto& g) {
+      return g.a != it->a || g.b != it->b;
+    });
+    const std::vector<BridgeFault> pair(it, next);
+    it = next;
+    const BridgeTestResult r = bridge_iddq_test(engine, pair.front(), opt);
     if (r.status != AtpgStatus::kDetected) continue;
     cov.iddq_patterns.push_back(*r.pattern);
-    for (const BridgeFault& g : universe) {
-      if (std::min(g.a, g.b) != key.first ||
-          std::max(g.a, g.b) != key.second)
-        continue;
-      ++cov.iddq_covered;
-      if (faults::bridge_detected_by_output(ckt, g, *r.pattern))
-        ++cov.also_output_detectable;
-    }
+    cov.iddq_covered += static_cast<int>(pair.size());
+    const faults::EvalContext ctx(engine.compiled(), {*r.pattern});
+    for (const faults::DetectionRecord& rec :
+         faults::simulate_bridges(ctx, pair, {}))
+      if (rec.detected_output) ++cov.also_output_detectable;
   }
   return cov;
 }

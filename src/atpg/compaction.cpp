@@ -11,7 +11,9 @@ CompactionResult compact_patterns(const logic::Circuit& ckt,
   const faults::FaultSimulator fsim(ckt);
   CompactionResult out;
   out.original_count = static_cast<int>(patterns.size());
+  // The one compile of the pass: every later context borrows it.
   const faults::EvalContext before_ctx(ckt, patterns);
+  const logic::CompiledCircuit& cc = before_ctx.compiled();
   out.coverage_before = fsim.run(before_ctx, faults, options).coverage();
 
   // Walk patterns in reverse; keep one iff it adds coverage over the kept
@@ -22,7 +24,7 @@ CompactionResult compact_patterns(const logic::Circuit& ckt,
   int covered_count = 0;
   for (auto it = patterns.rbegin(); it != patterns.rend(); ++it) {
     bool adds = false;
-    const faults::EvalContext pattern_ctx(ckt, {*it});
+    const faults::EvalContext pattern_ctx(cc, {*it});
     const faults::FaultSimReport rep = fsim.run(pattern_ctx, faults, options);
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
       if (covered[fi]) continue;
@@ -37,7 +39,9 @@ CompactionResult compact_patterns(const logic::Circuit& ckt,
   }
   std::reverse(kept.begin(), kept.end());
   out.patterns = std::move(kept);
-  out.coverage_after = fsim.run(faults, out.patterns, options).coverage();
+  out.coverage_after =
+      fsim.run(faults::EvalContext(cc, out.patterns), faults, options)
+          .coverage();
   return out;
 }
 

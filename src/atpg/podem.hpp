@@ -99,6 +99,10 @@ class PodemEngine {
 
   [[nodiscard]] const logic::Circuit& circuit() const { return ckt_; }
 
+  /// The engine's compilation: the flow's candidate checks build their
+  /// contexts over it instead of compiling the circuit again.
+  [[nodiscard]] const logic::CompiledCircuit& compiled() const { return cc_; }
+
  private:
   const logic::Circuit& ckt_;
   logic::CompiledCircuit cc_;

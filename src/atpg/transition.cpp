@@ -20,17 +20,12 @@ std::vector<TransitionFault> enumerate_transition_faults(
   return out;
 }
 
-bool transition_detected(const logic::Circuit& ckt,
-                         const TransitionFault& fault,
-                         const Pattern& launch, const Pattern& capture) {
-  if (fault.net < 0 || fault.net >= ckt.net_count())
-    throw std::invalid_argument("transition_detected: bad net");
+namespace {
+
+/// transition_detected on a (launch, capture) context.
+bool transition_detected_on(const faults::EvalContext& ctx,
+                            const TransitionFault& fault) {
   const LogicV old_v = fault.old_value();
-
-  // One context serves the launch/capture good values and the packed
-  // verification below without re-simulating the good machine.
-  const faults::EvalContext ctx(ckt, {launch, capture});
-
   // Launch must establish the pre-transition value...
   if (ctx.good_value(0, fault.net) != old_v) return false;
   // ...and capture must create the transition.
@@ -38,9 +33,20 @@ bool transition_detected(const logic::Circuit& ckt,
 
   // Gross delay: the late net still holds the old value at capture time —
   // a temporary stuck-at that must reach a primary output.
-  const faults::FaultSimulator fsim(ckt);
-  return fsim.line_fault_detected(
-      ctx, faults::Fault::net_stuck(fault.net, old_v == LogicV::k1), 1);
+  return faults::FaultSimulator(ctx.circuit())
+      .line_fault_detected(
+          ctx, faults::Fault::net_stuck(fault.net, old_v == LogicV::k1), 1);
+}
+
+}  // namespace
+
+bool transition_detected(const logic::Circuit& ckt,
+                         const TransitionFault& fault,
+                         const Pattern& launch, const Pattern& capture) {
+  if (fault.net < 0 || fault.net >= ckt.net_count())
+    throw std::invalid_argument("transition_detected: bad net");
+  return transition_detected_on(faults::EvalContext(ckt, {launch, capture}),
+                                fault);
 }
 
 TransitionResult generate_transition_test(const logic::Circuit& ckt,
@@ -74,7 +80,10 @@ TransitionResult generate_transition_test(const PodemEngine& engine,
     return result;
   }
 
-  if (!transition_detected(ckt, fault, launch.pattern, capture.pattern)) {
+  if (!transition_detected_on(
+          faults::EvalContext(engine.compiled(),
+                              {launch.pattern, capture.pattern}),
+          fault)) {
     result.status = AtpgStatus::kUntestable;
     return result;
   }

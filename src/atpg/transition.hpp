@@ -60,7 +60,8 @@ struct TransitionResult {
     const PodemOptions& opt = {});
 
 /// As above, against a caller-owned engine: the whole-netlist sweep
-/// compiles the circuit and computes SCOAP once instead of per fault.
+/// compiles the circuit and computes SCOAP once instead of per fault, and
+/// each launch/capture pair is checked over engine.compiled().
 [[nodiscard]] TransitionResult generate_transition_test(
     const PodemEngine& engine, const TransitionFault& fault,
     const PodemOptions& opt = {});

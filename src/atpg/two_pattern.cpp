@@ -13,12 +13,10 @@ TwoPatternResult generate_two_pattern(const logic::Circuit& ckt,
                                       const Fault& fault,
                                       const PodemOptions& opt) {
   const PodemEngine engine(ckt);
-  const faults::FaultSimulator fsim(ckt);
-  return generate_two_pattern(engine, fsim, fault, opt);
+  return generate_two_pattern(engine, fault, opt);
 }
 
 TwoPatternResult generate_two_pattern(const PodemEngine& engine,
-                                      const faults::FaultSimulator& fsim,
                                       const Fault& fault,
                                       const PodemOptions& opt) {
   if (fault.site != FaultSite::kGateTransistor ||
@@ -27,6 +25,7 @@ TwoPatternResult generate_two_pattern(const PodemEngine& engine,
         "generate_two_pattern: needs a transistor stuck-open fault");
 
   const logic::Circuit& ckt = engine.circuit();
+  const faults::FaultSimulator fsim(ckt);
   const logic::GateInst& g = ckt.gate(fault.gate);
   const gates::FaultAnalysis& fa =
       gates::DictionaryCache::global().lookup(g.kind, fault.cell_fault);
@@ -60,7 +59,10 @@ TwoPatternResult generate_two_pattern(const PodemEngine& engine,
       if (r2.status != AtpgStatus::kDetected) continue;
 
       // Independent verification with retention-aware fault simulation.
-      if (!fsim.stuck_open_detected(fault, r1.pattern, r2.pattern)) continue;
+      const faults::EvalContext pair(engine.compiled(),
+                                     {r1.pattern, r2.pattern});
+      if (!fsim.simulate_transistor_fault(pair, fault).detected_output)
+        continue;
 
       TwoPatternTest test;
       test.fault = fault;
@@ -81,15 +83,14 @@ TwoPatternResult generate_two_pattern(const PodemEngine& engine,
 std::vector<TwoPatternResult> generate_all_stuck_open_tests(
     const logic::Circuit& ckt, const PodemOptions& opt) {
   std::vector<TwoPatternResult> out;
-  // One engine + fault simulator for the whole sweep: the circuit is
-  // compiled and SCOAP computed once, not once per stuck-open fault.
+  // One engine for the whole sweep: the circuit is compiled and SCOAP
+  // computed once, not once per stuck-open fault.
   const PodemEngine engine(ckt);
-  const faults::FaultSimulator fsim(ckt);
   for (const logic::GateInst& g : ckt.gates()) {
     const int nt = static_cast<int>(gates::cell(g.kind).transistors.size());
     for (int t = 0; t < nt; ++t) {
       out.push_back(generate_two_pattern(
-          engine, fsim,
+          engine,
           Fault::transistor(g.id, t, gates::TransistorFault::kStuckOpen),
           opt));
     }

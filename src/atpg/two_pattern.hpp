@@ -31,19 +31,20 @@ struct TwoPatternResult {
   int attempts = 0;
 };
 
-/// Generates a verified two-pattern test for a stuck-open fault.
+/// Generates a verified two-pattern test for a stuck-open fault with a
+/// local engine (one compile and SCOAP pass per call).
 /// @throws std::invalid_argument when the fault is not a transistor
 ///   stuck-open
 [[nodiscard]] TwoPatternResult generate_two_pattern(
     const logic::Circuit& ckt, const faults::Fault& fault,
     const PodemOptions& opt = {});
 
-/// As above, against caller-owned engines: the whole-circuit sweep
-/// compiles the circuit and computes SCOAP once instead of per fault.
-/// Both must be bound to the same circuit.
+/// As above, against a caller-owned engine: a sweep or a flow compiles the
+/// circuit and computes SCOAP once instead of per fault.  Each candidate
+/// pair is verified on a two-pattern context over engine.compiled().
 [[nodiscard]] TwoPatternResult generate_two_pattern(
-    const PodemEngine& engine, const faults::FaultSimulator& fsim,
-    const faults::Fault& fault, const PodemOptions& opt = {});
+    const PodemEngine& engine, const faults::Fault& fault,
+    const PodemOptions& opt = {});
 
 /// Generates two-pattern tests for every stuck-open fault of the circuit;
 /// returns one entry per fault in enumeration order.

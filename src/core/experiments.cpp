@@ -410,9 +410,10 @@ NandSofData run_nand_sof() {
 
   NandSofData data;
   std::set<std::string> pairs;
+  const atpg::PodemEngine engine(ckt);
   for (int t = 0; t < 4; ++t) {
     auto result = atpg::generate_two_pattern(
-        ckt,
+        engine,
         faults::Fault::transistor(0, t,
                                   gates::TransistorFault::kStuckOpen));
     if (result.test) {

@@ -98,7 +98,7 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
     if (fa.needs_sequence &&
         f.cell_fault.kind == gates::TransistorFault::kStuckOpen) {
       const atpg::TwoPatternResult r =
-          atpg::generate_two_pattern(ckt, f, options.podem);
+          atpg::generate_two_pattern(engine, f, options.podem);
       outcome.status = r.status;
       if (r.status == AtpgStatus::kDetected && r.test) {
         outcome.method = CoverageMethod::kTwoPattern;

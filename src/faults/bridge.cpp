@@ -104,8 +104,77 @@ logic::CompiledCircuit::Bridge checked_bridge(const logic::Circuit& ckt,
 
 namespace {
 
-/// The per-pattern scalar loop of X-bearing contexts: simulate_bridge per
-/// pattern against the context's scalar good machine.
+/// simulate_bridge's bounded feedback fixpoint from the good machine's
+/// net values `good` (the pair is already validated).
+std::vector<LogicV> bridge_fixpoint(const logic::Circuit& ckt,
+                                    const BridgeFault& fault,
+                                    const std::vector<LogicV>& good) {
+  // Fixpoint iteration over levelized evaluation with the wired values
+  // substituted after each pass; a bridge inside a (now closed) loop that
+  // keeps flipping resolves to X.
+  std::vector<LogicV> values = good;
+  for (int round = 0; round < 4; ++round) {
+    // Apply the bridge to the driver values.
+    const auto [wa, wb] =
+        resolve(fault.behavior, values[static_cast<std::size_t>(fault.a)],
+                values[static_cast<std::size_t>(fault.b)]);
+    std::vector<LogicV> next = values;
+    next[static_cast<std::size_t>(fault.a)] = wa;
+    next[static_cast<std::size_t>(fault.b)] = wb;
+    // Re-evaluate downstream logic with the wired values pinned; the
+    // bridged nets' own drivers keep their computed values (the short
+    // overrides them electrically).
+    for (const int gid : ckt.topo_order()) {
+      const logic::GateInst& g = ckt.gate(gid);
+      if (g.out == fault.a || g.out == fault.b) continue;
+      const auto in_at = [&](int i) {
+        return g.in[static_cast<std::size_t>(i)] >= 0
+                   ? next[static_cast<std::size_t>(
+                         g.in[static_cast<std::size_t>(i)])]
+                   : LogicV::kX;
+      };
+      next[static_cast<std::size_t>(g.out)] =
+          logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
+    }
+    // Recompute the *driver* values of the bridged nets from the updated
+    // fanin (feedback handling), then check for a fixpoint.
+    std::vector<LogicV> driver_values = next;
+    for (const int gid : ckt.topo_order()) {
+      const logic::GateInst& g = ckt.gate(gid);
+      if (g.out != fault.a && g.out != fault.b) continue;
+      const auto in_at = [&](int i) {
+        return g.in[static_cast<std::size_t>(i)] >= 0
+                   ? next[static_cast<std::size_t>(
+                         g.in[static_cast<std::size_t>(i)])]
+                   : LogicV::kX;
+      };
+      driver_values[static_cast<std::size_t>(g.out)] =
+          logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
+    }
+    if (driver_values == values) return next;
+    values = std::move(driver_values);
+  }
+  // Oscillating feedback bridge: the looped nets are unknown.
+  std::vector<LogicV> conservative = good;
+  conservative[static_cast<std::size_t>(fault.a)] = LogicV::kX;
+  conservative[static_cast<std::size_t>(fault.b)] = LogicV::kX;
+  for (const int gid : ckt.topo_order()) {
+    const logic::GateInst& g = ckt.gate(gid);
+    if (g.out == fault.a || g.out == fault.b) continue;
+    const auto in_at = [&](int i) {
+      return g.in[static_cast<std::size_t>(i)] >= 0
+                 ? conservative[static_cast<std::size_t>(
+                       g.in[static_cast<std::size_t>(i)])]
+                 : LogicV::kX;
+    };
+    conservative[static_cast<std::size_t>(g.out)] =
+        logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
+  }
+  return conservative;
+}
+
+/// The per-pattern scalar loop of X-bearing contexts: simulate_bridge's
+/// fixpoint per pattern, seeded from the context's scalar good machine.
 DetectionRecord serial_bridge(const EvalContext& ctx,
                               const BridgeFault& bridge,
                               const FaultSimOptions& options) {
@@ -115,7 +184,7 @@ DetectionRecord serial_bridge(const EvalContext& ctx,
     bool hit = false;
     if (!rec.detected_output) {
       const std::vector<LogicV> bad =
-          simulate_bridge(ckt, bridge, ctx.patterns()[pi]);
+          bridge_fixpoint(ckt, bridge, ctx.good(pi).net_values);
       for (const logic::NetId po : ckt.primary_outputs()) {
         const LogicV g = ctx.good_value(pi, po);
         const LogicV b = bad[static_cast<std::size_t>(po)];
@@ -200,83 +269,14 @@ std::vector<LogicV> simulate_bridge(const logic::Circuit& ckt,
                                     const Pattern& pattern) {
   (void)checked_bridge(ckt, fault);
   const logic::Simulator sim(ckt);
-
-  // Fixpoint iteration over levelized evaluation with the wired values
-  // substituted after each pass; a bridge inside a (now closed) loop that
-  // keeps flipping resolves to X.
-  std::vector<LogicV> values = sim.simulate(pattern).net_values;
-  for (int round = 0; round < 4; ++round) {
-    // Apply the bridge to the driver values.
-    const auto [wa, wb] =
-        resolve(fault.behavior, values[static_cast<std::size_t>(fault.a)],
-                values[static_cast<std::size_t>(fault.b)]);
-    std::vector<LogicV> next = values;
-    next[static_cast<std::size_t>(fault.a)] = wa;
-    next[static_cast<std::size_t>(fault.b)] = wb;
-    // Re-evaluate downstream logic with the wired values pinned; the
-    // bridged nets' own drivers keep their computed values (the short
-    // overrides them electrically).
-    for (const int gid : ckt.topo_order()) {
-      const logic::GateInst& g = ckt.gate(gid);
-      if (g.out == fault.a || g.out == fault.b) continue;
-      const auto in_at = [&](int i) {
-        return g.in[static_cast<std::size_t>(i)] >= 0
-                   ? next[static_cast<std::size_t>(
-                         g.in[static_cast<std::size_t>(i)])]
-                   : LogicV::kX;
-      };
-      next[static_cast<std::size_t>(g.out)] =
-          logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
-    }
-    // Recompute the *driver* values of the bridged nets from the updated
-    // fanin (feedback handling), then check for a fixpoint.
-    std::vector<LogicV> driver_values = next;
-    for (const int gid : ckt.topo_order()) {
-      const logic::GateInst& g = ckt.gate(gid);
-      if (g.out != fault.a && g.out != fault.b) continue;
-      const auto in_at = [&](int i) {
-        return g.in[static_cast<std::size_t>(i)] >= 0
-                   ? next[static_cast<std::size_t>(
-                         g.in[static_cast<std::size_t>(i)])]
-                   : LogicV::kX;
-      };
-      driver_values[static_cast<std::size_t>(g.out)] =
-          logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
-    }
-    if (driver_values == values) return next;
-    values = std::move(driver_values);
-  }
-  // Oscillating feedback bridge: the looped nets are unknown.
-  std::vector<LogicV> conservative = sim.simulate(pattern).net_values;
-  conservative[static_cast<std::size_t>(fault.a)] = LogicV::kX;
-  conservative[static_cast<std::size_t>(fault.b)] = LogicV::kX;
-  for (const int gid : ckt.topo_order()) {
-    const logic::GateInst& g = ckt.gate(gid);
-    if (g.out == fault.a || g.out == fault.b) continue;
-    const auto in_at = [&](int i) {
-      return g.in[static_cast<std::size_t>(i)] >= 0
-                 ? conservative[static_cast<std::size_t>(
-                       g.in[static_cast<std::size_t>(i)])]
-                 : LogicV::kX;
-    };
-    conservative[static_cast<std::size_t>(g.out)] =
-        logic::eval_cell_x(g.kind, in_at(0), in_at(1), in_at(2));
-  }
-  return conservative;
+  return bridge_fixpoint(ckt, fault, sim.simulate(pattern).net_values);
 }
 
 bool bridge_detected_by_output(const logic::Circuit& ckt,
                                const BridgeFault& fault,
                                const Pattern& pattern) {
-  const logic::Simulator sim(ckt);
-  const std::vector<LogicV> good = sim.simulate(pattern).net_values;
-  const std::vector<LogicV> bad = simulate_bridge(ckt, fault, pattern);
-  for (const logic::NetId po : ckt.primary_outputs()) {
-    const LogicV g = good[static_cast<std::size_t>(po)];
-    const LogicV b = bad[static_cast<std::size_t>(po)];
-    if (is_binary(g) && is_binary(b) && g != b) return true;
-  }
-  return false;
+  return simulate_bridges(EvalContext(ckt, {pattern}), {fault}, {})[0]
+      .detected_output;
 }
 
 bool bridge_excited_for_iddq(const logic::Circuit& ckt,

@@ -12,9 +12,9 @@
 // pattern set.  On fully specified patterns it runs the word-parallel
 // plane kernel (CompiledCircuit::eval_packed_bridge_planes), which
 // reproduces simulate_bridge's bounded feedback fixpoint bit for bit; on
-// X-bearing patterns it calls simulate_bridge per pattern.  simulate_bridge
-// itself remains the scalar definition: the X-bearing path and the
-// differential tests' oracle.
+// X-bearing patterns it runs that fixpoint per pattern from the context's
+// good machine.  simulate_bridge itself remains the scalar definition and
+// the differential tests' oracle.
 #pragma once
 
 #include <vector>
@@ -67,8 +67,9 @@ struct BridgeFault {
 /// before any is simulated, also on an empty pattern set.  Packed contexts
 /// run the plane kernel with one scratch set for the whole list (the cone
 /// cache then serves a pair's four behaviours listed back to back);
-/// X-bearing contexts run simulate_bridge per pattern and count each
-/// bridge into `stats->bridge_serial` when `stats` is non-null.
+/// X-bearing contexts run simulate_bridge's fixpoint per pattern from the
+/// context's scalar good machine and count each bridge into
+/// `stats->bridge_serial` when `stats` is non-null.
 /// @throws std::invalid_argument on a bad pair (see checked_bridge)
 [[nodiscard]] std::vector<DetectionRecord> simulate_bridges(
     const EvalContext& ctx, const std::vector<BridgeFault>& bridges,
@@ -83,7 +84,9 @@ struct BridgeFault {
     const logic::Circuit& ckt, const BridgeFault& fault,
     const logic::Pattern& pattern);
 
-/// Voltage detection: some PO differs between good and bridged machines.
+/// Voltage detection: some PO differs between good and bridged machines
+/// (simulate_bridges over a local one-pattern context).
+/// @throws std::invalid_argument on a bad pair (see checked_bridge)
 [[nodiscard]] bool bridge_detected_by_output(const logic::Circuit& ckt,
                                              const BridgeFault& fault,
                                              const logic::Pattern& pattern);

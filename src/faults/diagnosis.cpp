@@ -17,10 +17,10 @@ struct Predicted {
   bool iddq = false;
 };
 
-Predicted predict(const logic::Circuit& ckt, const Fault& fault,
+Predicted predict(const logic::Simulator& sim, const Fault& fault,
                   const Pattern& pattern) {
+  const logic::Circuit& ckt = sim.circuit();
   Predicted out;
-  const logic::Simulator sim(ckt);
   if (fault.site == FaultSite::kGateTransistor) {
     const logic::GateFault gf{fault.gate, fault.cell_fault};
     const logic::SimResult r = sim.simulate_faulty(pattern, gf);
@@ -29,12 +29,8 @@ Predicted predict(const logic::Circuit& ckt, const Fault& fault,
       out.outputs.push_back(r.value(po));
     return out;
   }
-  // Line fault: packed single-pattern simulation with the forced line.
-  const FaultSimulator fsim(ckt);
+  // Line fault: a scalar X-aware pass with the line forced.
   const logic::SimResult good = sim.simulate(pattern);
-  // Re-simulate with the line forced by flipping through the public API:
-  // detection tells us whether each PO differs; reconstruct values.
-  // (Cheap direct approach: force via a faulty-value pass.)
   std::vector<LogicV> values = good.net_values;
   const LogicV forced = fault.stuck_at_one ? LogicV::k1 : LogicV::k0;
   if (fault.site == FaultSite::kNet)
@@ -81,7 +77,7 @@ bool compatible(const Predicted& predicted, const Observation& observed) {
 Observation predict_observation(const logic::Circuit& ckt,
                                 const Fault& fault,
                                 const Pattern& pattern) {
-  const Predicted p = predict(ckt, fault, pattern);
+  const Predicted p = predict(logic::Simulator(ckt), fault, pattern);
   return {pattern, p.outputs, p.iddq};
 }
 
@@ -100,13 +96,14 @@ Observation predict_good_observation(const logic::Circuit& ckt,
 std::vector<DiagnosisCandidate> diagnose(
     const logic::Circuit& ckt, std::span<const Observation> observations,
     const std::vector<Fault>& candidates) {
+  const logic::Simulator sim(ckt);
   std::vector<DiagnosisCandidate> ranked;
   ranked.reserve(candidates.size());
   for (const Fault& f : candidates) {
     DiagnosisCandidate c;
     c.fault = f;
     for (const Observation& obs : observations) {
-      const Predicted p = predict(ckt, f, obs.pattern);
+      const Predicted p = predict(sim, f, obs.pattern);
       if (compatible(p, obs))
         ++c.matches;
       else

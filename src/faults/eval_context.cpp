@@ -4,27 +4,30 @@
 
 namespace cpsinw::faults {
 
-namespace {
-
-const logic::Circuit& require_finalized(const logic::Circuit& ckt) {
-  if (!ckt.finalized())
-    throw std::invalid_argument("EvalContext: circuit not finalized");
-  return ckt;
-}
-
-}  // namespace
-
 EvalContext::EvalContext(const logic::Circuit& ckt,
                          std::vector<logic::Pattern> patterns,
                          gates::DictionaryCache* cache)
-    : ckt_(&ckt),
-      cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
+    : cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
       patterns_(std::move(patterns)),
-      sim_(require_finalized(ckt)) {
+      owned_(std::make_unique<const logic::CompiledCircuit>(ckt)),
+      cc_(owned_.get()) {
+  build();
+}
+
+EvalContext::EvalContext(const logic::CompiledCircuit& compiled,
+                         std::vector<logic::Pattern> patterns,
+                         gates::DictionaryCache* cache)
+    : cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
+      patterns_(std::move(patterns)),
+      cc_(&compiled) {
+  build();
+}
+
+void EvalContext::build() {
   // Every pattern must fit the circuit, whichever good machine is built:
   // patterns may come off the wire (shard_io), and the plane fill below
   // indexes them unchecked.  An X anywhere keeps the context scalar-only.
-  const std::size_t n_pi = ckt.primary_inputs().size();
+  const std::size_t n_pi = circuit().primary_inputs().size();
   packed_ = true;
   for (const logic::Pattern& p : patterns_) {
     if (p.size() != n_pi)
@@ -34,8 +37,11 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
 
   if (!packed_) {
     // Scalar good machine, once per pattern, for the serial walk and bridges.
-    good_.reserve(patterns_.size());
-    for (const logic::Pattern& p : patterns_) good_.push_back(sim_.simulate(p));
+    good_.resize(patterns_.size());
+    for (std::size_t k = 0; k < patterns_.size(); ++k) {
+      cc_->init_scalar(patterns_[k], good_[k].net_values);
+      cc_->eval_scalar(good_[k].net_values);
+    }
     return;
   }
 
@@ -55,8 +61,8 @@ EvalContext::EvalContext(const logic::Circuit& ckt,
       if (patterns_[k][i] == logic::LogicV::k1)
         pi_planes_[i * stride_ + w] |= bit;
   }
-  sim_.compiled().init_packed_planes(pi_planes_.data(), stride_, good_planes_);
-  sim_.compiled().eval_packed_planes(good_planes_, stride_);
+  cc_->init_packed_planes(pi_planes_.data(), stride_, good_planes_);
+  cc_->eval_packed_planes(good_planes_, stride_);
 }
 
 }  // namespace cpsinw::faults

@@ -9,6 +9,9 @@
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
+//   * the circuit compilation is owned (the Circuit constructor compiles)
+//     or borrowed (the CompiledCircuit constructor) and then must outlive
+//     the context, so a job compiles once and its other contexts borrow;
 //   * the pattern set is owned (copied/moved in), so a context can be
 //     shared across shards and threads without aliasing the builder's
 //     buffers;
@@ -20,6 +23,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "gates/dictionary_cache.hpp"
@@ -29,9 +33,10 @@ namespace cpsinw::faults {
 
 class EvalContext {
  public:
-  /// Builds the good machine: SoA planes when every pattern is fully
-  /// specified (binary), per-pattern scalar results otherwise.  Only the
-  /// line-fault path requires packability.
+  /// Compiles the circuit (the context owns that compile) and builds the
+  /// good machine: SoA planes when every pattern is fully specified
+  /// (binary), per-pattern scalar results otherwise.  Only the line-fault
+  /// path requires packability.
   /// @param ckt finalized circuit; must outlive the context
   /// @param cache borrowed dictionary cache; nullptr selects global()
   /// @throws std::invalid_argument for an unfinalized circuit or a pattern
@@ -39,7 +44,17 @@ class EvalContext {
   EvalContext(const logic::Circuit& ckt, std::vector<logic::Pattern> patterns,
               gates::DictionaryCache* cache = nullptr);
 
-  [[nodiscard]] const logic::Circuit& circuit() const { return *ckt_; }
+  /// As above over a borrowed compilation of `compiled.circuit()`: builds
+  /// the good machine without compiling the circuit again.
+  /// @param compiled borrowed; must outlive the context
+  /// @throws std::invalid_argument for a pattern of the wrong length
+  EvalContext(const logic::CompiledCircuit& compiled,
+              std::vector<logic::Pattern> patterns,
+              gates::DictionaryCache* cache = nullptr);
+
+  [[nodiscard]] const logic::Circuit& circuit() const {
+    return cc_->circuit();
+  }
   [[nodiscard]] const std::vector<logic::Pattern>& patterns() const {
     return patterns_;
   }
@@ -81,7 +96,7 @@ class EvalContext {
   [[nodiscard]] logic::LogicV good_value(std::size_t pattern,
                                          logic::NetId net) const {
     assert(pattern < patterns_.size());
-    assert(net >= 0 && net < ckt_->net_count());
+    assert(net >= 0 && net < circuit().net_count());
     if (!packed_) return good_[pattern].value(net);
     const std::uint64_t word = good_plane(net)[pattern / 64];
     return logic::from_bool(((word >> (pattern % 64)) & 1u) != 0);
@@ -104,17 +119,19 @@ class EvalContext {
 
   [[nodiscard]] gates::DictionaryCache& cache() const { return *cache_; }
 
-  /// The circuit compilation the context's good machine was produced by
-  /// (one compile per context; shared by every shard of a job).
-  [[nodiscard]] const logic::CompiledCircuit& compiled() const {
-    return sim_.compiled();
-  }
+  /// The compilation, owned or borrowed, that built the good machine and
+  /// that every fault walk over the context reads.
+  [[nodiscard]] const logic::CompiledCircuit& compiled() const { return *cc_; }
 
  private:
-  const logic::Circuit* ckt_;
+  /// The body both constructors share: validates the patterns and builds
+  /// the good machine off *cc_.
+  void build();
+
   gates::DictionaryCache* cache_;
   std::vector<logic::Pattern> patterns_;
-  logic::Simulator sim_;
+  std::unique_ptr<const logic::CompiledCircuit> owned_;  ///< null: borrowed
+  const logic::CompiledCircuit* cc_;
   std::vector<logic::SimResult> good_;  ///< X-bearing contexts only
   std::size_t n_words_ = 0;
   std::size_t stride_ = 0;

@@ -13,34 +13,32 @@ using logic::Pattern;
 
 namespace {
 
-/// The serial retained-state walk: one scalar faulty pass per pattern,
-/// threading net state from pattern to pattern when sequential.  `good(pi)`
-/// yields the fault-free SimResult of pattern `pi` (precomputed by a
-/// context, or simulated on the spot).
-template <class GoodFn>
-DetectionRecord serial_walk(const logic::Simulator& sim,
-                            const std::vector<Pattern>& patterns,
-                            const GoodFn& good, const Fault& fault,
+/// The serial retained-state walk of X-bearing contexts: one scalar faulty
+/// pass per pattern over the context's compilation, against its scalar
+/// good machine, threading net state from pattern to pattern when
+/// sequential.
+DetectionRecord serial_walk(const EvalContext& ctx, const Fault& fault,
                             const gates::FaultAnalysis& fa,
                             const FaultSimOptions& options) {
-  const logic::GateFault gf{fault.gate, fault.cell_fault};
+  const logic::CompiledCircuit& cc = ctx.compiled();
   DetectionRecord rec;
+  std::vector<LogicV> bad;
   std::vector<LogicV> state;
-  for (std::size_t pi = 0; pi < patterns.size(); ++pi) {
-    const logic::SimResult& g_res = good(pi);
-    const logic::SimResult bad = sim.simulate_faulty_with(
-        patterns[pi], gf, fa,
+  for (std::size_t pi = 0; pi < ctx.pattern_count(); ++pi) {
+    const logic::SimResult& good = ctx.good(pi);
+    cc.init_scalar(ctx.patterns()[pi], bad);
+    const bool iddq = cc.eval_scalar_faulty(
+        bad, fault.gate, fa,
         options.sequential_patterns && !state.empty() ? &state : nullptr);
-    if (options.sequential_patterns) state = bad.net_values;
 
     bool hit = false;
-    if (bad.iddq_flag && options.observe_iddq) {
+    if (iddq && options.observe_iddq) {
       rec.detected_iddq = true;
       hit = true;
     }
-    for (const logic::NetId po : sim.circuit().primary_outputs()) {
-      const LogicV g = g_res.value(po);
-      const LogicV b = bad.value(po);
+    for (const logic::NetId po : ctx.circuit().primary_outputs()) {
+      const LogicV g = good.value(po);
+      const LogicV b = bad[static_cast<std::size_t>(po)];
       if (is_binary(g) && is_binary(b) && g != b) {
         rec.detected_output = true;
         hit = true;
@@ -48,6 +46,7 @@ DetectionRecord serial_walk(const logic::Simulator& sim,
         rec.potential = true;
       }
     }
+    if (options.sequential_patterns) state.swap(bad);
     if (hit && rec.first_pattern < 0)
       rec.first_pattern = static_cast<int>(pi);
     if (rec.first_pattern >= 0 &&
@@ -72,8 +71,10 @@ double FaultSimReport::coverage() const {
          static_cast<double>(records.size());
 }
 
-FaultSimulator::FaultSimulator(const logic::Circuit& ckt)
-    : ckt_(ckt), sim_(ckt) {}
+FaultSimulator::FaultSimulator(const logic::Circuit& ckt) : ckt_(ckt) {
+  if (!ckt.finalized())
+    throw std::invalid_argument("FaultSimulator: circuit not finalized");
+}
 
 void FaultSimulator::check_context(const EvalContext& ctx) const {
   if (&ctx.circuit() != &ckt_)
@@ -102,14 +103,6 @@ logic::CompiledCircuit::LineFault checked_line_fault(
   return lf;
 }
 
-void FaultSimulator::packed_line_fault(
-    const std::vector<std::uint64_t>& pi_words, const Fault& fault,
-    std::vector<std::uint64_t>& values) const {
-  const logic::CompiledCircuit& cc = sim_.compiled();
-  cc.init_packed(pi_words, values);
-  cc.eval_packed_line(values, checked_line_fault(ckt_, fault));
-}
-
 FaultSimReport FaultSimulator::run(const std::vector<Fault>& faults,
                                    const std::vector<Pattern>& patterns,
                                    const FaultSimOptions& options) const {
@@ -124,14 +117,6 @@ FaultSimReport FaultSimulator::run(const EvalContext& ctx,
   report.options = options;
   report.records = run_range(ctx, faults, 0, faults.size(), options);
   return report;
-}
-
-std::vector<DetectionRecord> FaultSimulator::run_range(
-    const std::vector<Fault>& faults, std::size_t begin, std::size_t end,
-    const std::vector<Pattern>& patterns,
-    const FaultSimOptions& options) const {
-  const EvalContext ctx(ckt_, patterns);
-  return run_range(ctx, faults, begin, end, options);
 }
 
 std::vector<DetectionRecord> FaultSimulator::run_range(
@@ -177,7 +162,7 @@ void FaultSimulator::run_line_faults_batched(
     std::size_t begin, std::size_t end, std::vector<DetectionRecord>& records,
     LineBatchStats* stats) const {
   using logic::CompiledCircuit;
-  const CompiledCircuit& cc = sim_.compiled();
+  const CompiledCircuit& cc = ctx.compiled();
 
   // Gather + validate, then sort by injection position: the kernel skips
   // every gate before its group's earliest event, so co-locating faults
@@ -281,21 +266,7 @@ void FaultSimulator::run_line_faults_batched(
 
 bool FaultSimulator::line_fault_detected(const Fault& fault,
                                          const Pattern& pattern) const {
-  if (fault.site == FaultSite::kGateTransistor)
-    throw std::invalid_argument("line_fault_detected: transistor fault");
-  const logic::CompiledCircuit& cc = sim_.compiled();
-  const auto pi_words = logic::pack_patterns(ckt_, {pattern});
-  std::vector<std::uint64_t> good;
-  cc.init_packed(pi_words, good);
-  cc.eval_packed(good);
-  std::vector<std::uint64_t> faulty;
-  packed_line_fault(pi_words, fault, faulty);
-  for (const logic::NetId po : ckt_.primary_outputs())
-    if (((good[static_cast<std::size_t>(po)] ^
-          faulty[static_cast<std::size_t>(po)]) &
-         1ull) != 0)
-      return true;
-  return false;
+  return line_fault_detected(EvalContext(ckt_, {pattern}), fault, 0);
 }
 
 bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
@@ -306,16 +277,22 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
     throw std::invalid_argument("line_fault_detected: transistor fault");
   if (pattern_index >= ctx.pattern_count())
     throw std::invalid_argument("line_fault_detected: bad pattern index");
-  if (!ctx.packed())
-    return line_fault_detected(fault, ctx.patterns()[pattern_index]);
+  if (!ctx.packed()) {
+    const EvalContext one(ctx.compiled(), {ctx.patterns()[pattern_index]});
+    if (!one.packed())
+      throw std::invalid_argument("line_fault_detected: X in the pattern");
+    return line_fault_detected(one, fault, 0);
+  }
   // The PI words of the pattern's word; `bit` masks off its 63 neighbours.
+  const logic::CompiledCircuit& cc = ctx.compiled();
   const std::size_t w = pattern_index / 64;
   std::vector<std::uint64_t> pi_words(ckt_.primary_inputs().size());
   for (std::size_t i = 0; i < pi_words.size(); ++i)
     pi_words[i] = ctx.pi_planes()[i * ctx.plane_stride() + w];
   const std::uint64_t bit = 1ull << (pattern_index % 64);
   std::vector<std::uint64_t> faulty;
-  packed_line_fault(pi_words, fault, faulty);
+  cc.init_packed(pi_words, faulty);
+  cc.eval_packed_line(faulty, checked_line_fault(ckt_, fault));
   for (const logic::NetId po : ckt_.primary_outputs())
     if (((ctx.good_plane(po)[w] ^ faulty[static_cast<std::size_t>(po)]) &
          bit) != 0)
@@ -326,13 +303,8 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
 DetectionRecord FaultSimulator::simulate_transistor_fault(
     const Fault& fault, const std::vector<Pattern>& patterns,
     const FaultSimOptions& options) const {
-  if (fault.site != FaultSite::kGateTransistor)
-    throw std::invalid_argument("simulate_transistor_fault: wrong site");
-  const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-      ckt_.gate(fault.gate).kind, fault.cell_fault);
-  return serial_walk(
-      sim_, patterns, [&](std::size_t pi) { return sim_.simulate(patterns[pi]); },
-      fault, fa, options);
+  return simulate_transistor_fault(EvalContext(ckt_, patterns), fault,
+                                   options);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_fault(
@@ -386,10 +358,7 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
     return simulate_transistor_retained(ctx, fault, fa, options, scratch);
   }
   if (stats != nullptr) ++stats->transistor_serial;
-  return serial_walk(
-      sim_, ctx.patterns(),
-      [&](std::size_t pi) -> const logic::SimResult& { return ctx.good(pi); },
-      fault, fa, options);
+  return serial_walk(ctx, fault, fa, options);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_packed(
@@ -405,7 +374,7 @@ DetectionRecord FaultSimulator::simulate_transistor_packed(
   if (!fa.output_detectable && (!options.observe_iddq || !fa.iddq_detectable))
     return {};
   const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
-  const logic::CompiledCircuit& cc = sim_.compiled();
+  const logic::CompiledCircuit& cc = ctx.compiled();
   const std::size_t n_words = ctx.word_count();
   std::vector<std::uint64_t>& diff = scratch.diff;
   std::vector<std::uint64_t>& contention = scratch.contention;
@@ -453,7 +422,7 @@ DetectionRecord FaultSimulator::simulate_transistor_retained(
   // every such dictionary has a marginal or a floating row, and floating
   // reads X before pattern 0), and an observed IDDQ excitation (impossible
   // without a contending row).
-  const logic::CompiledCircuit& cc = sim_.compiled();
+  const logic::CompiledCircuit& cc = ctx.compiled();
   const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
   const bool retain = options.sequential_patterns;
   const bool out_possible =
@@ -488,8 +457,7 @@ DetectionRecord FaultSimulator::simulate_transistor_retained(
 bool FaultSimulator::stuck_open_detected(const Fault& fault,
                                          const Pattern& init,
                                          const Pattern& test) const {
-  return simulate_transistor_fault(fault, {init, test}, {})
-      .detected_output;
+  return simulate_transistor_fault(fault, {init, test}).detected_output;
 }
 
 }  // namespace cpsinw::faults

@@ -7,12 +7,14 @@
 // dictionary-based walk.  IDDQ observation covers the paper's polarity
 // faults.
 //
-// All fault-independent work (pattern packing, the good machine, the
-// switch-level dictionaries) lives in a faults::EvalContext built once per
-// (circuit, pattern set) and shared across the whole fault universe — and,
-// in the campaign engine, across every shard of a job.  The context-free
-// run/run_range signatures are thin wrappers that build a local context,
-// so their behaviour is bit-identical to the historical serial path.
+// All fault-independent work (the circuit compilation, pattern packing,
+// the good machine, the switch-level dictionaries) lives in a
+// faults::EvalContext built once per (circuit, pattern set) and shared
+// across the whole fault universe — and, in the campaign engine, across
+// every shard of a job.  A FaultSimulator owns no compilation: every
+// question runs over a context and reads its compile, so each has one
+// evaluation path.  The context-free signatures are one-line wrappers
+// that build a local context (one compile per call).
 #pragma once
 
 #include <array>
@@ -139,10 +141,12 @@ struct FaultSimReport {
 [[nodiscard]] logic::CompiledCircuit::LineFault checked_line_fault(
     const logic::Circuit& ckt, const Fault& fault);
 
-/// Fault simulator bound to one circuit.
+/// Fault simulator bound to one circuit.  It holds no compilation: every
+/// walk reads the one of the context it runs over.
 class FaultSimulator {
  public:
   /// @param ckt finalized circuit; must outlive the simulator
+  /// @throws std::invalid_argument when `ckt` is not finalized
   explicit FaultSimulator(const logic::Circuit& ckt);
 
   /// Simulates all faults against all patterns (builds a local context).
@@ -161,37 +165,35 @@ class FaultSimulator {
   /// self-contained (line faults via packed batches, transistor faults via
   /// their own retained-state sequence), so concatenating the records of a
   /// partition of [0, size) is bit-identical to one `run` over the whole
-  /// list — this is what makes campaign sharding deterministic.
-  [[nodiscard]] std::vector<DetectionRecord> run_range(
-      const std::vector<Fault>& faults, std::size_t begin, std::size_t end,
-      const std::vector<logic::Pattern>& patterns,
-      const FaultSimOptions& options = {}) const;
-
-  /// Context-based range hook: what campaign shards actually execute.  All
-  /// shards of a job share one EvalContext instead of re-packing patterns
-  /// and re-simulating the good machine per shard.  When `stats` is
-  /// non-null, the batched line path's occupancy accounting and the
-  /// per-path transistor counts are merged in.
+  /// list — this is what makes campaign sharding deterministic.  All
+  /// shards of a job share one EvalContext instead of recompiling the
+  /// circuit, re-packing patterns and re-simulating the good machine per
+  /// shard.  When `stats` is non-null, the batched line path's occupancy
+  /// accounting and the per-path transistor counts are merged in.
   [[nodiscard]] std::vector<DetectionRecord> run_range(
       const EvalContext& ctx, const std::vector<Fault>& faults,
       std::size_t begin, std::size_t end, const FaultSimOptions& options = {},
       LineBatchStats* stats = nullptr) const;
 
-  /// Single line-fault / single-pattern check (used by ATPG verification).
+  /// Single line-fault / single-pattern check over a local one-pattern
+  /// context.
+  /// @throws std::invalid_argument on a transistor fault, a bad line, or
+  ///   a pattern that is not fully specified
   [[nodiscard]] bool line_fault_detected(const Fault& fault,
                                          const logic::Pattern& pattern) const;
 
   /// Context-based variant for ATPG verification loops: checks the fault
   /// against pattern `pattern_index` of the context without re-packing or
-  /// re-simulating the good machine per call.
+  /// re-simulating the good machine per call.  On an X-bearing context a
+  /// binary pattern is checked through a one-pattern context over
+  /// ctx.compiled(); an X pattern throws std::invalid_argument.
   [[nodiscard]] bool line_fault_detected(const EvalContext& ctx,
                                          const Fault& fault,
                                          std::size_t pattern_index) const;
 
-  /// Serial simulation of one transistor fault over a pattern sequence,
-  /// with the good machine simulated per pattern.  It builds no context:
-  /// ATPG calls it per candidate test (stuck_open_detected), and a context
-  /// per call would recompile the circuit each time.
+  /// One transistor fault over a pattern sequence, through a local context
+  /// (for repeated checks, build contexts over one shared compilation and
+  /// call the context overload).
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
@@ -211,12 +213,6 @@ class FaultSimulator {
   [[nodiscard]] const logic::Circuit& circuit() const { return ckt_; }
 
  private:
-  /// Packed faulty simulation of one 64-pattern word with a line forced to
-  /// a constant, written into `values` (the single-pattern checks).
-  void packed_line_fault(const std::vector<std::uint64_t>& pi_words,
-                         const Fault& fault,
-                         std::vector<std::uint64_t>& values) const;
-
   /// Line-fault walk of run_range: validates and gathers the line faults
   /// of [begin, end), sorts them by injection position, and walks the word
   /// range in strips, feeding kBatchLanes-sized groups of the surviving
@@ -275,7 +271,6 @@ class FaultSimulator {
   void check_context(const EvalContext& ctx) const;
 
   const logic::Circuit& ckt_;
-  logic::Simulator sim_;
 };
 
 }  // namespace cpsinw::faults

@@ -20,11 +20,10 @@ RandomPatternResult run_random_patterns(const logic::Circuit& ckt,
     throw std::invalid_argument(
         "run_random_patterns: one_probability must be in (0,1)");
 
-  const logic::Simulator sim(ckt);
-  // One compilation for the whole run (also backing `sim`); building an
-  // EvalContext per generated pattern would recompile the circuit each
-  // time.
-  const logic::CompiledCircuit& cc = sim.compiled();
+  // One compilation for the whole run, read directly by the per-pattern
+  // checks below: a transistor fault's retained state spans the whole
+  // random sequence, which a per-pattern context would restart.
+  const logic::CompiledCircuit cc(ckt);
   util::SplitMix64 rng(options.seed);
 
   // Per-transistor-fault cached dictionary and retained net state, so that

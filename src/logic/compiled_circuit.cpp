@@ -1,6 +1,7 @@
 #include "logic/compiled_circuit.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <stdexcept>
 
 #include "logic/logic_sim.hpp"
@@ -15,7 +16,13 @@ namespace {
 /// all_cell_kinds() when the tables are derived.
 constexpr std::size_t kKindCount = 7;
 
+std::atomic<std::uint64_t> g_compiles{0};
+
 }  // namespace
+
+std::uint64_t CompiledCircuit::compile_count() {
+  return g_compiles.load(std::memory_order_relaxed);
+}
 
 const LogicV* CompiledCircuit::good_table(gates::CellKind kind) {
   // Derived once per process: entry [kind][idx] is the X-aware good output
@@ -42,6 +49,7 @@ const LogicV* CompiledCircuit::good_table(gates::CellKind kind) {
 CompiledCircuit::CompiledCircuit(const Circuit& ckt) : ckt_(&ckt) {
   if (!ckt.finalized())
     throw std::invalid_argument("CompiledCircuit: circuit not finalized");
+  g_compiles.fetch_add(1, std::memory_order_relaxed);
 
   gates_.reserve(static_cast<std::size_t>(ckt.gate_count()));
   position_.assign(static_cast<std::size_t>(ckt.gate_count()), 0);
@@ -198,40 +206,6 @@ void CompiledCircuit::eval_packed_line(std::vector<std::uint64_t>& values,
   in[fault.pin] = forced;
   v[g.out] = eval_cell_packed(g.kind, in[0], in[1], in[2]);
   eval_packed_range(v, pos + 1, gates_.size());
-}
-
-std::uint64_t CompiledCircuit::eval_packed_faulty(
-    std::vector<std::uint64_t>& values, int fault_gate,
-    const gates::FaultAnalysis& fa) const {
-  assert(values.size() == static_cast<std::size_t>(ckt_->net_count()));
-  assert(fa.compiled_binary);
-  std::uint64_t* const v = values.data();
-  const std::size_t pos = position_of(fault_gate);
-  eval_packed_range(v, 0, pos);
-
-  // Faulted gate: minterm expansion of the compiled truth/contention
-  // masks.  Its local inputs equal the good machine's (the circuit is
-  // acyclic and this is the only faulted gate), so the contention word
-  // doubles as the per-pattern IDDQ excitation mask.
-  const GateRec& g = gates_[pos];
-  const std::uint64_t in[3] = {v[g.in[0]], v[g.in[1]], v[g.in[2]]};
-  std::uint64_t out = 0;
-  std::uint64_t contention = 0;
-  const unsigned combos = 1u << g.n_in;
-  // Only rows < combos carry bits (the dictionary has exactly 2^n rows).
-  const unsigned active = fa.compiled_truth | fa.compiled_contention;
-  for (unsigned vec = 0; vec < combos; ++vec) {
-    if (((active >> vec) & 1u) == 0) continue;
-    std::uint64_t minterm = ~0ull;
-    for (unsigned i = 0; i < g.n_in; ++i)
-      minterm &= ((vec >> i) & 1u) != 0 ? in[i] : ~in[i];
-    if (((fa.compiled_truth >> vec) & 1u) != 0) out |= minterm;
-    if (((fa.compiled_contention >> vec) & 1u) != 0) contention |= minterm;
-  }
-  v[g.out] = out;
-
-  eval_packed_range(v, pos + 1, gates_.size());
-  return contention;
 }
 
 // ---- SoA bit-plane kernels ------------------------------------------------

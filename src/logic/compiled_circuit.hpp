@@ -77,6 +77,10 @@ class CompiledCircuit {
 
   [[nodiscard]] const Circuit& circuit() const { return *ckt_; }
 
+  /// Compilations built so far in this process (a relaxed counter bumped
+  /// by the constructor), so tests can pin how often a job compiles.
+  [[nodiscard]] static std::uint64_t compile_count();
+
   /// Gate records in Circuit::topo_order() order.
   [[nodiscard]] const std::vector<GateRec>& gates() const { return gates_; }
 
@@ -133,14 +137,6 @@ class CompiledCircuit {
   /// one gate — no per-gate fault checks remain in the loop.
   void eval_packed_line(std::vector<std::uint64_t>& values,
                         const LineFault& fault) const;
-
-  /// Packed pass with `fault_gate` substituted by the compiled
-  /// truth/contention masks of `fa` (valid only when fa.compiled_binary).
-  /// @returns the contention word (bit k: pattern k excites a contention
-  ///   row — the per-pattern IDDQ excitation mask)
-  std::uint64_t eval_packed_faulty(std::vector<std::uint64_t>& values,
-                                   int fault_gate,
-                                   const gates::FaultAnalysis& fa) const;
 
   // ---- SoA bit-plane kernels (multi-word, multi-fault, SIMD) ---------------
   //
@@ -203,12 +199,14 @@ class CompiledCircuit {
                                      std::vector<std::uint64_t>& lane_scratch)
       const;
 
-  /// Plane-wide transistor-fault kernel: eval_packed_faulty over all
-  /// pattern words in kSimdWords groups, sharing the good planes as the
-  /// fault-free prefix.  Writes the per-word PO-difference and contention
-  /// words (unmasked — callers AND with their active words).  No early
-  /// exit: IDDQ-only excitations in late words must still be observed,
-  /// exactly like the per-batch loop it replaces.
+  /// Plane-wide transistor-fault kernel for compiled_binary dictionaries:
+  /// `fault_gate` becomes the minterm expansion of the compiled
+  /// truth/contention masks of `fa`, over all pattern words in kSimdWords
+  /// groups, sharing the good planes as the fault-free prefix.  Writes the
+  /// per-word PO-difference and contention words (unmasked — callers AND
+  /// with their active words).  No early exit: IDDQ-only excitations in
+  /// late words must still be observed, exactly like the per-batch loop it
+  /// replaces.
   void eval_packed_faulty_planes(const std::uint64_t* good_planes,
                                  std::size_t stride, std::size_t n_words,
                                  int fault_gate, const gates::FaultAnalysis& fa,

@@ -75,19 +75,9 @@ class Simulator {
 
   [[nodiscard]] const Circuit& circuit() const { return ckt_; }
 
-  /// The one-time compilation backing every pass (shared with the fault
-  /// simulator's packed paths).
-  [[nodiscard]] const CompiledCircuit& compiled() const { return cc_; }
-
  private:
   const Circuit& ckt_;
   CompiledCircuit cc_;
-};
-
-/// 64-pattern-parallel words: bit k of `ones`/`zeros` tells whether the net
-/// is 1/0 in pattern k.  Patterns must be fully specified.
-struct PackedValues {
-  std::vector<std::uint64_t> word;  ///< per net: bit k = value in pattern k
 };
 
 /// Packs up to 64 fully-specified patterns (bit k = pattern index k).

@@ -4,8 +4,10 @@
 
 #include "core/campaign_sweep.hpp"
 #include "core/experiments.hpp"
+#include "core/test_flow.hpp"
 #include "faults/fault_sim.hpp"
 #include "logic/benchmarks.hpp"
+#include "logic/compiled_circuit.hpp"
 
 namespace cpsinw::engine {
 namespace {
@@ -217,6 +219,45 @@ TEST(Campaign, RejectsNegativeThreads) {
   // Zero stays valid: it selects the hardware concurrency.
   spec.threads = 0;
   EXPECT_NO_THROW((void)run_campaign(spec));
+}
+
+/// Circuit compilations `fn` performs (the counter is process-wide, and
+/// this binary runs one test at a time).
+template <class Fn>
+std::uint64_t compiles_during(const Fn& fn) {
+  const std::uint64_t before = logic::CompiledCircuit::compile_count();
+  fn();
+  return logic::CompiledCircuit::compile_count() - before;
+}
+
+TEST(Campaign, RandomSourceJobCompilesOnceAtAnyShardSize) {
+  // The job's context compiles; every shard reads that compile.
+  for (const std::size_t shard_size :
+       {std::size_t{1}, CampaignSpec{}.shard_size}) {
+    CampaignSpec spec;
+    spec.jobs.push_back({"alu_array_4", logic::alu_array(4)});
+    spec.patterns.kind = PatternSourceSpec::Kind::kRandom;
+    spec.shard_size = shard_size;
+    spec.threads = 2;
+    EXPECT_EQ(compiles_during([&] { (void)run_campaign(spec); }), 1u)
+        << "shard_size " << shard_size;
+  }
+}
+
+TEST(Campaign, AtpgSourceJobCompilesThreeTimes) {
+  // The flow's engine, its compaction pass and the job's context; the
+  // flow's two-pattern checks borrow the engine's compile.
+  CampaignSpec spec;
+  spec.jobs.push_back({"alu_array_4", logic::alu_array(4)});
+  spec.patterns.kind = PatternSourceSpec::Kind::kAtpg;
+  spec.threads = 2;
+  EXPECT_EQ(compiles_during([&] { (void)run_campaign(spec); }), 3u);
+}
+
+TEST(Campaign, TestFlowCompilesTwice) {
+  // The flow's engine and its compaction pass.
+  const logic::Circuit ckt = logic::alu_array(4);
+  EXPECT_EQ(compiles_during([&] { (void)core::run_test_flow(ckt); }), 2u);
 }
 
 TEST(Campaign, TimingIsReportedButExcludedFromStableJson) {

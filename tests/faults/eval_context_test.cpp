@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "atpg/two_pattern.hpp"
+#include "faults/bridge.hpp"
 #include "faults/fault_sim.hpp"
 #include "logic/benchmarks.hpp"
 #include "reference_sim.hpp"
@@ -228,16 +229,86 @@ TEST(EvalContext, LineFaultDetectedOverloadMatchesSinglePatternCheck) {
   const Workload w = workloads()[0];
   const FaultSimulator fsim(w.ckt);
   const EvalContext ctx(w.ckt, w.patterns);
+  // The same set with an X in one pattern: on the X-bearing context the
+  // binary patterns still answer and the X pattern throws.
+  const std::size_t x_at = 10;
+  std::vector<Pattern> with_x = w.patterns;
+  with_x[x_at][0] = LogicV::kX;
+  const EvalContext x_ctx(w.ckt, with_x);
+  ASSERT_FALSE(x_ctx.packed());
   int line_faults = 0;
   for (const Fault& f : w.faults) {
     if (f.site == FaultSite::kGateTransistor) continue;
     if (++line_faults % 3 != 0) continue;  // subsample for speed
-    for (std::size_t pi = 0; pi < w.patterns.size(); pi += 5)
-      EXPECT_EQ(fsim.line_fault_detected(ctx, f, pi),
-                fsim.line_fault_detected(f, w.patterns[pi]))
+    for (std::size_t pi = 0; pi < w.patterns.size(); pi += 5) {
+      const bool want =
+          reference::line(EvalContext(ctx.compiled(), {w.patterns[pi]}), f)
+              .detected_output;
+      EXPECT_EQ(fsim.line_fault_detected(ctx, f, pi), want)
           << "pattern " << pi;
+      EXPECT_EQ(fsim.line_fault_detected(f, w.patterns[pi]), want)
+          << "pattern " << pi;
+      if (pi == x_at) {
+        EXPECT_THROW((void)fsim.line_fault_detected(x_ctx, f, pi),
+                     std::invalid_argument);
+        EXPECT_THROW((void)fsim.line_fault_detected(f, with_x[pi]),
+                     std::invalid_argument);
+      } else {
+        EXPECT_EQ(fsim.line_fault_detected(x_ctx, f, pi), want)
+            << "X-bearing context, pattern " << pi;
+      }
+    }
   }
   EXPECT_GT(line_faults, 0);
+}
+
+TEST(EvalContext, BorrowedCompileMatchesOwningContext) {
+  const Workload w = workloads()[0];
+  const logic::CompiledCircuit cc(w.ckt);
+  std::vector<Fault> trans;
+  for (const Fault& f : w.faults)
+    if (f.site == FaultSite::kGateTransistor) trans.push_back(f);
+  const std::vector<BridgeFault> bridges = enumerate_adjacent_bridges(w.ckt);
+  ASSERT_FALSE(trans.empty());
+  ASSERT_FALSE(bridges.empty());
+  std::vector<Pattern> with_x = w.patterns;
+  with_x[3][1] = LogicV::kX;
+  with_x[40][0] = LogicV::kX;
+
+  const FaultSimulator fsim(w.ckt);
+  for (const bool x_bearing : {false, true}) {
+    const std::vector<Pattern>& patterns = x_bearing ? with_x : w.patterns;
+    const EvalContext owning(w.ckt, patterns);
+    const EvalContext borrowed(cc, patterns);
+    EXPECT_EQ(&borrowed.compiled(), &cc);
+    EXPECT_EQ(&borrowed.circuit(), &w.ckt);
+    ASSERT_EQ(borrowed.packed(), !x_bearing);
+    ASSERT_EQ(owning.packed(), borrowed.packed());
+    for (const bool sequential : {true, false}) {
+      for (const DetectionMode mode :
+           {DetectionMode::kFull, DetectionMode::kFirstOnly}) {
+        FaultSimOptions opt;
+        opt.sequential_patterns = sequential;
+        opt.detection_mode = mode;
+        const std::string label =
+            std::string(x_bearing ? "X-bearing" : "packed") +
+            " seq=" + std::to_string(sequential) +
+            " first_only=" + std::to_string(mode == DetectionMode::kFirstOnly);
+        const FaultSimReport want = fsim.run(owning, trans, opt);
+        const FaultSimReport got = fsim.run(borrowed, trans, opt);
+        ASSERT_EQ(got.records.size(), want.records.size());
+        for (std::size_t fi = 0; fi < trans.size(); ++fi)
+          expect_record_eq(got.records[fi], want.records[fi],
+                           label + " fault " + std::to_string(fi));
+        const auto want_b = simulate_bridges(owning, bridges, opt);
+        const auto got_b = simulate_bridges(borrowed, bridges, opt);
+        ASSERT_EQ(got_b.size(), want_b.size());
+        for (std::size_t bi = 0; bi < bridges.size(); ++bi)
+          expect_record_eq(got_b[bi], want_b[bi],
+                           label + " bridge " + std::to_string(bi));
+      }
+    }
+  }
 }
 
 TEST(EvalContext, RejectsForeignCircuitAndBadRanges) {
