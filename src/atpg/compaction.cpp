@@ -1,7 +1,5 @@
 #include "atpg/compaction.hpp"
 
-#include <algorithm>
-
 namespace cpsinw::atpg {
 
 CompactionResult compact_patterns(const logic::Circuit& ckt,
@@ -11,34 +9,30 @@ CompactionResult compact_patterns(const logic::Circuit& ckt,
   const faults::FaultSimulator fsim(ckt);
   CompactionResult out;
   out.original_count = static_cast<int>(patterns.size());
-  // The one compile of the pass: every later context borrows it.
+  // The one compile of the pass: the other two contexts borrow it.
   const faults::EvalContext before_ctx(ckt, patterns);
   const logic::CompiledCircuit& cc = before_ctx.compiled();
   out.coverage_before = fsim.run(before_ctx, faults, options).coverage();
 
-  // Walk patterns in reverse; keep one iff it adds coverage over the kept
-  // set so far.  (Reverse order works well because ATPG emits patterns for
-  // hard faults last, and those often cover many easy faults.)
-  std::vector<logic::Pattern> kept;
-  std::vector<char> covered(faults.size(), 0);
-  int covered_count = 0;
-  for (auto it = patterns.rbegin(); it != patterns.rend(); ++it) {
-    bool adds = false;
-    const faults::EvalContext pattern_ctx(cc, {*it});
-    const faults::FaultSimReport rep = fsim.run(pattern_ctx, faults, options);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (covered[fi]) continue;
-      if (rep.records[fi].detected(options.observe_iddq)) {
-        covered[fi] = 1;
-        ++covered_count;
-        adds = true;
-      }
-    }
-    if (adds) kept.push_back(*it);
-    if (covered_count == static_cast<int>(faults.size())) break;
-  }
-  std::reverse(kept.begin(), kept.end());
-  out.patterns = std::move(kept);
+  // Walking the list last-to-first, a pattern is kept iff it is the first
+  // to detect some fault.  (Reverse order works well because ATPG emits
+  // patterns for hard faults last, and those often cover many easy
+  // faults.)  With retention off a pattern's detections do not depend on
+  // its neighbours, so one first-detection run over the reversed list
+  // names every kept pattern.
+  faults::FaultSimOptions pass = options;
+  pass.sequential_patterns = false;
+  pass.detection_mode = faults::DetectionMode::kFirstOnly;
+  const std::size_t n = patterns.size();
+  const faults::EvalContext rev_ctx(
+      cc, std::vector<logic::Pattern>(patterns.rbegin(), patterns.rend()));
+  std::vector<char> keep(n, 0);
+  for (const faults::DetectionRecord& rec :
+       fsim.run(rev_ctx, faults, pass).records)
+    if (rec.first_pattern >= 0)
+      keep[n - 1 - static_cast<std::size_t>(rec.first_pattern)] = 1;
+  for (std::size_t p = 0; p < n; ++p)
+    if (keep[p]) out.patterns.push_back(patterns[p]);
   out.coverage_after =
       fsim.run(faults::EvalContext(cc, out.patterns), faults, options)
           .coverage();

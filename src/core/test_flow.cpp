@@ -145,6 +145,8 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
       else if (o.method == CoverageMethod::kFunctionalPattern)
         comb.push_back(o.fault);
     }
+    // Retention off: each pattern stands alone, so compaction keeps
+    // coverage exactly; the check below still guards that contract.
     faults::FaultSimOptions fso;
     fso.observe_iddq = false;
     fso.sequential_patterns = false;

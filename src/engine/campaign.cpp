@@ -108,6 +108,24 @@ struct JobData {
   std::vector<ShardResult> results;  ///< slot per shard, filled in parallel
 };
 
+/// Runs one setup sub-phase.  With telemetry on (`telem` non-null) it
+/// records the phase's seconds in histogram `metric` and a span `span`;
+/// with it off it reads no clock.
+template <typename Body>
+void setup_phase(telemetry::CampaignTelemetry* telem, const char* metric,
+                 const char* span, Body&& body) {
+  if (telem == nullptr) {
+    body();
+    return;
+  }
+  const telemetry::TimePoint start = telemetry::Clock::now();
+  body();
+  const telemetry::TimePoint end = telemetry::Clock::now();
+  telem->registry.histogram(metric).record(
+      std::chrono::duration<double>(end - start).count());
+  telem->trace.add_span(span, "phase", start, end);
+}
+
 }  // namespace
 
 CampaignReport run_campaign(const CampaignSpec& spec) {
@@ -183,19 +201,33 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   // campaign seed by job index, so scheduling cannot affect them.  Setup
   // runs on the executor's compute resource (serial for kInline, the one
   // shared pool otherwise); its errors are spec-level problems and still
-  // throw — only shard-phase failures degrade to the error slot. ---------
+  // throw — only shard-phase failures degrade to the error slot.  With
+  // telemetry on, each job's universe, patterns and context are timed as
+  // sub-phases. ------------------------------------------------------------
+  telemetry::CampaignTelemetry* const setup_telem =
+      telemetry_on ? &telem : nullptr;
   std::vector<std::function<void()>> setup_tasks;
   setup_tasks.reserve(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    setup_tasks.push_back([&jobs, &spec, &campaign_rng, j] {
+    setup_tasks.push_back([&jobs, &spec, &campaign_rng, setup_telem, j] {
       JobData& job = jobs[j];
-      job.universe = build_universe(job.spec->circuit, spec.models,
-                                    spec.sim.observe_iddq);
-      job.context = std::make_unique<faults::EvalContext>(
-          job.spec->circuit,
-          build_patterns(
-              job.spec->circuit, spec.patterns,
-              campaign_rng.fork(2 * static_cast<std::uint64_t>(j))));
+      setup_phase(setup_telem, "campaign.setup.universe_s", "setup:universe",
+                  [&] {
+                    job.universe = build_universe(
+                        job.spec->circuit, spec.models, spec.sim.observe_iddq);
+                  });
+      std::vector<logic::Pattern> patterns;
+      setup_phase(setup_telem, "campaign.setup.patterns_s", "setup:patterns",
+                  [&] {
+                    patterns = build_patterns(
+                        job.spec->circuit, spec.patterns,
+                        campaign_rng.fork(2 * static_cast<std::uint64_t>(j)));
+                  });
+      setup_phase(setup_telem, "campaign.setup.context_s", "setup:context",
+                  [&] {
+                    job.context = std::make_unique<faults::EvalContext>(
+                        job.spec->circuit, std::move(patterns));
+                  });
       job.shards = make_shards(
           static_cast<int>(j), job.universe.size(), spec.shard_size,
           campaign_rng.fork(2 * static_cast<std::uint64_t>(j) + 1));

@@ -399,5 +399,39 @@ TEST(TelemetryReport, TimingGainsPhaseFieldsOnlyWhenOptedIn) {
   EXPECT_NE(opted.find("\"merge_s\""), std::string::npos);
 }
 
+TEST(TelemetryReport, SetupSubPhasesRecordedOncePerJob) {
+  const std::string path = testing::TempDir() + "/cpsinw_trace_setup.json";
+  CampaignSpec spec = small_campaign_spec();
+  ASSERT_EQ(spec.jobs.size(), 2u);
+  spec.executor.backend = ExecutorBackend::kThreadPool;
+  spec.threads = 2;
+  spec.emit_telemetry = true;
+  spec.trace_path = path;
+  const CampaignReport report = run_campaign(spec);
+  ASSERT_TRUE(report.ok()) << report.error;
+
+  for (const char* name : {"campaign.setup.universe_s",
+                           "campaign.setup.patterns_s",
+                           "campaign.setup.context_s"}) {
+    const telemetry::HistogramValue* h =
+        report.telemetry.find_histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count, 2u) << name;
+  }
+
+  const std::string text = read_file(path);
+  ASSERT_FALSE(text.empty()) << "trace file missing: " << path;
+  check_trace_json(text);
+  const JsonValue doc = parse_json(text);
+  for (const char* span : {"setup:universe", "setup:patterns",
+                           "setup:context"}) {
+    int seen = 0;
+    for (const JsonValue& ev : doc.at("traceEvents").as_array("traceEvents"))
+      if (ev.at("name").as_string("name") == span) ++seen;
+    EXPECT_EQ(seen, 2) << span;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace cpsinw::engine
