@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "faults/fault_sim.hpp"
 #include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 
@@ -63,20 +64,34 @@ struct Target {
   logic::LogicV retained = logic::LogicV::kX;
 };
 
-class Solver {
+}  // namespace
+
+/// One search.  The state starts as a copy of the engine's all-X state;
+/// each implication re-evaluates only the gates whose inputs changed since
+/// the last one, and keeps the fault-effect count and the D-frontier bits
+/// up to date as it goes.
+class PodemEngine::Solver {
  public:
-  Solver(const logic::Circuit& ckt, const logic::CompiledCircuit& cc,
-         Target target, const PodemOptions& opt,
-         const std::vector<Testability>* scoap)
-      : ckt_(ckt), cc_(cc), target_(target), opt_(opt), scoap_(scoap) {
-    pi_assign_.assign(ckt.primary_inputs().size(), LogicV::kX);
-    values_.assign(static_cast<std::size_t>(ckt.net_count()), V5::x());
-    // Constant nets never change across implications: seed them once and
-    // copy the baseline per imply() instead of re-reading the circuit.
-    base_.assign(static_cast<std::size_t>(ckt.net_count()), V5::x());
-    for (NetId n = 0; n < ckt.net_count(); ++n) {
-      const LogicV c = ckt.constant_of(n);
-      if (is_binary(c)) base_[static_cast<std::size_t>(n)] = V5::both(c);
+  Solver(const PodemEngine& engine, const Target& target,
+         const PodemOptions& opt)
+      : e_(engine),
+        gates_(engine.cc_.gates()),
+        target_(target),
+        opt_(opt),
+        pi_assign_(engine.ckt_.primary_inputs().size(), LogicV::kX),
+        values_(engine.all_x_),
+        dirty_((gates_.size() + 63) / 64, 0),
+        frontier_(dirty_.size(), 0) {
+    // Seed what the target changes in the fault-free all-X state.
+    if (target_.line && target_.line_gate < 0) {
+      stem_net_ = target_.line_net;
+      write(stem_net_, net_value(stem_net_));
+    } else if (target_.line) {
+      target_pos_ = e_.cc_.position_of(target_.line_gate);
+      mark(target_pos_);
+    } else if (target_.functional) {
+      target_pos_ = e_.cc_.position_of(target_.func_gate);
+      mark(target_pos_);
     }
   }
 
@@ -104,7 +119,7 @@ class Solver {
           !failure() && next_objective(obj_pi, obj_val);
 
       if (can_extend) {
-        pi_assign_[static_cast<std::size_t>(obj_pi)] = obj_val;
+        assign(obj_pi, obj_val);
         stack.push_back({obj_pi, false});
         continue;
       }
@@ -115,8 +130,8 @@ class Solver {
         Decision& top = stack.back();
         if (!top.flipped) {
           top.flipped = true;
-          LogicV& v = pi_assign_[static_cast<std::size_t>(top.pi)];
-          v = v == LogicV::k0 ? LogicV::k1 : LogicV::k0;
+          const LogicV v = pi_assign_[static_cast<std::size_t>(top.pi)];
+          assign(top.pi, v == LogicV::k0 ? LogicV::k1 : LogicV::k0);
           if (++backtracks_ > opt_.backtrack_limit) {
             result.status = AtpgStatus::kAborted;
             result.backtracks = backtracks_;
@@ -125,7 +140,7 @@ class Solver {
           resumed = true;
           break;
         }
-        pi_assign_[static_cast<std::size_t>(top.pi)] = LogicV::kX;
+        assign(top.pi, LogicV::kX);
         stack.pop_back();
       }
       if (!resumed) {
@@ -137,49 +152,109 @@ class Solver {
   }
 
  private:
+  using GateRec = logic::CompiledCircuit::GateRec;
+  static constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
+
   [[nodiscard]] V5 net_value(NetId n) const {
     return values_[static_cast<std::size_t>(n)];
   }
 
+  /// Sets a PI and queues it for the next implication.
+  void assign(int pi, LogicV v) {
+    pi_assign_[static_cast<std::size_t>(pi)] = v;
+    pending_.push_back(pi);
+  }
+
+  void mark(std::size_t pos) { dirty_[pos >> 6] |= 1ull << (pos & 63); }
+
+  /// Stores a net's value; when it changes, keeps the fault-effect count
+  /// and marks the net's fan-out for re-evaluation.  A stem fault forces
+  /// the faulty component of its net on every write.
+  void write(NetId net, V5 v) {
+    if (net == stem_net_) v.faulty = target_.stuck;
+    V5& slot = values_[static_cast<std::size_t>(net)];
+    if (slot == v) return;
+    fault_effects_ += static_cast<int>(v.is_fault_effect()) -
+                      static_cast<int>(slot.is_fault_effect());
+    slot = v;
+    const auto n = static_cast<std::size_t>(net);
+    for (std::uint32_t k = e_.fanout_begin_[n]; k < e_.fanout_begin_[n + 1];
+         ++k)
+      mark(e_.fanout_[k]);
+  }
+
+  /// Writes the queued PIs, then re-evaluates every dirty gate in one
+  /// ascending sweep: fan-out always sits later in levelized order, so a
+  /// gate marked while the sweep runs is still ahead of it.
   void imply() {
-    using logic::CompiledCircuit;
-    values_ = base_;
-    const auto& pis = ckt_.primary_inputs();
-    for (std::size_t i = 0; i < pis.size(); ++i)
-      values_[static_cast<std::size_t>(pis[i])] = V5::both(pi_assign_[i]);
-
-    // Stem fault forces the faulty component of the net everywhere.
-    if (target_.line && target_.line_gate < 0)
-      values_[static_cast<std::size_t>(target_.line_net)].faulty =
-          target_.stuck;
-
-    // Forward implication off the compiled records: both the good and the
-    // faulty component come from the levelized 4-valued tables (unused
-    // pins alias slot 0, whose code the tables ignore).
-    for (const CompiledCircuit::GateRec& g : cc_.gates()) {
-      V5 in_v[3] = {values_[static_cast<std::size_t>(g.in[0])],
-                    values_[static_cast<std::size_t>(g.in[1])],
-                    values_[static_cast<std::size_t>(g.in[2])]};
-      // Branch fault: only this gate's pin sees the forced value.
-      if (target_.line && target_.line_gate == g.id)
-        in_v[target_.line_pin].faulty = target_.stuck;
-
-      V5 out;
-      out.good = g.table[CompiledCircuit::code(in_v[0].good) |
-                         (CompiledCircuit::code(in_v[1].good) << 2) |
-                         (CompiledCircuit::code(in_v[2].good) << 4)];
-      if (target_.functional && target_.func_gate == g.id) {
-        out.faulty = faulty_gate_output(in_v, g.n_in);
-      } else {
-        out.faulty = g.table[CompiledCircuit::code(in_v[0].faulty) |
-                             (CompiledCircuit::code(in_v[1].faulty) << 2) |
-                             (CompiledCircuit::code(in_v[2].faulty) << 4)];
+    const auto& pis = e_.ckt_.primary_inputs();
+    for (const int pi : pending_)
+      write(pis[static_cast<std::size_t>(pi)],
+            V5::both(pi_assign_[static_cast<std::size_t>(pi)]));
+    pending_.clear();
+    for (std::size_t w = 0; w < dirty_.size(); ++w) {
+      while (dirty_[w] != 0) {
+        const std::size_t pos =
+            w * 64 + static_cast<std::size_t>(__builtin_ctzll(dirty_[w]));
+        dirty_[w] &= dirty_[w] - 1;
+        evaluate(pos);
       }
-      values_[static_cast<std::size_t>(g.out)] = out;
-      if (target_.line && target_.line_gate < 0 &&
-          g.out == target_.line_net)
-        values_[static_cast<std::size_t>(g.out)].faulty = target_.stuck;
     }
+  }
+
+  [[nodiscard]] static LogicV lookup(const GateRec& g, LogicV a, LogicV b,
+                                     LogicV c) {
+    using logic::CompiledCircuit;
+    return g.table[CompiledCircuit::code(a) | (CompiledCircuit::code(b) << 2) |
+                   (CompiledCircuit::code(c) << 4)];
+  }
+
+  /// Re-evaluates one gate off the compiled records (unused pins alias
+  /// slot 0, whose code the tables ignore), stores its output and updates
+  /// its D-frontier bit.
+  void evaluate(std::size_t pos) {
+    const GateRec& g = gates_[pos];
+    V5 in_v[3] = {net_value(g.in[0]), net_value(g.in[1]),
+                  net_value(g.in[2])};
+    const bool target_gate = pos == target_pos_;
+    // Branch fault: only this gate's pin sees the forced value.
+    if (target_gate && target_.line_gate >= 0)
+      in_v[target_.line_pin].faulty = target_.stuck;
+
+    V5 out;
+    out.good = lookup(g, in_v[0].good, in_v[1].good, in_v[2].good);
+    if (target_gate && target_.functional)
+      out.faulty = faulty_gate_output(in_v, g.n_in);
+    else
+      out.faulty = lookup(g, in_v[0].faulty, in_v[1].faulty, in_v[2].faulty);
+    write(g.out, out);
+
+    // D-frontier: a fault effect on an input (or the excited fault site
+    // itself) and an output still X on either side.  Membership reads
+    // only the gate's own pins, so it changes only when they do.
+    const V5 stored = net_value(g.out);
+    bool member = false;
+    if (!is_binary(stored.good) || !is_binary(stored.faulty)) {
+      for (unsigned i = 0; i < g.n_in; ++i)
+        if (net_value(g.in[i]).is_fault_effect()) member = true;
+      if (target_gate && site_excited()) member = true;
+    }
+    const std::uint64_t bit = 1ull << (pos & 63);
+    std::uint64_t& word = frontier_[pos >> 6];
+    if (member != ((word & bit) != 0)) {
+      word ^= bit;
+      frontier_size_ += member ? 1 : -1;
+    }
+  }
+
+  /// Whether the branch or functional fault site drives a fault effect
+  /// into its gate: the branch's net holds the non-stuck value, or the
+  /// functional gate's excitation cube is justified.
+  [[nodiscard]] bool site_excited() const {
+    if (target_.functional) return cube_justified();
+    if (target_.line_gate < 0) return false;
+    const LogicV good = net_value(target_.line_net).good;
+    return is_binary(good) && good != target_.stuck;
   }
 
   /// Faulty output of the functional-faulted gate from its dictionary;
@@ -199,7 +274,7 @@ class Solver {
   }
 
   [[nodiscard]] bool cube_justified() const {
-    const logic::GateInst& g = ckt_.gate(target_.cube_gate);
+    const logic::GateInst& g = e_.ckt_.gate(target_.cube_gate);
     for (int i = 0; i < g.input_count(); ++i) {
       const LogicV v =
           net_value(g.in[static_cast<std::size_t>(i)]).good;
@@ -211,7 +286,7 @@ class Solver {
   }
 
   [[nodiscard]] bool cube_dead() const {
-    const logic::GateInst& g = ckt_.gate(target_.cube_gate);
+    const logic::GateInst& g = e_.ckt_.gate(target_.cube_gate);
     for (int i = 0; i < g.input_count(); ++i) {
       const LogicV v =
           net_value(g.in[static_cast<std::size_t>(i)]).good;
@@ -231,7 +306,7 @@ class Solver {
       }
       return cube_justified();
     }
-    for (const NetId po : ckt_.primary_outputs())
+    for (const NetId po : e_.ckt_.primary_outputs())
       if (net_value(po).is_fault_effect()) return true;
     return false;
   }
@@ -245,44 +320,8 @@ class Solver {
     return true;
   }
 
-  [[nodiscard]] bool fault_effect_exists() const {
-    for (NetId n = 0; n < ckt_.net_count(); ++n)
-      if (net_value(n).is_fault_effect()) return true;
-    return false;
-  }
-
-  /// D-frontier: gates with a fault effect on an input (or the excited
-  /// fault site itself) whose output is still X on either side.
-  [[nodiscard]] std::vector<int> d_frontier() const {
-    std::vector<int> frontier;
-    for (const logic::GateInst& g : ckt_.gates()) {
-      const V5 out = net_value(g.out);
-      if (is_binary(out.good) && is_binary(out.faulty)) continue;
-      bool candidate = false;
-      for (int i = 0; i < g.input_count(); ++i)
-        if (net_value(g.in[static_cast<std::size_t>(i)]).is_fault_effect())
-          candidate = true;
-      if (target_.functional && g.id == target_.func_gate && cube_justified())
-        candidate = true;
-      if (target_.line && g.id == target_.line_gate) {
-        const LogicV good = net_value(target_.line_net).good;
-        if (is_binary(good) && good != target_.stuck) candidate = true;
-      }
-      if (candidate) frontier.push_back(g.id);
-    }
-    if (scoap_ != nullptr && frontier.size() > 1) {
-      std::stable_sort(frontier.begin(), frontier.end(),
-                       [&](int a, int b) {
-                         const auto& sa = (*scoap_)[static_cast<std::size_t>(
-                             ckt_.gate(a).out)];
-                         const auto& sb = (*scoap_)[static_cast<std::size_t>(
-                             ckt_.gate(b).out)];
-                         return sa.obs < sb.obs;
-                       });
-    }
-    return frontier;
-  }
-
+  /// Called only after success() failed, so a fault effect that exists
+  /// has not reached a PO yet and needs a D-frontier gate to get there.
   [[nodiscard]] bool failure() const {
     if (target_.justify_only) {
       if (!target_.justify_nets.empty()) {
@@ -295,11 +334,7 @@ class Solver {
       return cube_dead();
     }
     if (!excitation_possible()) return true;
-    if (fault_effect_exists()) {
-      if (success()) return false;
-      if (d_frontier().empty()) return true;
-    }
-    return false;
+    return fault_effects_ > 0 && frontier_size_ == 0;
   }
 
   /// Picks the next objective and backtraces it to a PI assignment.
@@ -317,7 +352,7 @@ class Solver {
         }
       }
     } else if (target_.cube_gate >= 0 && !cube_justified()) {
-      const logic::GateInst& g = ckt_.gate(target_.cube_gate);
+      const logic::GateInst& g = e_.ckt_.gate(target_.cube_gate);
       for (int i = 0; i < g.input_count(); ++i) {
         const NetId n = g.in[static_cast<std::size_t>(i)];
         if (net_value(n).good == LogicV::kX) {
@@ -331,19 +366,34 @@ class Solver {
       obj_net = target_.line_net;
       obj_val = target_.stuck == LogicV::k0 ? LogicV::k1 : LogicV::k0;
     } else if (!target_.justify_only) {
-      // Propagation: pick the first D-frontier gate and feed it a
-      // non-masking side value.
-      const auto frontier = d_frontier();
-      for (const int gid : frontier) {
-        const logic::GateInst& g = ckt_.gate(gid);
-        for (int i = 0; i < g.input_count(); ++i) {
-          const NetId n = g.in[static_cast<std::size_t>(i)];
-          if (net_value(n).good != LogicV::kX) continue;
-          obj_net = n;
-          obj_val = preferred_side_value(g, i);
-          break;
+      // Propagation: the most observable D-frontier gate (least SCOAP
+      // observability, ties by gate id) that still has an unassigned
+      // input gets a non-masking value on its first unassigned input.
+      const GateRec* best = nullptr;
+      int best_obs = 0;
+      unsigned best_pin = 0;
+      for (std::size_t w = 0; w < frontier_.size(); ++w) {
+        for (std::uint64_t bits = frontier_[w]; bits != 0;
+             bits &= bits - 1) {
+          const std::size_t pos =
+              w * 64 + static_cast<std::size_t>(__builtin_ctzll(bits));
+          const GateRec& g = gates_[pos];
+          unsigned pin = 0;
+          while (pin < g.n_in && net_value(g.in[pin]).good != LogicV::kX)
+            ++pin;
+          if (pin == g.n_in) continue;
+          const int obs = e_.obs_[pos];
+          if (best == nullptr || obs < best_obs ||
+              (obs == best_obs && g.id < best->id)) {
+            best = &g;
+            best_obs = obs;
+            best_pin = pin;
+          }
         }
-        if (obj_net >= 0) break;
+      }
+      if (best != nullptr) {
+        obj_net = best->in[best_pin];
+        obj_val = preferred_side_value(*best, best_pin);
       }
     }
     if (obj_net < 0) return false;
@@ -351,17 +401,16 @@ class Solver {
   }
 
   /// Non-masking side-input value for propagating through `g`.
-  [[nodiscard]] LogicV preferred_side_value(const logic::GateInst& g,
-                                            int pin) const {
+  [[nodiscard]] LogicV preferred_side_value(const GateRec& g,
+                                            unsigned pin) const {
     switch (g.kind) {
       case gates::CellKind::kNand2: return LogicV::k1;
       case gates::CellKind::kNor2: return LogicV::k0;
       case gates::CellKind::kMaj3: {
         // MAJ passes a D on one pin when the other two pins disagree.
-        for (int i = 0; i < g.input_count(); ++i) {
+        for (unsigned i = 0; i < g.n_in; ++i) {
           if (i == pin) continue;
-          const LogicV v =
-              net_value(g.in[static_cast<std::size_t>(i)]).good;
+          const LogicV v = net_value(g.in[i]).good;
           if (is_binary(v)) return logic_not(v);
         }
         return LogicV::k1;
@@ -373,32 +422,27 @@ class Solver {
   /// Maps an objective back to an unassigned primary input.
   bool backtrace(NetId net, LogicV value, int& pi_index,
                  LogicV& pi_value) const {
-    for (int hop = 0; hop < ckt_.net_count() + 1; ++hop) {
-      if (ckt_.is_primary_input(net)) {
-        const auto& pis = ckt_.primary_inputs();
-        for (std::size_t i = 0; i < pis.size(); ++i) {
-          if (pis[i] != net) continue;
-          if (pi_assign_[i] != LogicV::kX) return false;  // already set
-          pi_index = static_cast<int>(i);
-          pi_value = value;
-          return true;
-        }
-        return false;
+    const logic::Circuit& ckt = e_.ckt_;
+    for (int hop = 0; hop < ckt.net_count() + 1; ++hop) {
+      const int pi = e_.pi_index_[static_cast<std::size_t>(net)];
+      if (pi >= 0) {
+        if (pi_assign_[static_cast<std::size_t>(pi)] != LogicV::kX)
+          return false;  // already set
+        pi_index = pi;
+        pi_value = value;
+        return true;
       }
-      const int drv = ckt_.driver_of(net);
+      const int drv = ckt.driver_of(net);
       if (drv < 0) return false;  // constant: cannot justify
-      const logic::GateInst& g = ckt_.gate(drv);
+      const logic::GateInst& g = ckt.gate(drv);
 
       int pick = -1;
       long long best_cost = -1;
       for (int i = 0; i < g.input_count(); ++i) {
         const NetId cand = g.in[static_cast<std::size_t>(i)];
         if (net_value(cand).good != LogicV::kX) continue;
-        long long cost = 0;
-        if (scoap_ != nullptr) {
-          const Testability& tc = (*scoap_)[static_cast<std::size_t>(cand)];
-          cost = std::min(tc.cc0, tc.cc1);
-        }
+        const Testability& tc = e_.scoap_[static_cast<std::size_t>(cand)];
+        const long long cost = std::min(tc.cc0, tc.cc1);
         if (pick < 0 || cost < best_cost) {
           pick = i;
           best_cost = cost;
@@ -446,18 +490,23 @@ class Solver {
     return p;
   }
 
-  const logic::Circuit& ckt_;
-  const logic::CompiledCircuit& cc_;
-  Target target_;
-  PodemOptions opt_;
-  const std::vector<Testability>* scoap_ = nullptr;
+  const PodemEngine& e_;
+  const std::vector<GateRec>& gates_;
+  const Target& target_;
+  const PodemOptions& opt_;
+  /// Position of the gate whose evaluation the target changes: the
+  /// branch gate or the functional gate.
+  std::size_t target_pos_ = kNoPos;
+  NetId stem_net_ = -1;  ///< stem fault's net, or -1
   std::vector<LogicV> pi_assign_;
+  std::vector<int> pending_;  ///< PIs changed since the last implication
   std::vector<V5> values_;
-  std::vector<V5> base_;  ///< constants seeded, everything else X
+  std::vector<std::uint64_t> dirty_;     ///< bit per position: re-evaluate
+  std::vector<std::uint64_t> frontier_;  ///< bit per position: D-frontier
+  int frontier_size_ = 0;
+  int fault_effects_ = 0;  ///< nets carrying D or D-bar
   int backtracks_ = 0;
 };
-
-}  // namespace
 
 namespace {
 
@@ -470,26 +519,54 @@ const logic::Circuit& require_finalized(const logic::Circuit& ckt) {
 }  // namespace
 
 PodemEngine::PodemEngine(const logic::Circuit& ckt)
-    : ckt_(ckt), cc_(require_finalized(ckt)) {
-  scoap_ = compute_scoap(ckt);
+    : ckt_(ckt), cc_(require_finalized(ckt)), scoap_(compute_scoap(ckt)) {
+  const auto n_nets = static_cast<std::size_t>(ckt.net_count());
+  const auto& pis = ckt.primary_inputs();
+  pi_index_.assign(n_nets, -1);
+  for (std::size_t i = 0; i < pis.size(); ++i)
+    pi_index_[static_cast<std::size_t>(pis[i])] = static_cast<int>(i);
+
+  // Fan-out CSR over levelized positions, each row ascending; a net read
+  // on two pins of one gate lists that gate once.
+  const auto& gates = cc_.gates();
+  fanout_begin_.reserve(n_nets + 1);
+  fanout_begin_.push_back(0);
+  for (NetId n = 0; n < ckt.net_count(); ++n) {
+    const auto row = static_cast<std::ptrdiff_t>(fanout_.size());
+    for (const int gid : ckt.fanout(n))
+      fanout_.push_back(static_cast<std::uint32_t>(cc_.position_of(gid)));
+    std::sort(fanout_.begin() + row, fanout_.end());
+    fanout_.erase(std::unique(fanout_.begin() + row, fanout_.end()),
+                  fanout_.end());
+    fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_.size()));
+  }
+  obs_.reserve(gates.size());
+  for (const auto& g : gates)
+    obs_.push_back(scoap_[static_cast<std::size_t>(g.out)].obs);
+
+  std::vector<LogicV> good;
+  cc_.init_scalar(std::vector<LogicV>(pis.size(), LogicV::kX), good);
+  cc_.eval_scalar(good);
+  all_x_.reserve(n_nets);
+  for (const LogicV v : good) all_x_.push_back(V5::both(v));
 }
 
 AtpgResult PodemEngine::generate_line(const Fault& fault,
                                       const PodemOptions& opt) const {
-  if (fault.site == FaultSite::kGateTransistor)
-    throw std::invalid_argument("generate_line: transistor fault");
+  // The search indexes its tables by these ids: validate them first.
+  const logic::CompiledCircuit::LineFault lf =
+      faults::checked_line_fault(ckt_, fault);
   Target t;
   t.line = true;
-  t.stuck = fault.stuck_at_one ? LogicV::k1 : LogicV::k0;
-  if (fault.site == FaultSite::kNet) {
-    t.line_net = fault.net;
+  t.stuck = lf.stuck_one ? LogicV::k1 : LogicV::k0;
+  if (lf.net >= 0) {
+    t.line_net = lf.net;
   } else {
-    t.line_gate = fault.gate;
-    t.line_pin = fault.pin;
-    t.line_net = ckt_.gate(fault.gate)
-                     .in[static_cast<std::size_t>(fault.pin)];
+    t.line_gate = lf.gate;
+    t.line_pin = lf.pin;
+    t.line_net = ckt_.gate(lf.gate).in[static_cast<std::size_t>(lf.pin)];
   }
-  return Solver(ckt_, cc_, t, opt, &scoap_).run();
+  return Solver(*this, t, opt).run();
 }
 
 AtpgResult PodemEngine::generate_functional(const Fault& fault,
@@ -509,7 +586,7 @@ AtpgResult PodemEngine::generate_functional(const Fault& fault,
     t.dictionary = &fa;
     t.cube_gate = fault.gate;
     t.cube = row.input;
-    last = Solver(ckt_, cc_, t, opt, &scoap_).run();
+    last = Solver(*this, t, opt).run();
     if (last.status == AtpgStatus::kDetected) return last;
     if (last.status == AtpgStatus::kAborted) any_aborted = true;
   }
@@ -556,7 +633,7 @@ AtpgResult PodemEngine::generate_functional_retained(
   t.cube_gate = fault.gate;
   t.cube = cube;
   t.retained = good_is_one ? LogicV::k0 : LogicV::k1;
-  return Solver(ckt_, cc_, t, opt, &scoap_).run();
+  return Solver(*this, t, opt).run();
 }
 
 AtpgResult PodemEngine::justify_net_value(logic::NetId net,
@@ -579,7 +656,7 @@ AtpgResult PodemEngine::justify_net_values(
   Target t;
   t.justify_only = true;
   t.justify_nets = goals;
-  return Solver(ckt_, cc_, t, opt, &scoap_).run();
+  return Solver(*this, t, opt).run();
 }
 
 AtpgResult PodemEngine::justify_gate_cube(int gate, unsigned cube,
@@ -590,7 +667,7 @@ AtpgResult PodemEngine::justify_gate_cube(int gate, unsigned cube,
   t.justify_only = true;
   t.cube_gate = gate;
   t.cube = cube;
-  return Solver(ckt_, cc_, t, opt, &scoap_).run();
+  return Solver(*this, t, opt).run();
 }
 
 }  // namespace cpsinw::atpg

@@ -11,6 +11,7 @@
 //     observable — the paper's leakage-detect rows of Table III).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -45,13 +46,23 @@ struct PodemOptions {
   int backtrack_limit = 5000;
 };
 
-/// PODEM engine bound to a finalized circuit.  SCOAP testability measures
-/// are computed once at construction and guide the backtrace (cheapest
-/// controllable input first) and D-frontier selection (most observable
-/// gate first).  The circuit is also compiled once
-/// (logic::CompiledCircuit): every forward-implication pass of the search
-/// runs both the good and faulty component off the levelized 4-valued
-/// tables instead of re-interpreting the gate list.
+/// PODEM engine bound to a finalized circuit.  Construction compiles the
+/// circuit once (logic::CompiledCircuit), computes SCOAP measures, and
+/// builds the search tables every call shares: each net's index among the
+/// PIs, each net's fan-out as levelized gate positions, the SCOAP
+/// observability of each position's output, and the fault-free state with
+/// every PI at X and constants propagated.  A search starts from that
+/// all-X state and re-evaluates only what its target changes (the forced
+/// stem's fan-out, the branch gate, or the functional gate).  Implication
+/// is event-driven: a decision, flip or unassign re-evaluates, in one
+/// ascending sweep over a dirty bit per position, only gates whose inputs
+/// changed, off the levelized 4-valued tables.  The D-frontier is a bit
+/// per position, updated whenever its gate is re-evaluated, next to a
+/// running count of nets carrying D or D-bar.  SCOAP guides the
+/// backtrace (cheapest controllable input first) and the propagation
+/// objective (the most observable D-frontier gate that still has an
+/// unassigned input, ties by gate id).  The full-pass search this
+/// replaced is the differential oracle in tests/atpg/reference_podem.hpp.
 class PodemEngine {
  public:
   explicit PodemEngine(const logic::Circuit& ckt);
@@ -104,9 +115,18 @@ class PodemEngine {
   [[nodiscard]] const logic::CompiledCircuit& compiled() const { return cc_; }
 
  private:
+  class Solver;  ///< one search over the tables below (podem.cpp)
+
   const logic::Circuit& ckt_;
   logic::CompiledCircuit cc_;
   std::vector<Testability> scoap_;
+  std::vector<int> pi_index_;  ///< per net: index among the PIs, or -1
+  /// Per net: its consumers' positions in cc_.gates(), ascending, as CSR
+  /// (row n is fanout_[fanout_begin_[n], fanout_begin_[n + 1])).
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<std::uint32_t> fanout_;
+  std::vector<int> obs_;  ///< per position: SCOAP observability of its output
+  std::vector<V5> all_x_;  ///< per net: fault-free value, every PI at X
 };
 
 }  // namespace cpsinw::atpg

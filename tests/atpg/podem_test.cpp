@@ -158,6 +158,18 @@ TEST(Podem, RejectsWrongFaultKinds) {
                std::invalid_argument);
   EXPECT_THROW((void)engine.justify_gate_cube(99, 0),
                std::invalid_argument);
+  // Line faults whose net or pin lies outside the circuit: the search
+  // indexes its tables by these ids, so they must throw before it starts.
+  EXPECT_THROW((void)engine.generate_line(
+                   Fault::net_stuck(ckt.net_count() + 100, true)),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.generate_line(Fault::net_stuck(-5, true)),
+               std::invalid_argument);
+  ASSERT_EQ(ckt.gate(0).input_count(), 2);
+  EXPECT_THROW((void)engine.generate_line(Fault::input_stuck(0, 2, true)),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.generate_line(Fault::input_stuck(0, 7, true)),
+               std::invalid_argument);
 }
 
 TEST(V5, CalculusHelpers) {
