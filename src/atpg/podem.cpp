@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "faults/fault_sim.hpp"
 #include "gates/dictionary_cache.hpp"
@@ -551,6 +552,22 @@ PodemEngine::PodemEngine(const logic::Circuit& ckt)
   for (const LogicV v : good) all_x_.push_back(V5::both(v));
 }
 
+const gates::FaultAnalysis& checked_transistor_dictionary(
+    const logic::Circuit& ckt, const Fault& fault, const char* where) {
+  const std::string name(where);
+  if (fault.site != FaultSite::kGateTransistor)
+    throw std::invalid_argument(name + ": not a transistor fault");
+  if (fault.gate < 0 || fault.gate >= ckt.gate_count())
+    throw std::invalid_argument(name + ": bad gate id");
+  const gates::CellKind kind = ckt.gate(fault.gate).kind;
+  const int transistors =
+      static_cast<int>(gates::cell(kind).transistors.size());
+  if (fault.cell_fault.transistor < 0 ||
+      fault.cell_fault.transistor >= transistors)
+    throw std::invalid_argument(name + ": bad transistor index");
+  return gates::DictionaryCache::global().lookup(kind, fault.cell_fault);
+}
+
 AtpgResult PodemEngine::generate_line(const Fault& fault,
                                       const PodemOptions& opt) const {
   // The search indexes its tables by these ids: validate them first.
@@ -571,10 +588,8 @@ AtpgResult PodemEngine::generate_line(const Fault& fault,
 
 AtpgResult PodemEngine::generate_functional(const Fault& fault,
                                             const PodemOptions& opt) const {
-  if (fault.site != FaultSite::kGateTransistor)
-    throw std::invalid_argument("generate_functional: not a transistor fault");
-  const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-      ckt_.gate(fault.gate).kind, fault.cell_fault);
+  const gates::FaultAnalysis& fa =
+      checked_transistor_dictionary(ckt_, fault, "generate_functional");
 
   AtpgResult last;
   bool any_aborted = false;
@@ -597,10 +612,8 @@ AtpgResult PodemEngine::generate_functional(const Fault& fault,
 
 AtpgResult PodemEngine::generate_iddq(const Fault& fault,
                                       const PodemOptions& opt) const {
-  if (fault.site != FaultSite::kGateTransistor)
-    throw std::invalid_argument("generate_iddq: not a transistor fault");
-  const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-      ckt_.gate(fault.gate).kind, fault.cell_fault);
+  const gates::FaultAnalysis& fa =
+      checked_transistor_dictionary(ckt_, fault, "generate_iddq");
 
   AtpgResult last;
   bool any_aborted = false;
@@ -621,11 +634,8 @@ AtpgResult PodemEngine::generate_iddq(const Fault& fault,
 AtpgResult PodemEngine::generate_functional_retained(
     const Fault& fault, unsigned cube, bool good_is_one,
     const PodemOptions& opt) const {
-  if (fault.site != FaultSite::kGateTransistor)
-    throw std::invalid_argument(
-        "generate_functional_retained: not a transistor fault");
-  const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-      ckt_.gate(fault.gate).kind, fault.cell_fault);
+  const gates::FaultAnalysis& fa = checked_transistor_dictionary(
+      ckt_, fault, "generate_functional_retained");
   Target t;
   t.functional = true;
   t.func_gate = fault.gate;

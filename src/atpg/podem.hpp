@@ -18,6 +18,7 @@
 #include "atpg/five_valued.hpp"
 #include "atpg/scoap.hpp"
 #include "faults/fault.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/logic_sim.hpp"
 
 namespace cpsinw::atpg {
@@ -46,6 +47,15 @@ struct PodemOptions {
   int backtrack_limit = 5000;
 };
 
+/// The switch-level dictionary of a transistor fault of `ckt`, looked up
+/// only once the fault's gate id and transistor index are checked, so a
+/// bad id neither reaches the cell tables nor adds a cache entry.
+/// @throws std::invalid_argument naming `where` when `fault` is not a
+///   transistor fault, its gate id is not in [0, gate_count()) or its
+///   transistor index is not in [0, the cell's transistor count)
+[[nodiscard]] const gates::FaultAnalysis& checked_transistor_dictionary(
+    const logic::Circuit& ckt, const faults::Fault& fault, const char* where);
+
 /// PODEM engine bound to a finalized circuit.  Construction compiles the
 /// circuit once (logic::CompiledCircuit), computes SCOAP measures, and
 /// builds the search tables every call shares: each net's index among the
@@ -63,6 +73,9 @@ struct PodemOptions {
 /// objective (the most observable D-frontier gate that still has an
 /// unassigned input, ties by gate id).  The full-pass search this
 /// replaced is the differential oracle in tests/atpg/reference_podem.hpp.
+/// The engine is immutable once built and every call runs its own search
+/// state, so calls on one engine may run concurrently (the test flow's
+/// per-fault searches do).
 class PodemEngine {
  public:
   explicit PodemEngine(const logic::Circuit& ckt);

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "gates/dictionary_cache.hpp"
-
 namespace cpsinw::atpg {
 
 using faults::Fault;
@@ -25,10 +23,9 @@ TwoPatternResult generate_two_pattern(const PodemEngine& engine,
         "generate_two_pattern: needs a transistor stuck-open fault");
 
   const logic::Circuit& ckt = engine.circuit();
-  const faults::FaultSimulator fsim(ckt);
-  const logic::GateInst& g = ckt.gate(fault.gate);
   const gates::FaultAnalysis& fa =
-      gates::DictionaryCache::global().lookup(g.kind, fault.cell_fault);
+      checked_transistor_dictionary(ckt, fault, "generate_two_pattern");
+  const faults::FaultSimulator fsim(ckt);
 
   TwoPatternResult result;
   bool any_aborted = false;

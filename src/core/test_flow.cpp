@@ -1,5 +1,8 @@
 #include "core/test_flow.hpp"
 
+#include <utility>
+#include <variant>
+
 #include "gates/dictionary_cache.hpp"
 
 namespace cpsinw::core {
@@ -41,8 +44,95 @@ double TestSuite::coverage() const {
          static_cast<double>(outcomes.size());
 }
 
+void serial_for(std::size_t n, const std::function<void(std::size_t)>& body) {
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
+namespace {
+
+/// The test the flow found for one fault, if any: a stuck-at, functional
+/// or IDDQ pattern, a two-pattern test or a channel-break test.
+using FaultTest = std::variant<std::monostate, logic::Pattern,
+                               atpg::TwoPatternTest, atpg::ChannelBreakTest>;
+
+/// Targets one fault with the strongest applicable method, filling its
+/// outcome.  Shares only the immutable engine and circuit and the
+/// thread-safe global dictionary cache; each search owns its solver state,
+/// so faults may be targeted concurrently.
+FaultTest target_fault(const atpg::PodemEngine& engine,
+                       const TestFlowOptions& options, const Fault& f,
+                       FaultOutcome& outcome) {
+  const logic::Circuit& ckt = engine.circuit();
+  outcome.fault = f;
+
+  if (f.site != FaultSite::kGateTransistor) {
+    AtpgResult r = engine.generate_line(f, options.podem);
+    outcome.status = r.status;
+    if (r.status != AtpgStatus::kDetected) return {};
+    outcome.method = CoverageMethod::kStuckAtPattern;
+    return std::move(r.pattern);
+  }
+
+  // Transistor fault: pick the strongest applicable method.
+  const logic::GateInst& g = ckt.gate(f.gate);
+  const gates::FaultAnalysis& fa =
+      gates::DictionaryCache::global().lookup(g.kind, f.cell_fault);
+
+  if (fa.output_detectable) {
+    AtpgResult r = engine.generate_functional(f, options.podem);
+    outcome.status = r.status;
+    if (r.status == AtpgStatus::kDetected) {
+      outcome.method = CoverageMethod::kFunctionalPattern;
+      return std::move(r.pattern);
+    }
+  }
+  if (!options.classical_only && fa.iddq_detectable && options.observe_iddq) {
+    AtpgResult r = engine.generate_iddq(f, options.podem);
+    outcome.status = r.status;
+    if (r.status == AtpgStatus::kDetected) {
+      outcome.method = CoverageMethod::kIddqPattern;
+      return std::move(r.pattern);
+    }
+  }
+  if (fa.needs_sequence &&
+      f.cell_fault.kind == gates::TransistorFault::kStuckOpen) {
+    atpg::TwoPatternResult r =
+        atpg::generate_two_pattern(engine, f, options.podem);
+    outcome.status = r.status;
+    if (r.status == AtpgStatus::kDetected && r.test) {
+      outcome.method = CoverageMethod::kTwoPattern;
+      return std::move(*r.test);
+    }
+  }
+  if (!options.classical_only &&
+      f.cell_fault.kind == gates::TransistorFault::kStuckOpen &&
+      gates::is_dynamic_polarity(g.kind)) {
+    auto test = atpg::derive_cell_test(g.kind, f.cell_fault.transistor);
+    if (test) {
+      test->gate = f.gate;
+      bool pi_fed = true;
+      for (int i = 0; i < g.input_count(); ++i)
+        if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
+          pi_fed = false;
+      test->pi_accessible = pi_fed;
+      const AtpgResult just =
+          engine.justify_gate_cube(f.gate, test->local_vector, options.podem);
+      if (just.status == AtpgStatus::kDetected) {
+        test->pattern = just.pattern;
+        outcome.method = CoverageMethod::kChannelBreak;
+        outcome.status = AtpgStatus::kDetected;
+        return std::move(*test);
+      }
+    }
+  }
+  return {};
+}
+
+}  // namespace
+
 TestSuite run_test_flow(const logic::Circuit& ckt,
-                        const TestFlowOptions& options) {
+                        const TestFlowOptions& options,
+                        const ParallelFor& parallel_for) {
   const atpg::PodemEngine engine(ckt);
   TestSuite suite;
 
@@ -54,83 +144,28 @@ TestSuite run_test_flow(const logic::Circuit& ckt,
   flo.observe_iddq = options.observe_iddq && !options.classical_only;
   const std::vector<Fault> universe = generate_fault_list(ckt, flo);
 
-  for (const Fault& f : universe) {
-    FaultOutcome outcome;
-    outcome.fault = f;
-
-    if (f.site != FaultSite::kGateTransistor) {
-      const AtpgResult r = engine.generate_line(f, options.podem);
-      outcome.status = r.status;
-      if (r.status == AtpgStatus::kDetected) {
-        outcome.method = CoverageMethod::kStuckAtPattern;
-        suite.logic_patterns.push_back(r.pattern);
-      }
-      suite.outcomes.push_back(outcome);
-      continue;
-    }
-
-    // Transistor fault: pick the strongest applicable method.
-    const logic::GateInst& g = ckt.gate(f.gate);
-    const gates::FaultAnalysis& fa =
-        gates::DictionaryCache::global().lookup(g.kind, f.cell_fault);
-
-    if (fa.output_detectable) {
-      const AtpgResult r = engine.generate_functional(f, options.podem);
-      outcome.status = r.status;
-      if (r.status == AtpgStatus::kDetected) {
-        outcome.method = CoverageMethod::kFunctionalPattern;
-        suite.logic_patterns.push_back(r.pattern);
-        suite.outcomes.push_back(outcome);
-        continue;
+  {
+    // Each fault is targeted on its own, into its own slots; the tests
+    // are then appended in universe order, whatever thread found them.
+    // The slots are freed before compaction allocates.
+    suite.outcomes.resize(universe.size());
+    std::vector<FaultTest> tests(universe.size());
+    parallel_for(universe.size(), [&](std::size_t i) {
+      tests[i] = target_fault(engine, options, universe[i], suite.outcomes[i]);
+    });
+    for (std::size_t i = 0; i < tests.size(); ++i) {
+      if (auto* p = std::get_if<logic::Pattern>(&tests[i])) {
+        std::vector<logic::Pattern>& set =
+            suite.outcomes[i].method == CoverageMethod::kIddqPattern
+                ? suite.iddq_patterns
+                : suite.logic_patterns;
+        set.push_back(std::move(*p));
+      } else if (auto* t = std::get_if<atpg::TwoPatternTest>(&tests[i])) {
+        suite.two_pattern_tests.push_back(std::move(*t));
+      } else if (auto* c = std::get_if<atpg::ChannelBreakTest>(&tests[i])) {
+        suite.channel_break_tests.push_back(std::move(*c));
       }
     }
-    if (!options.classical_only && fa.iddq_detectable &&
-        options.observe_iddq) {
-      const AtpgResult r = engine.generate_iddq(f, options.podem);
-      outcome.status = r.status;
-      if (r.status == AtpgStatus::kDetected) {
-        outcome.method = CoverageMethod::kIddqPattern;
-        suite.iddq_patterns.push_back(r.pattern);
-        suite.outcomes.push_back(outcome);
-        continue;
-      }
-    }
-    if (fa.needs_sequence &&
-        f.cell_fault.kind == gates::TransistorFault::kStuckOpen) {
-      const atpg::TwoPatternResult r =
-          atpg::generate_two_pattern(engine, f, options.podem);
-      outcome.status = r.status;
-      if (r.status == AtpgStatus::kDetected && r.test) {
-        outcome.method = CoverageMethod::kTwoPattern;
-        suite.two_pattern_tests.push_back(*r.test);
-        suite.outcomes.push_back(outcome);
-        continue;
-      }
-    }
-    if (!options.classical_only &&
-        f.cell_fault.kind == gates::TransistorFault::kStuckOpen &&
-        gates::is_dynamic_polarity(g.kind)) {
-      auto test = atpg::derive_cell_test(g.kind, f.cell_fault.transistor);
-      if (test) {
-        test->gate = f.gate;
-        bool pi_fed = true;
-        for (int i = 0; i < g.input_count(); ++i)
-          if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
-            pi_fed = false;
-        test->pi_accessible = pi_fed;
-        const AtpgResult just = engine.justify_gate_cube(
-            f.gate, test->local_vector, options.podem);
-        if (just.status == AtpgStatus::kDetected) {
-          test->pattern = just.pattern;
-          outcome.method = CoverageMethod::kChannelBreak;
-          outcome.status = AtpgStatus::kDetected;
-          suite.channel_break_tests.push_back(*test);
-          suite.outcomes.push_back(outcome);
-          continue;
-        }
-      }
-    }
-    suite.outcomes.push_back(outcome);
   }
 
   if (options.compact && !suite.logic_patterns.empty()) {

@@ -5,6 +5,8 @@
 // compaction.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "atpg/channel_break.hpp"
@@ -58,8 +60,21 @@ struct TestSuite {
   [[nodiscard]] double coverage() const;
 };
 
-/// Runs the complete flow over the circuit's fault universe.
-[[nodiscard]] TestSuite run_test_flow(const logic::Circuit& ckt,
-                                      const TestFlowOptions& options = {});
+/// Runs body(i) once for every i in [0, n), in any order and on any
+/// threads, and returns when all have finished.
+using ParallelFor = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& body)>;
+
+/// The serial ParallelFor: a plain loop on the calling thread.
+void serial_for(std::size_t n, const std::function<void(std::size_t)>& body);
+
+/// Runs the complete flow over the circuit's fault universe.  Each fault is
+/// targeted on its own (no fault dropping), so the per-fault searches are
+/// independent: `parallel_for` spreads them, all sharing one immutable
+/// PodemEngine, and the suite is the same whichever thread ran which
+/// search.  Tests are collected in universe order afterwards.
+[[nodiscard]] TestSuite run_test_flow(
+    const logic::Circuit& ckt, const TestFlowOptions& options = {},
+    const ParallelFor& parallel_for = serial_for);
 
 }  // namespace cpsinw::core

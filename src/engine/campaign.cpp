@@ -55,9 +55,9 @@ std::vector<CampaignFault> build_universe(const logic::Circuit& ckt,
   return universe;
 }
 
-std::vector<logic::Pattern> build_patterns(const logic::Circuit& ckt,
-                                           const PatternSourceSpec& source,
-                                           util::SplitMix64 job_rng) {
+std::vector<logic::Pattern> build_patterns(
+    const logic::Circuit& ckt, const PatternSourceSpec& source,
+    util::SplitMix64 job_rng, const core::ParallelFor& parallel_for) {
   switch (source.kind) {
     case PatternSourceSpec::Kind::kExplicit:
       return source.explicit_patterns;
@@ -79,7 +79,8 @@ std::vector<logic::Pattern> build_patterns(const logic::Circuit& ckt,
     case PatternSourceSpec::Kind::kAtpg: {
       core::TestFlowOptions opt;
       opt.compact = source.atpg_compact;
-      const core::TestSuite suite = core::run_test_flow(ckt, opt);
+      const core::TestSuite suite =
+          core::run_test_flow(ckt, opt, parallel_for);
       std::vector<logic::Pattern> out = suite.logic_patterns;
       out.insert(out.end(), suite.iddq_patterns.begin(),
                  suite.iddq_patterns.end());
@@ -196,20 +197,28 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   const auto t0 = std::chrono::steady_clock::now();
 
   // ---- Setup phase, one unit per job: universe, patterns (ATPG runs
-  // here, so an all-kAtpg campaign generates tests in parallel too) and
-  // shard decomposition.  Each job's RNG streams are forked from the
-  // campaign seed by job index, so scheduling cannot affect them.  Setup
-  // runs on the executor's compute resource (serial for kInline, the one
-  // shared pool otherwise); its errors are spec-level problems and still
-  // throw — only shard-phase failures degrade to the error slot.  With
-  // telemetry on, each job's universe, patterns and context are timed as
-  // sub-phases. ------------------------------------------------------------
+  // here) and shard decomposition.  Each job's RNG streams are forked from
+  // the campaign seed by job index, so scheduling cannot affect them.
+  // Setup runs on the executor's compute resource (serial for kInline, the
+  // one shared pool otherwise): the pool runs jobs side by side, and an
+  // ATPG job also spreads its per-fault searches over it through
+  // parallel_for, so even a one-job campaign generates tests on every
+  // thread (the flow collects its tests in universe order).  Setup errors
+  // are spec-level problems and still throw — only shard-phase failures
+  // degrade to the error slot.  With telemetry on, each job's universe,
+  // patterns and context are timed as sub-phases, in wall time. ----------
   telemetry::CampaignTelemetry* const setup_telem =
       telemetry_on ? &telem : nullptr;
+  ShardExecutor* const ex = executor.get();
+  const core::ParallelFor parallel_for =
+      [ex](std::size_t n, const std::function<void(std::size_t)>& body) {
+        ex->parallel_for(n, body);
+      };
   std::vector<std::function<void()>> setup_tasks;
   setup_tasks.reserve(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
-    setup_tasks.push_back([&jobs, &spec, &campaign_rng, setup_telem, j] {
+    setup_tasks.push_back([&jobs, &spec, &campaign_rng, &parallel_for,
+                           setup_telem, j] {
       JobData& job = jobs[j];
       setup_phase(setup_telem, "campaign.setup.universe_s", "setup:universe",
                   [&] {
@@ -221,7 +230,8 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
                   [&] {
                     patterns = build_patterns(
                         job.spec->circuit, spec.patterns,
-                        campaign_rng.fork(2 * static_cast<std::uint64_t>(j)));
+                        campaign_rng.fork(2 * static_cast<std::uint64_t>(j)),
+                        parallel_for);
                   });
       setup_phase(setup_telem, "campaign.setup.context_s", "setup:context",
                   [&] {

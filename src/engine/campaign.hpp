@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "core/test_flow.hpp"
 #include "engine/executor.hpp"
 #include "engine/report.hpp"
 #include "engine/shard.hpp"
@@ -104,10 +105,13 @@ struct CampaignSpec {
     bool observe_iddq);
 
 /// Materializes the pattern set of one job.  `job_rng` is consumed only by
-/// the random source (fork it per job as the campaign does).
+/// the random source (fork it per job as the campaign does).  The ATPG
+/// source spreads its per-fault searches with `parallel_for`; the patterns
+/// do not depend on it.
 [[nodiscard]] std::vector<logic::Pattern> build_patterns(
     const logic::Circuit& ckt, const PatternSourceSpec& source,
-    util::SplitMix64 job_rng);
+    util::SplitMix64 job_rng,
+    const core::ParallelFor& parallel_for = core::serial_for);
 
 /// Runs the campaign on the backend selected by `spec.executor`.  Shards
 /// execute in arbitrary order; the report they merge into does not depend

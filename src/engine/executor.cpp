@@ -97,6 +97,11 @@ class InlineExecutor final : public ShardExecutor {
     for (const std::function<void()>& task : tasks) task();
   }
 
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body) override {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
+
   [[nodiscard]] std::string run(const std::vector<ShardTask>& tasks,
                                 const ShardExecOptions& options) override {
     telemetry::Histogram* exec_s =

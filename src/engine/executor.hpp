@@ -14,6 +14,7 @@
 // that run_campaign surfaces on CampaignReport::error.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -87,6 +88,14 @@ class ShardExecutor {
   /// first exception is rethrown.
   virtual void run_setup(const std::vector<std::function<void()>>& tasks) = 0;
 
+  /// Runs body(i) for every i in [0, n) on the same resource as run_setup,
+  /// callable from inside a setup task: a plain loop for kInline,
+  /// ThreadPool::parallel_for otherwise.  One ATPG job spreads its
+  /// per-fault searches this way.  If some index throws, an exception is
+  /// rethrown once the call ends.
+  virtual void parallel_for(
+      std::size_t n, const std::function<void(std::size_t)>& body) = 0;
+
   /// Runs every task, filling `task.slot` in place.  Per-shard failures do
   /// not throw: the failed slot is placeholder-filled and the first
   /// failure message in canonical task order is returned (empty string on
@@ -113,15 +122,20 @@ class ShardExecutor {
   }
 };
 
-/// Common base of the concurrent backends: one ThreadPool serves both the
-/// setup phase and the shard phase (no thread churn between phases; the
-/// remote backend uses the pool's threads to pump its per-shard I/O
-/// while setup always runs in-process).
+/// Common base of the concurrent backends: one ThreadPool serves the setup
+/// phase, the setup tasks' parallel_for and the shard phase (no thread
+/// churn between phases; the remote backend uses the pool's threads to
+/// pump its per-shard I/O while setup always runs in-process).
 class PooledExecutorBase : public ShardExecutor {
  public:
   explicit PooledExecutorBase(int threads) : pool_(threads) {}
 
   void run_setup(const std::vector<std::function<void()>>& tasks) override;
+
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body) override {
+    pool_.parallel_for(n, body);
+  }
 
  protected:
   ThreadPool pool_;

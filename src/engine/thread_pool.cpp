@@ -55,6 +55,59 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return pending_ == 0; });
 }
 
+void ThreadPool::parallel_for(std::size_t n,
+                              const std::function<void(std::size_t)>& body) {
+  if (n == 0) return;
+  // Helpers hold the state by shared_ptr: one that starts after this call
+  // has returned finds the counter exhausted and never reaches `body`.
+  struct State {
+    std::size_t n = 0;
+    const std::function<void(std::size_t)>* body = nullptr;
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::size_t done = 0;
+    std::size_t error_index = 0;
+    std::exception_ptr error;
+  };
+  const auto state = std::make_shared<State>();
+  state->n = n;
+  state->body = &body;
+  const auto drain = [](State& s) {
+    for (;;) {
+      const std::size_t i = s.next.fetch_add(1);
+      if (i >= s.n) return;
+      std::exception_ptr error;
+      try {
+        (*s.body)(i);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      std::lock_guard<std::mutex> lock(s.mutex);
+      if (error && (!s.error || i < s.error_index)) {
+        s.error = std::move(error);
+        s.error_index = i;
+      }
+      if (++s.done == s.n) s.done_cv.notify_all();
+    }
+  };
+  const std::size_t helpers =
+      std::min(static_cast<std::size_t>(thread_count() - 1), n - 1);
+  for (std::size_t h = 0; h < helpers; ++h)
+    submit([state, drain] { drain(*state); });
+  drain(*state);
+  // Every index is claimed by now, each by a thread that is running it.
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mutex);
+    state->done_cv.wait(lock, [&] { return state->done == n; });
+    // Taken out of the state, so a late helper that drops the state last
+    // never releases the exception this thread is handling.
+    error = std::move(state->error);
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 std::exception_ptr ThreadPool::first_exception() {
   std::lock_guard<std::mutex> lock(wake_mutex_);
   return first_exception_;

@@ -38,8 +38,21 @@ class ThreadPool {
   /// on the campaign report's error slot.
   void submit(Task task);
 
-  /// Blocks until every submitted task has finished executing.
+  /// Blocks until every submitted task has finished executing.  A task
+  /// must never call it: the calling task keeps the pool busy, so the wait
+  /// never ends.  A task fans out with parallel_for instead.
   void wait_idle();
+
+  /// Runs body(i) once for every i in [0, n) and returns when all have
+  /// finished.  The caller and up to thread_count() - 1 helper tasks claim
+  /// indices from one shared counter; the caller waits only for indices a
+  /// running thread has claimed, never for a helper that has not started,
+  /// so the call is safe from inside a task (even on a one-thread pool,
+  /// where the caller runs every index) and may nest.  Every index runs
+  /// even when some throw; the exception of the lowest failing index is
+  /// then rethrown (first_exception() is not touched).
+  void parallel_for(std::size_t n,
+                    const std::function<void(std::size_t)>& body);
 
   /// The first exception that escaped a task, or nullptr when every task
   /// returned cleanly.  Sticky for the pool's lifetime; read it after

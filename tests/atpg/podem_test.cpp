@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "atpg/two_pattern.hpp"
 #include "faults/fault_sim.hpp"
+#include "gates/dictionary_cache.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::atpg {
@@ -170,6 +172,31 @@ TEST(Podem, RejectsWrongFaultKinds) {
                std::invalid_argument);
   EXPECT_THROW((void)engine.generate_line(Fault::input_stuck(0, 7, true)),
                std::invalid_argument);
+}
+
+TEST(Podem, RejectsOutOfRangeTransistorFaults) {
+  // Every transistor-fault entry point checks the gate id and the
+  // transistor index before any lookup: a bad id throws its own
+  // invalid_argument and derives no dictionary.
+  const logic::Circuit ckt = logic::c17();
+  const PodemEngine engine(ckt);
+  const auto stuck_open = [](int gate, int transistor) {
+    return Fault::transistor(gate, transistor,
+                             gates::TransistorFault::kStuckOpen);
+  };
+  const std::size_t cached = gates::DictionaryCache::global().size();
+  for (const Fault& f : {stuck_open(99, 0), stuck_open(-1, 0),
+                         stuck_open(0, 99), stuck_open(0, -1)}) {
+    SCOPED_TRACE(testing::Message() << "gate " << f.gate << ", transistor "
+                                    << f.cell_fault.transistor);
+    EXPECT_THROW((void)engine.generate_functional(f), std::invalid_argument);
+    EXPECT_THROW((void)engine.generate_iddq(f), std::invalid_argument);
+    EXPECT_THROW((void)engine.generate_functional_retained(f, 0, true),
+                 std::invalid_argument);
+    EXPECT_THROW((void)generate_two_pattern(engine, f),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(gates::DictionaryCache::global().size(), cached);
 }
 
 TEST(V5, CalculusHelpers) {

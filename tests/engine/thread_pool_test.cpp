@@ -5,7 +5,9 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 namespace cpsinw::engine {
 namespace {
@@ -119,6 +121,89 @@ TEST(ThreadPool, ReusableAcrossWaves) {
     pool.wait_idle();
     EXPECT_EQ(count.load(), (wave + 1) * 50);
   }
+}
+
+/// Runs parallel_for(n) on `pool` and returns how often each index ran.
+std::vector<int> run_counts(ThreadPool& pool, std::size_t n) {
+  std::vector<std::atomic<int>> hits(n);
+  pool.parallel_for(n, [&hits](std::size_t i) { ++hits[i]; });
+  std::vector<int> out;
+  for (const std::atomic<int>& h : hits) out.push_back(h.load());
+  return out;
+}
+
+TEST(ThreadPoolParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                                std::size_t{3}, std::size_t{1000}}) {
+      SCOPED_TRACE(testing::Message() << threads << " threads, n " << n);
+      EXPECT_EQ(run_counts(pool, n), std::vector<int>(n, 1));
+      // The same from inside a pool task.
+      std::vector<int> from_task;
+      pool.submit([&] { from_task = run_counts(pool, n); });
+      pool.wait_idle();
+      EXPECT_EQ(from_task, std::vector<int>(n, 1));
+    }
+    EXPECT_EQ(pool.first_exception(), nullptr);
+  }
+}
+
+TEST(ThreadPoolParallelFor, ReturnsWhenCalledFromTheOnlyWorker) {
+  // The one worker runs the task, so no helper can ever start: the caller
+  // must run every index itself instead of waiting for one.
+  ThreadPool pool(1);
+  std::atomic<int> count{0};
+  pool.submit([&] {
+    pool.parallel_for(100, [&count](std::size_t) { ++count; });
+  });
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 100);
+}
+
+TEST(ThreadPoolParallelFor, ConcurrentAndNestedCallsFinish) {
+  ThreadPool pool(2);
+  std::atomic<int> count{0};
+  for (int t = 0; t < 2; ++t)
+    pool.submit([&] {
+      pool.parallel_for(500, [&count](std::size_t) { ++count; });
+    });
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 1000);
+
+  std::atomic<int> nested{0};
+  pool.parallel_for(8, [&](std::size_t) {
+    pool.parallel_for(8, [&nested](std::size_t) { ++nested; });
+  });
+  EXPECT_EQ(nested.load(), 64);
+}
+
+TEST(ThreadPoolParallelFor, RethrowsTheLowestFailingIndex) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(100);
+  try {
+    pool.parallel_for(hits.size(), [&hits](std::size_t i) {
+      ++hits[i];
+      // Index 3 fails late, so on several threads index 7 most likely
+      // fails first on the wall clock: the choice must not follow it.
+      if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      if (i == 7 || i == 3)
+        throw std::runtime_error("index " + std::to_string(i));
+    });
+    FAIL() << "expected a runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "index 3");
+  }
+  // Every other index still ran, once.
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  // The failure belonged to the call, not to the pool, which keeps working.
+  EXPECT_EQ(pool.first_exception(), nullptr);
+  std::atomic<int> count{0};
+  pool.submit([&count] { ++count; });
+  pool.wait_idle();
+  EXPECT_EQ(count.load(), 1);
+  EXPECT_EQ(pool.first_exception(), nullptr);
 }
 
 }  // namespace
