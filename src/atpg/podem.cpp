@@ -557,15 +557,10 @@ const gates::FaultAnalysis& checked_transistor_dictionary(
   const std::string name(where);
   if (fault.site != FaultSite::kGateTransistor)
     throw std::invalid_argument(name + ": not a transistor fault");
-  if (fault.gate < 0 || fault.gate >= ckt.gate_count())
-    throw std::invalid_argument(name + ": bad gate id");
-  const gates::CellKind kind = ckt.gate(fault.gate).kind;
-  const int transistors =
-      static_cast<int>(gates::cell(kind).transistors.size());
-  if (fault.cell_fault.transistor < 0 ||
-      fault.cell_fault.transistor >= transistors)
-    throw std::invalid_argument(name + ": bad transistor index");
-  return gates::DictionaryCache::global().lookup(kind, fault.cell_fault);
+  if (const char* error = faults::transistor_fault_error(ckt, fault))
+    throw std::invalid_argument(name + ": " + error);
+  return gates::DictionaryCache::global().lookup(ckt.gate(fault.gate).kind,
+                                                 fault.cell_fault);
 }
 
 AtpgResult PodemEngine::generate_line(const Fault& fault,

@@ -120,7 +120,7 @@ class InlineExecutor final : public ShardExecutor {
         fill_failed_shard(*task.universe, *task.shard,
                           options.fault_sample_fraction, *task.slot);
       }
-      if (exec_s != nullptr) CPSINW_TELEM(exec_s->record_since(start));
+      if (exec_s != nullptr) exec_s->record_since(start);
       trace_shard_span(trace(), "inline", *task.shard, start);
     }
     return first_error(errors);
@@ -154,7 +154,7 @@ class ThreadPoolExecutor final : public PooledExecutorBase {
       pool_.submit([&task, &options, &errors, queue_wait_s, exec_s, tr,
                     enqueued, t] {
         if (queue_wait_s != nullptr)
-          CPSINW_TELEM(queue_wait_s->record_since(enqueued));
+          queue_wait_s->record_since(enqueued);
         const telemetry::TimePoint start = telemetry::Clock::now();
         try {
           *task.slot =
@@ -164,7 +164,7 @@ class ThreadPoolExecutor final : public PooledExecutorBase {
           fill_failed_shard(*task.universe, *task.shard,
                             options.fault_sample_fraction, *task.slot);
         }
-        if (exec_s != nullptr) CPSINW_TELEM(exec_s->record_since(start));
+        if (exec_s != nullptr) exec_s->record_since(start);
         trace_shard_span(tr, "thread_pool", *task.shard, start);
       });
     }

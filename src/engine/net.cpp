@@ -220,7 +220,7 @@ struct NetMetrics {
       telemetry::Registry::global().counter("net.bytes_received");
 };
 
-[[maybe_unused]] NetMetrics& net_metrics() {  // unused with CPSINW_TELEMETRY_OFF
+NetMetrics& net_metrics() {
   static NetMetrics* m = new NetMetrics();  // leaked like the registry
   return *m;
 }
@@ -234,8 +234,8 @@ bool send_frame(int fd, const std::string& payload, Deadline deadline,
   frame += payload;
   if (!write_all(fd, frame.data(), frame.size(), deadline, error))
     return false;
-  CPSINW_TELEM(net_metrics().frames_sent.add());
-  CPSINW_TELEM(net_metrics().bytes_sent.add(frame.size()));
+  net_metrics().frames_sent.add();
+  net_metrics().bytes_sent.add(frame.size());
   return true;
 }
 
@@ -295,9 +295,8 @@ bool recv_frame(int fd, std::string* payload, Deadline deadline,
   if (!read_exact(fd, payload, static_cast<std::size_t>(declared), deadline,
                   error))
     return false;
-  CPSINW_TELEM(net_metrics().frames_received.add());
-  CPSINW_TELEM(
-      net_metrics().bytes_received.add(header.size() + 1 + payload->size()));
+  net_metrics().frames_received.add();
+  net_metrics().bytes_received.add(header.size() + 1 + payload->size());
   return true;
 }
 

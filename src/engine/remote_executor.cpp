@@ -173,11 +173,11 @@ class RemoteExecutor final : public PooledExecutorBase {
       const telemetry::TimePoint enqueued = telemetry::Clock::now();
       pool_.submit([this, &task, &options, &roster, &errors, enqueued, t] {
         if (queue_wait_s_ != nullptr)
-          CPSINW_TELEM(queue_wait_s_->record_since(enqueued));
+          queue_wait_s_->record_since(enqueued);
         const telemetry::TimePoint start = telemetry::Clock::now();
         errors[t] = run_one(task, options, roster);
         if (shard_exec_s_ != nullptr)
-          CPSINW_TELEM(shard_exec_s_->record_since(start));
+          shard_exec_s_->record_since(start);
         if (trace() != nullptr)
           trace()->add_span("remote:shard j" +
                                 std::to_string(task.shard->job) + "." +
@@ -209,19 +209,19 @@ class RemoteExecutor final : public PooledExecutorBase {
       tried[static_cast<std::size_t>(ep)] = 1;
       ++attempts;
       if (attempts > 1) {
-        if (retries_ != nullptr) CPSINW_TELEM(retries_->add());
-        if (failovers_ != nullptr) CPSINW_TELEM(failovers_->add());
+        if (retries_ != nullptr) retries_->add();
+        if (failovers_ != nullptr) failovers_->add();
       }
       const std::string error = exchange(ep, roster.endpoint(ep), input, task);
       const bool ok = error.empty();
       EndpointMetrics& m = ep_metrics_[static_cast<std::size_t>(ep)];
       if (ok) {
-        if (m.shards_ok != nullptr) CPSINW_TELEM(m.shards_ok->add());
+        if (m.shards_ok != nullptr) m.shards_ok->add();
       } else if (m.failures != nullptr) {
-        CPSINW_TELEM(m.failures->add());
+        m.failures->add();
       }
       if (roster.release(ep, ok)) {
-        if (quarantines_ != nullptr) CPSINW_TELEM(quarantines_->add());
+        if (quarantines_ != nullptr) quarantines_->add();
         util::log_kv(LogLevel::kWarn, "endpoint_quarantined",
                      {{"endpoint", endpoint_label(roster.endpoint(ep))},
                       {"error", error}});
@@ -260,29 +260,24 @@ class RemoteExecutor final : public PooledExecutorBase {
     EndpointMetrics& m = ep_metrics_[static_cast<std::size_t>(ep_index)];
     std::string error;
 
-    [[maybe_unused]] const telemetry::TimePoint t_connect =
-        telemetry::Clock::now();
+    const telemetry::TimePoint t_connect = telemetry::Clock::now();
     const int fd = net::connect_endpoint(ep, deadline, &error);
-    if (m.connect_s != nullptr)
-      CPSINW_TELEM(m.connect_s->record_since(t_connect));
+    if (m.connect_s != nullptr) m.connect_s->record_since(t_connect);
     if (fd < 0) return error;
     FdCloser closer{fd};
 
-    [[maybe_unused]] const telemetry::TimePoint t_send =
-        telemetry::Clock::now();
+    const telemetry::TimePoint t_send = telemetry::Clock::now();
     const bool sent = net::send_frame(fd, input, deadline, &error);
-    if (m.send_s != nullptr) CPSINW_TELEM(m.send_s->record_since(t_send));
+    if (m.send_s != nullptr) m.send_s->record_since(t_send);
     if (!sent) return "send: " + error;
 
     std::string output;
-    [[maybe_unused]] const telemetry::TimePoint t_recv =
-        telemetry::Clock::now();
+    const telemetry::TimePoint t_recv = telemetry::Clock::now();
     const bool received =
         net::recv_frame(fd, &output, deadline, net::kMaxFrameBytes, &error);
     const telemetry::TimePoint t_done = telemetry::Clock::now();
     if (m.recv_s != nullptr)
-      CPSINW_TELEM(m.recv_s->record(
-          std::chrono::duration<double>(t_done - t_recv).count()));
+      m.recv_s->record(std::chrono::duration<double>(t_done - t_recv).count());
     if (!received)
       return error.empty() ? "connection closed before a result arrived"
                            : error;

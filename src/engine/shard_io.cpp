@@ -6,6 +6,7 @@
 
 #include "engine/json_reader.hpp"
 #include "engine/json_writer.hpp"
+#include "faults/fault_sim.hpp"
 
 namespace cpsinw::engine {
 
@@ -342,8 +343,19 @@ ShardWorkInput parse_shard_input(const std::string& text) {
     input.patterns.push_back(std::move(p));
   }
 
-  for (const JsonValue& fv : doc.at("faults").as_array("faults"))
+  // A transistor fault's ids index the circuit's cell tables: reject bad
+  // ones here, with the document's other errors.
+  for (const JsonValue& fv : doc.at("faults").as_array("faults")) {
     input.faults.push_back(parse_fault(fv));
+    const CampaignFault& cf = input.faults.back();
+    if (cf.cls == FaultClass::kBridge ||
+        cf.fault.site != faults::FaultSite::kGateTransistor)
+      continue;
+    if (const char* error =
+            faults::transistor_fault_error(input.circuit, cf.fault))
+      throw std::runtime_error(std::string("shard_io: transistor fault: ") +
+                               error);
+  }
 
   const JsonValue& sv = doc.at("shard");
   input.shard.job = sv.at("job").as_int("job");

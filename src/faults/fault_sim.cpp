@@ -1,7 +1,9 @@
 #include "faults/fault_sim.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
+#include <string>
 
 #include "faults/word_fold.hpp"
 #include "gates/dictionary_cache.hpp"
@@ -101,6 +103,17 @@ logic::CompiledCircuit::LineFault checked_line_fault(
   lf.gate = fault.gate;
   lf.pin = fault.pin;
   return lf;
+}
+
+const char* transistor_fault_error(const logic::Circuit& ckt,
+                                   const Fault& fault) {
+  if (fault.gate < 0 || fault.gate >= ckt.gate_count()) return "bad gate id";
+  const int transistors = static_cast<int>(
+      gates::cell(ckt.gate(fault.gate).kind).transistors.size());
+  if (fault.cell_fault.transistor < 0 ||
+      fault.cell_fault.transistor >= transistors)
+    return "bad transistor index";
+  return nullptr;
 }
 
 FaultSimReport FaultSimulator::run(const std::vector<Fault>& faults,
@@ -277,27 +290,13 @@ bool FaultSimulator::line_fault_detected(const EvalContext& ctx,
     throw std::invalid_argument("line_fault_detected: transistor fault");
   if (pattern_index >= ctx.pattern_count())
     throw std::invalid_argument("line_fault_detected: bad pattern index");
-  if (!ctx.packed()) {
-    const EvalContext one(ctx.compiled(), {ctx.patterns()[pattern_index]});
-    if (!one.packed())
-      throw std::invalid_argument("line_fault_detected: X in the pattern");
-    return line_fault_detected(one, fault, 0);
-  }
-  // The PI words of the pattern's word; `bit` masks off its 63 neighbours.
-  const logic::CompiledCircuit& cc = ctx.compiled();
-  const std::size_t w = pattern_index / 64;
-  std::vector<std::uint64_t> pi_words(ckt_.primary_inputs().size());
-  for (std::size_t i = 0; i < pi_words.size(); ++i)
-    pi_words[i] = ctx.pi_planes()[i * ctx.plane_stride() + w];
-  const std::uint64_t bit = 1ull << (pattern_index % 64);
-  std::vector<std::uint64_t> faulty;
-  cc.init_packed(pi_words, faulty);
-  cc.eval_packed_line(faulty, checked_line_fault(ckt_, fault));
-  for (const logic::NetId po : ckt_.primary_outputs())
-    if (((ctx.good_plane(po)[w] ^ faulty[static_cast<std::size_t>(po)]) &
-         bit) != 0)
-      return true;
-  return false;
+  // run_range over a context of just that pattern (ctx itself when it
+  // holds only that one); an X pattern throws from run_range.
+  const std::vector<Fault> one_fault = {fault};
+  if (ctx.pattern_count() == 1)
+    return run_range(ctx, one_fault, 0, 1)[0].detected_output;
+  const EvalContext one(ctx.compiled(), {ctx.patterns()[pattern_index]});
+  return run_range(one, one_fault, 0, 1)[0].detected_output;
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_fault(
@@ -321,27 +320,23 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   check_context(ctx);
   if (fault.site != FaultSite::kGateTransistor)
     throw std::invalid_argument("simulate_transistor_fault: wrong site");
-  if (fault.gate < 0 || fault.gate >= ckt_.gate_count())
-    throw std::invalid_argument("simulate_faulty: bad gate id");
+  if (const char* error = transistor_fault_error(ckt_, fault))
+    throw std::invalid_argument(
+        std::string("simulate_transistor_fault: ") + error);
   const gates::CellKind kind = ckt_.gate(fault.gate).kind;
   const gates::CellFault& cf = fault.cell_fault;
-  // Memoized dictionary lookup: index by (kind, fault kind, transistor),
-  // falling back to the locked cache for out-of-band transistor indices.
-  const gates::FaultAnalysis* fap = nullptr;
-  constexpr std::size_t kTSlots = 33;  // transistor -1..31
-  const std::size_t tslot = static_cast<std::size_t>(cf.transistor + 1);
-  if (cf.transistor + 1 >= 0 && tslot < kTSlots) {
-    const std::size_t idx = (static_cast<std::size_t>(kind) * 5 +
-                             static_cast<std::size_t>(cf.kind)) *
-                                kTSlots +
-                            tslot;
-    if (scratch.dicts.size() <= idx) scratch.dicts.resize(idx + 1, nullptr);
-    const gates::FaultAnalysis*& slot = scratch.dicts[idx];
-    if (slot == nullptr) slot = &ctx.dictionary(kind, cf);
-    fap = slot;
-  } else {
-    fap = &ctx.dictionary(kind, cf);
-  }
+  // Memoized dictionary lookup, indexed by (kind, fault kind, transistor):
+  // the index is checked above and no cell has more than kTSlots
+  // transistors.
+  constexpr std::size_t kTSlots = 4;
+  assert(static_cast<std::size_t>(cf.transistor) < kTSlots);
+  const std::size_t idx = (static_cast<std::size_t>(kind) * 5 +
+                           static_cast<std::size_t>(cf.kind)) *
+                              kTSlots +
+                          static_cast<std::size_t>(cf.transistor);
+  if (scratch.dicts.size() <= idx) scratch.dicts.resize(idx + 1, nullptr);
+  const gates::FaultAnalysis*& fap = scratch.dicts[idx];
+  if (fap == nullptr) fap = &ctx.dictionary(kind, cf);
   const gates::FaultAnalysis& fa = *fap;
 
   // Purely binary dictionaries (no floating rows to retain, no X rows to

@@ -141,6 +141,16 @@ struct FaultSimReport {
 [[nodiscard]] logic::CompiledCircuit::LineFault checked_line_fault(
     const logic::Circuit& ckt, const Fault& fault);
 
+/// Why a transistor fault does not fit the circuit: "bad gate id" when its
+/// gate id is not in [0, gate_count()), "bad transistor index" when its
+/// transistor index is not in [0, the cell's transistor count), nullptr
+/// when it fits.  The site is the caller's to check.  FaultSimulator, the
+/// PODEM entry points and shard_io's parser check this before any
+/// dictionary lookup, so a bad index neither reaches the cell tables nor
+/// adds a DictionaryCache entry.
+[[nodiscard]] const char* transistor_fault_error(const logic::Circuit& ckt,
+                                                 const Fault& fault);
+
 /// Fault simulator bound to one circuit.  It holds no compilation: every
 /// walk reads the one of the context it runs over.
 class FaultSimulator {
@@ -183,10 +193,10 @@ class FaultSimulator {
                                          const logic::Pattern& pattern) const;
 
   /// Context-based variant for ATPG verification loops: checks the fault
-  /// against pattern `pattern_index` of the context without re-packing or
-  /// re-simulating the good machine per call.  On an X-bearing context a
-  /// binary pattern is checked through a one-pattern context over
-  /// ctx.compiled(); an X pattern throws std::invalid_argument.
+  /// against pattern `pattern_index` of the context with run_range over a
+  /// one-pattern context that borrows ctx.compiled() (ctx itself when it
+  /// holds only that pattern), so no call compiles.  An X pattern throws
+  /// std::invalid_argument from run_range.
   [[nodiscard]] bool line_fault_detected(const EvalContext& ctx,
                                          const Fault& fault,
                                          std::size_t pattern_index) const;
@@ -249,6 +259,8 @@ class FaultSimulator {
   /// binary dictionary -> simulate_transistor_packed, packed + floating or
   /// marginal rows -> simulate_transistor_retained, X-bearing patterns ->
   /// the serial walk.  Counts the path taken into `stats` when non-null.
+  /// @throws std::invalid_argument on a line fault, or when
+  ///   transistor_fault_error rejects the fault's ids
   [[nodiscard]] DetectionRecord simulate_transistor_scratch(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options, TransistorScratch& scratch,

@@ -20,6 +20,8 @@ struct RandomPatternOptions {
   double one_probability = 0.5;
   /// Stop after this many consecutive patterns without a new detection.
   int stale_limit = 64;
+  /// Observation options.  `detection_mode` is ignored: the curve needs
+  /// each fault's first detection, so the run is always kFirstOnly.
   FaultSimOptions sim;
 };
 
@@ -42,10 +44,15 @@ struct RandomPatternResult {
 };
 
 /// Runs a random-pattern campaign against a fault list, recording the
-/// cumulative coverage after every pattern.  Detection uses the same
-/// machinery as the deterministic flow (line faults via packed simulation;
-/// transistor faults via dictionaries, with IDDQ observation when the
-/// options allow it).
+/// cumulative coverage after every pattern.  All `max_patterns` patterns
+/// are drawn up front and fault-simulated in one first-detection
+/// FaultSimulator run over one EvalContext (the same plane kernels as
+/// every other caller, with IDDQ observation and retention across the
+/// sequence when the options allow them); the curve then stops at the
+/// first of `stale_limit` patterns without a new detection or every fault
+/// detected.
+/// @throws std::invalid_argument when max_patterns < 1 or
+///   one_probability is not in (0, 1)
 [[nodiscard]] RandomPatternResult run_random_patterns(
     const logic::Circuit& ckt, const std::vector<Fault>& faults,
     const RandomPatternOptions& options = {});

@@ -148,66 +148,6 @@ bool CompiledCircuit::eval_scalar_faulty(
   return iddq;
 }
 
-// ---- packed kernels -------------------------------------------------------
-
-void CompiledCircuit::init_packed(const std::vector<std::uint64_t>& pi_words,
-                                  std::vector<std::uint64_t>& values) const {
-  assert(pi_words.size() == ckt_->primary_inputs().size());
-  values.assign(static_cast<std::size_t>(ckt_->net_count()), 0);
-  for (const NetId n : const_one_)
-    values[static_cast<std::size_t>(n)] = ~0ull;
-  const std::vector<NetId>& pis = ckt_->primary_inputs();
-  for (std::size_t i = 0; i < pi_words.size(); ++i)
-    values[static_cast<std::size_t>(pis[i])] = pi_words[i];
-}
-
-void CompiledCircuit::eval_packed_range(std::uint64_t* values,
-                                        std::size_t from,
-                                        std::size_t to) const {
-  for (std::size_t k = from; k < to; ++k) {
-    const GateRec& g = gates_[k];
-    values[g.out] = eval_cell_packed(g.kind, values[g.in[0]], values[g.in[1]],
-                                     values[g.in[2]]);
-  }
-}
-
-void CompiledCircuit::eval_packed(std::vector<std::uint64_t>& values) const {
-  assert(values.size() == static_cast<std::size_t>(ckt_->net_count()));
-  eval_packed_range(values.data(), 0, gates_.size());
-}
-
-void CompiledCircuit::eval_packed_line(std::vector<std::uint64_t>& values,
-                                       const LineFault& fault) const {
-  assert(values.size() == static_cast<std::size_t>(ckt_->net_count()));
-  std::uint64_t* const v = values.data();
-  const std::uint64_t forced = fault.stuck_one ? ~0ull : 0ull;
-
-  if (fault.net >= 0) {
-    // Stem: the net holds the forced word everywhere, so its driver's
-    // write is dead — skip the driver instead of overriding per gate.
-    v[fault.net] = forced;
-    const int driver = ckt_->driver_of(fault.net);
-    if (driver < 0) {
-      eval_packed_range(v, 0, gates_.size());
-      return;
-    }
-    const std::size_t pos = position_of(driver);
-    eval_packed_range(v, 0, pos);
-    eval_packed_range(v, pos + 1, gates_.size());
-    return;
-  }
-
-  // Branch: exactly one pin of one gate sees the forced word.
-  const std::size_t pos = position_of(fault.gate);
-  eval_packed_range(v, 0, pos);
-  const GateRec& g = gates_[pos];
-  assert(fault.pin >= 0 && fault.pin < g.n_in);
-  std::uint64_t in[3] = {v[g.in[0]], v[g.in[1]], v[g.in[2]]};
-  in[fault.pin] = forced;
-  v[g.out] = eval_cell_packed(g.kind, in[0], in[1], in[2]);
-  eval_packed_range(v, pos + 1, gates_.size());
-}
-
 // ---- SoA bit-plane kernels ------------------------------------------------
 //
 // The bodies live in logic/packed_kernels.hpp as templates over a 4x64-bit

@@ -1,6 +1,7 @@
 // One-time compilation of a finalized Circuit into levelized, table-driven
-// arrays: the single evaluation kernel under scalar simulation, packed
-// 64-pattern fault simulation, and the ATPG forward-implication passes.
+// arrays: the single evaluation kernel under scalar simulation, the packed
+// bit-plane kernels of fault simulation, and the ATPG forward-implication
+// passes.
 //
 // The compiler flattens the gate list into topological order (exactly
 // Circuit::topo_order(), so every consumer sees the same evaluation
@@ -18,8 +19,9 @@
 //     once per CompiledCircuit and never rebuilt — a new Circuit object
 //     needs a new compilation;
 //   * every kernel is bit-identical to the interpreted evaluator it
-//     replaced (pinned by tests/logic/compiled_circuit_test.cpp and the
-//     campaign engine's byte-identical-JSON suites).
+//     replaced (pinned by tests/logic/compiled_circuit_test.cpp against
+//     the interpreted walks kept in tests/logic/reference_logic.hpp, and
+//     by the campaign engine's byte-identical-JSON suites).
 #pragma once
 
 #include <array>
@@ -122,22 +124,6 @@ class CompiledCircuit {
                           const gates::FaultAnalysis& fa,
                           const std::vector<LogicV>* previous_state) const;
 
-  // ---- packed 64-pattern kernels -------------------------------------------
-
-  /// Seeds `values` for a packed pass: 0 everywhere, ~0 on constant-1
-  /// slots, the packed PI words over the primary inputs.
-  void init_packed(const std::vector<std::uint64_t>& pi_words,
-                   std::vector<std::uint64_t>& values) const;
-
-  /// Packed good-machine forward pass, in place.
-  void eval_packed(std::vector<std::uint64_t>& values) const;
-
-  /// Packed pass with one line forced to a constant.  A stem fault skips
-  /// the forced net's driver entirely; a branch fault overrides one pin of
-  /// one gate — no per-gate fault checks remain in the loop.
-  void eval_packed_line(std::vector<std::uint64_t>& values,
-                        const LineFault& fault) const;
-
   // ---- SoA bit-plane kernels (multi-word, multi-fault, SIMD) ---------------
   //
   // Layout: planes[net * stride + w] holds pattern word `w` of net `net` —
@@ -165,15 +151,15 @@ class CompiledCircuit {
 
   /// Seeds the SoA plane buffer: 0 everywhere, ~0 on constant-1 rows, and
   /// the PI plane rows copied in.  `pi_planes` uses the same layout with
-  /// one row per primary input (pack_patterns order).
+  /// one row per primary input (Circuit::primary_inputs() order).
   void init_packed_planes(const std::uint64_t* pi_planes, std::size_t stride,
                           std::vector<std::uint64_t>& planes) const;
 
   /// Good-machine forward pass over every plane word, in place.  Walks
   /// kSimdWords-word groups in the outer loop so each group's working set
-  /// is one vector register per net.  Bit-identical to eval_packed per
-  /// word on every backend (the 2-input cells' 4-valued tables reduce to
-  /// the same bitwise forms on binary planes).
+  /// is one vector register per net.  Bit-identical on every backend to
+  /// the cells' 4-valued tables per pattern (on binary planes they reduce
+  /// to bitwise forms).
   void eval_packed_planes(std::vector<std::uint64_t>& planes,
                           std::size_t stride) const;
 
@@ -275,8 +261,6 @@ class CompiledCircuit {
 
  private:
   void eval_scalar_range(LogicV* values, std::size_t from,
-                         std::size_t to) const;
-  void eval_packed_range(std::uint64_t* values, std::size_t from,
                          std::size_t to) const;
 
   const Circuit* ckt_;

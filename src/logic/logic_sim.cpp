@@ -19,18 +19,6 @@ Simulator::Simulator(const Circuit& ckt)
     : ckt_(ckt),
       cc_(require_finalized(ckt, "Simulator: circuit not finalized")) {}
 
-std::optional<unsigned> Simulator::local_input(
-    const GateInst& gate, const std::vector<LogicV>& values) {
-  unsigned bits = 0;
-  for (int i = 0; i < gate.input_count(); ++i) {
-    const LogicV v =
-        values[static_cast<std::size_t>(gate.in[static_cast<std::size_t>(i)])];
-    if (!is_binary(v)) return std::nullopt;
-    if (v == LogicV::k1) bits |= 1u << i;
-  }
-  return bits;
-}
-
 LogicV eval_cell_x(gates::CellKind kind, LogicV a, LogicV b, LogicV c) {
   const int n = gates::input_count(kind);
   const LogicV in_v[3] = {a, b, c};
@@ -89,65 +77,6 @@ SimResult Simulator::simulate_faulty_with(
   r.iddq_flag =
       cc_.eval_scalar_faulty(r.net_values, fault.gate, fa, previous_state);
   return r;
-}
-
-std::uint64_t eval_cell_packed(gates::CellKind kind, std::uint64_t a,
-                               std::uint64_t b, std::uint64_t c) {
-  using gates::CellKind;
-  switch (kind) {
-    case CellKind::kInv: return ~a;
-    case CellKind::kBuf: return a;
-    case CellKind::kNand2: return ~(a & b);
-    case CellKind::kNor2: return ~(a | b);
-    case CellKind::kXor2: return a ^ b;
-    case CellKind::kXor3: return a ^ b ^ c;
-    case CellKind::kMaj3: return (a & b) | (b & c) | (a & c);
-  }
-  return 0;
-}
-
-std::vector<std::uint64_t> pack_patterns(const Circuit& ckt,
-                                         const std::vector<Pattern>& patterns) {
-  if (patterns.size() > 64)
-    throw std::invalid_argument("pack_patterns: more than 64 patterns");
-  const std::size_t n_pi = ckt.primary_inputs().size();
-  std::vector<std::uint64_t> words(n_pi, 0);
-  for (std::size_t k = 0; k < patterns.size(); ++k) {
-    const Pattern& p = patterns[k];
-    if (p.size() != n_pi)
-      throw std::invalid_argument("pack_patterns: pattern arity mismatch");
-    for (std::size_t i = 0; i < n_pi; ++i) {
-      if (!is_binary(p[i]))
-        throw std::invalid_argument("pack_patterns: X in packed pattern");
-      if (p[i] == LogicV::k1) words[i] |= 1ull << k;
-    }
-  }
-  return words;
-}
-
-std::vector<std::uint64_t> simulate_packed(
-    const Circuit& ckt, const std::vector<std::uint64_t>& pi_words) {
-  if (pi_words.size() != ckt.primary_inputs().size())
-    throw std::invalid_argument("simulate_packed: arity mismatch");
-  std::vector<std::uint64_t> values(
-      static_cast<std::size_t>(ckt.net_count()), 0);
-  for (NetId n = 0; n < ckt.net_count(); ++n)
-    if (ckt.constant_of(n) == LogicV::k1)
-      values[static_cast<std::size_t>(n)] = ~0ull;
-  for (std::size_t i = 0; i < pi_words.size(); ++i)
-    values[static_cast<std::size_t>(ckt.primary_inputs()[i])] = pi_words[i];
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    const std::uint64_t a =
-        values[static_cast<std::size_t>(g.in[0] >= 0 ? g.in[0] : 0)];
-    const std::uint64_t b =
-        g.in[1] >= 0 ? values[static_cast<std::size_t>(g.in[1])] : 0;
-    const std::uint64_t c =
-        g.in[2] >= 0 ? values[static_cast<std::size_t>(g.in[2])] : 0;
-    values[static_cast<std::size_t>(g.out)] =
-        eval_cell_packed(g.kind, a, b, c);
-  }
-  return values;
 }
 
 }  // namespace cpsinw::logic

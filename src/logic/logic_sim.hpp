@@ -1,11 +1,10 @@
 // Gate-level logic simulation: scalar 4-valued evaluation (good machine and
-// single-fault machines based on the switch-level fault dictionaries) and
-// 64-pattern-parallel bit-level evaluation for fast fault simulation.
+// single-fault machines based on the switch-level fault dictionaries).
+// Pattern-parallel evaluation runs only on CompiledCircuit's bit-plane
+// kernels, behind faults::EvalContext and faults::FaultSimulator.
 #pragma once
 
 #include <cassert>
-#include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "gates/fault_dictionary.hpp"
@@ -68,37 +67,12 @@ class Simulator {
       const gates::FaultAnalysis& analysis,
       const std::vector<LogicV>* previous_state = nullptr) const;
 
-  /// Local input vector seen by a gate given net values; bit i = pin i.
-  /// Returns nullopt when any pin is non-binary.
-  [[nodiscard]] static std::optional<unsigned> local_input(
-      const GateInst& gate, const std::vector<LogicV>& values);
-
   [[nodiscard]] const Circuit& circuit() const { return ckt_; }
 
  private:
   const Circuit& ckt_;
   CompiledCircuit cc_;
 };
-
-/// Packs up to 64 fully-specified patterns (bit k = pattern index k).
-/// @throws std::invalid_argument for >64 patterns or X inputs
-[[nodiscard]] std::vector<std::uint64_t> pack_patterns(
-    const Circuit& ckt, const std::vector<Pattern>& patterns);
-
-/// Parallel good-machine simulation of up to 64 packed patterns.
-/// Interpreted reference implementation (walks GateInst records directly);
-/// the hot paths run CompiledCircuit::eval_packed instead, which is
-/// bit-identical — the golden suites compare the two.
-/// @param pi_words per-PI packed values (as from pack_patterns)
-/// @returns per-net packed values
-[[nodiscard]] std::vector<std::uint64_t> simulate_packed(
-    const Circuit& ckt, const std::vector<std::uint64_t>& pi_words);
-
-/// Word-level evaluation of one cell function.
-[[nodiscard]] std::uint64_t eval_cell_packed(gates::CellKind kind,
-                                             std::uint64_t a,
-                                             std::uint64_t b,
-                                             std::uint64_t c);
 
 /// X-aware scalar evaluation of one cell: enumerates the binary
 /// completions of X inputs and returns the output when they all agree,

@@ -122,9 +122,9 @@ struct U64x2x2 {
 
 // ---- shared kernel bodies -------------------------------------------------
 
-/// Vector form of eval_cell_packed: on binary planes the 4-valued tables
-/// collapse to these bitwise forms (pinned against the table kernel by
-/// tests/logic/compiled_batch_test.cpp).
+/// Word-parallel cell functions: on binary planes the 4-valued tables
+/// collapse to these bitwise forms (pinned against the interpreted walk of
+/// tests/logic/reference_logic.hpp by tests/logic/compiled_batch_test.cpp).
 template <class V>
 inline V eval_cell_vec(gates::CellKind kind, const V& a, const V& b,
                        const V& c) {
@@ -191,8 +191,8 @@ std::size_t eval_line_batch_t(const CompiledCircuit& cc,
   // net's lanes are only valid when its epoch equals the current strip's;
   // every other net reads straight from the good planes.  This keeps the
   // per-word cost proportional to the walked suffix, not to net_count (a
-  // full per-word broadcast of the good machine would cost as much as the
-  // single-fault path's init_packed and cancel the batching win).  The
+  // full per-word broadcast of the good machine would cost as much as
+  // seeding a whole single-fault pass and cancel the batching win).  The
   // counter persists across calls sharing the scratch, so the epochs are
   // zeroed once per scratch lifetime, not once per kernel call.
   const std::size_t need = n_net * (kLanes * kGroups + 1) + 1;

@@ -8,6 +8,7 @@
 #include "faults/fault_sim.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/compiled_circuit.hpp"
+#include "logic/netlist_ingest.hpp"
 
 namespace cpsinw::engine {
 namespace {
@@ -38,6 +39,27 @@ TEST(Campaign, ReportIsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(json1.find("ripple_adder_8"), std::string::npos);
   EXPECT_NE(json1.find("tmr_voter_4"), std::string::npos);
   EXPECT_GT(r1.totals().detected, 0);
+
+  // The same guarantee at circuit scale: the build's ingested
+  // alu_array_64.bench (over 1,000 gates after MAJ3 decomposition), with
+  // the default classes (line stuck-at, both polarity faults, stuck-open,
+  // stuck-on) over 128 random patterns.
+  CampaignSpec large;
+  large.jobs.push_back(
+      {"alu_array_64_bench",
+       logic::load_circuit_file(std::string(CPSINW_GEN_DATA_DIR) +
+                                "/alu_array_64.bench")});
+  large.patterns.kind = PatternSourceSpec::Kind::kRandom;
+  large.patterns.random_count = 128;
+  large.seed = 97;
+  large.threads = 1;
+  const std::string large1 = run_campaign(large).to_json();
+  EXPECT_NE(large1.find("alu_array_64_bench"), std::string::npos);
+  for (const int threads : {2, 8}) {
+    large.threads = threads;
+    EXPECT_EQ(run_campaign(large).to_json(), large1)
+        << threads << " threads";
+  }
 }
 
 TEST(Campaign, MatchesSerialFaultSimulatorExactly) {

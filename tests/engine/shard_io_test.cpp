@@ -240,6 +240,39 @@ TEST(ShardIo, OutOfRangeBridgeNetsThrowInsteadOfCrashing) {
   }
 }
 
+TEST(ShardIo, OutOfRangeTransistorIndicesThrowAtParse) {
+  // A transistor index is a plain int on the wire.  A negative one used to
+  // parse and run as "no fault" (reported undetected); the document is
+  // rejected with the parser's other diagnostics instead.
+  const logic::Circuit ckt = logic::c17();
+  const std::vector<CampaignFault> universe = {CampaignFault::from_fault(
+      faults::Fault::transistor(0, 0, gates::TransistorFault::kStuckAtNType))};
+  Shard shard;
+  shard.end = universe.size();
+  const std::vector<logic::Pattern> one = {
+      logic::Pattern(ckt.primary_inputs().size(), logic::LogicV::k1)};
+  const std::string doc =
+      serialize_shard_input(ckt, one, universe, shard, ShardExecOptions{});
+  EXPECT_EQ(parse_shard_input(doc).faults.size(), 1u);
+  const std::string field = "\"t\":0,";
+  const std::size_t at = doc.find(field);
+  ASSERT_NE(at, std::string::npos);
+  for (const int t : {-1, 99}) {
+    std::string bad = doc;
+    bad.replace(at, field.size(), "\"t\":" + std::to_string(t) + ",");
+    try {
+      (void)parse_shard_input(bad);
+      ADD_FAILURE() << "t=" << t << " parsed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard_io:"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("transistor index"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ShardIo, OutOfContractOptionsThrowInsteadOfRunningAnotherContract) {
   // A misspelt detection mode used to run the kFull record contract, and
   // a sample fraction outside (0, 1] (which run_campaign rejects) was

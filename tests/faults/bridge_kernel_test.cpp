@@ -480,7 +480,6 @@ TEST(BridgeKernel, XBearingPatternsTakeTheSerialLoop) {
   }
 }
 
-#ifndef CPSINW_TELEMETRY_OFF
 TEST(BridgeKernel, RunShardExportsTheSerialBridgeCounter) {
   const logic::Circuit ckt = logic::c17();
   engine::FaultModelSelection models;
@@ -508,7 +507,6 @@ TEST(BridgeKernel, RunShardExportsTheSerialBridgeCounter) {
   with_x[5][2] = LogicV::kX;
   EXPECT_EQ(serial_bridges(with_x), universe.size());
 }
-#endif
 
 }  // namespace
 }  // namespace cpsinw::faults

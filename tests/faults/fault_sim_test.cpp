@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gates/dictionary_cache.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::faults {
@@ -42,12 +43,11 @@ TEST(FaultSim, SingleBadPatternDetectsNothingItShouldnt) {
   const FaultSimulator fsim(ckt);
   const Fault f = Fault::net_stuck(ckt.find_net("22"), false);
   // Pattern driving output 22 to 0 cannot reveal SA0 on it.
+  const logic::Simulator sim(ckt);
   for (const Pattern& p : exhaustive_patterns(ckt)) {
     const bool detected = fsim.line_fault_detected(f, p);
-    const auto words = logic::pack_patterns(ckt, {p});
-    const auto good = logic::simulate_packed(ckt, words);
     const bool out_is_one =
-        (good[static_cast<std::size_t>(ckt.find_net("22"))] & 1ull) != 0;
+        sim.simulate(p).value(ckt.find_net("22")) == logic::LogicV::k1;
     EXPECT_EQ(detected, out_is_one);
   }
 }
@@ -141,6 +141,23 @@ TEST(FaultSim, RejectsWrongSiteKinds) {
   EXPECT_THROW((void)fsim.simulate_transistor_fault(
                    Fault::net_stuck(0, false), {bits_to_pattern(0, 3)}),
                std::invalid_argument);
+}
+
+TEST(FaultSim, RejectsOutOfRangeTransistorIndices) {
+  // A negative index reads as "no fault" in the cell tables and 99 is
+  // past them: both must throw before any dictionary lookup, so neither
+  // comes back as an undetected record nor adds a cache entry.
+  const logic::Circuit ckt = logic::c17();
+  const FaultSimulator fsim(ckt);
+  const std::vector<Pattern> patterns = exhaustive_patterns(ckt);
+  const std::size_t cached = gates::DictionaryCache::global().size();
+  for (const int t : {-1, -5, 99}) {
+    const Fault f =
+        Fault::transistor(0, t, gates::TransistorFault::kStuckAtNType);
+    EXPECT_THROW((void)fsim.run({f}, patterns), std::invalid_argument)
+        << "transistor " << t;
+  }
+  EXPECT_EQ(gates::DictionaryCache::global().size(), cached);
 }
 
 }  // namespace

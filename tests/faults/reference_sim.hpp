@@ -1,8 +1,8 @@
 // Reference evaluators for the fault-simulation differential suites: the
 // plain algorithms every production walk must reproduce record for
-// record.  Nothing here drops faults, batches them or reads a plane
-// kernel, so a record from these functions is what the pattern set alone
-// says about the fault.
+// record.  Nothing here batches faults or reads a plane kernel, so a
+// result from these functions is what the pattern set alone says about
+// the faults.
 #pragma once
 
 #include <algorithm>
@@ -13,8 +13,12 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault.hpp"
 #include "faults/fault_sim.hpp"
+#include "faults/random_patterns.hpp"
+#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/logic_sim.hpp"
+#include "util/rng.hpp"
+#include "../logic/reference_logic.hpp"
 
 namespace cpsinw::faults::reference {
 
@@ -119,14 +123,14 @@ struct PackedWord {
 };
 
 /// Pattern word `w` of the context's pattern list, packed on its own with
-/// logic::pack_patterns rather than read from the context.
+/// logic::reference::pack_patterns rather than read from the context.
 inline PackedWord pack_word(const EvalContext& ctx, std::size_t w) {
   const std::vector<logic::Pattern>& patterns = ctx.patterns();
   const std::size_t base = w * 64;
   const std::size_t count = std::min<std::size_t>(64, patterns.size() - base);
   const auto first = patterns.begin() + static_cast<long>(base);
   PackedWord out;
-  out.pi_words = logic::pack_patterns(
+  out.pi_words = logic::reference::pack_patterns(
       ctx.circuit(), std::vector<logic::Pattern>(
                          first, first + static_cast<long>(count)));
   out.active = count == 64 ? ~0ull : ((1ull << count) - 1ull);
@@ -134,20 +138,18 @@ inline PackedWord pack_word(const EvalContext& ctx, std::size_t w) {
 }
 
 /// Per-word detection words of one line fault on a packed context: one
-/// pack_word + init_packed + eval_packed_line per (fault, word),
+/// pack_word + interpreted single-word line walk per (fault, word),
 /// PO-differenced against the good planes and masked by the word's
 /// patterns.
 inline std::vector<std::uint64_t> line_det_words(const EvalContext& ctx,
                                                  const Fault& fault) {
   const logic::Circuit& ckt = ctx.circuit();
-  const logic::CompiledCircuit& cc = ctx.compiled();
   const logic::CompiledCircuit::LineFault lf = checked_line_fault(ckt, fault);
   std::vector<std::uint64_t> det(ctx.word_count(), 0);
-  std::vector<std::uint64_t> values;
   for (std::size_t w = 0; w < ctx.word_count(); ++w) {
     const PackedWord word = pack_word(ctx, w);
-    cc.init_packed(word.pi_words, values);
-    cc.eval_packed_line(values, lf);
+    const std::vector<std::uint64_t> values =
+        logic::reference::packed_line(ckt, word.pi_words, lf);
     std::uint64_t diff = 0;
     for (const logic::NetId po : ckt.primary_outputs())
       diff |= ctx.good_plane(po)[w] ^ values[static_cast<std::size_t>(po)];
@@ -188,6 +190,115 @@ inline std::vector<DetectionRecord> records(const EvalContext& ctx,
   out.reserve(faults.size());
   for (const Fault& f : faults) out.push_back(record(ctx, f, options));
   return out;
+}
+
+/// The random-pattern campaign loop that run_random_patterns replaced,
+/// verbatim apart from its single-word packed passes, which now come from
+/// reference_logic.hpp: per drawn pattern, a scalar good machine and a
+/// packed one; then every fault, a line fault through the interpreted
+/// single-word walk, a transistor fault through a scalar faulty pass that
+/// threads its retained state across the whole sequence (a detected fault
+/// keeps threading it).  Stops after `stale_limit` patterns without a new
+/// detection, then once every fault is detected.  The option checks are
+/// left to the library.
+inline RandomPatternResult random_patterns(
+    const logic::Circuit& ckt, const std::vector<Fault>& faults,
+    const RandomPatternOptions& options) {
+  using logic::LogicV;
+  const logic::CompiledCircuit cc(ckt);
+  util::SplitMix64 rng(options.seed);
+
+  struct TransState {
+    logic::GateFault gf;
+    const gates::FaultAnalysis* fa = nullptr;
+    std::vector<LogicV> state;
+  };
+  std::vector<TransState> trans(faults.size());
+  std::vector<logic::CompiledCircuit::LineFault> line(faults.size());
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    const Fault& f = faults[fi];
+    if (f.site != FaultSite::kGateTransistor) {
+      line[fi] = checked_line_fault(ckt, f);
+      continue;
+    }
+    trans[fi].gf = {f.gate, f.cell_fault};
+    trans[fi].fa = &gates::DictionaryCache::global().lookup(
+        ckt.gate(f.gate).kind, f.cell_fault);
+  }
+
+  RandomPatternResult result;
+  result.total_faults = static_cast<int>(faults.size());
+  std::vector<char> detected(faults.size(), 0);
+  int detected_count = 0;
+  int stale = 0;
+  std::vector<std::uint64_t> pi_words(ckt.primary_inputs().size());
+  std::vector<LogicV> good_values;
+  std::vector<LogicV> faulty_values;
+  for (int k = 0; k < options.max_patterns; ++k) {
+    logic::Pattern p(ckt.primary_inputs().size());
+    for (auto& v : p)
+      v = logic::from_bool(rng.chance(options.one_probability));
+
+    cc.init_scalar(p, good_values);
+    cc.eval_scalar(good_values);
+    for (std::size_t i = 0; i < p.size(); ++i)
+      pi_words[i] = p[i] == LogicV::k1 ? 1ull : 0ull;
+    const std::vector<std::uint64_t> good_words =
+        logic::reference::simulate_packed(ckt, pi_words);
+
+    bool progress = false;
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      const Fault& f = faults[fi];
+      bool hit = false;
+      if (f.site == FaultSite::kGateTransistor) {
+        TransState& ts = trans[fi];
+        const bool has_state =
+            options.sim.sequential_patterns && !ts.state.empty();
+        cc.init_scalar(p, faulty_values);
+        const bool iddq = cc.eval_scalar_faulty(
+            faulty_values, ts.gf.gate, *ts.fa, has_state ? &ts.state : nullptr);
+        if (detected[fi]) {
+          if (options.sim.sequential_patterns) ts.state.swap(faulty_values);
+          continue;
+        }
+        if (iddq && options.sim.observe_iddq) hit = true;
+        for (const logic::NetId po : ckt.primary_outputs()) {
+          const LogicV g = good_values[static_cast<std::size_t>(po)];
+          const LogicV b = faulty_values[static_cast<std::size_t>(po)];
+          if (is_binary(g) && is_binary(b) && g != b) hit = true;
+        }
+        if (options.sim.sequential_patterns) ts.state.swap(faulty_values);
+      } else {
+        if (detected[fi]) continue;
+        const std::vector<std::uint64_t> faulty_words =
+            logic::reference::packed_line(ckt, pi_words, line[fi]);
+        for (const logic::NetId po : ckt.primary_outputs())
+          if (((good_words[static_cast<std::size_t>(po)] ^
+                faulty_words[static_cast<std::size_t>(po)]) &
+               1ull) != 0) {
+            hit = true;
+            break;
+          }
+      }
+      if (hit && !detected[fi]) {
+        detected[fi] = 1;
+        ++detected_count;
+        progress = true;
+      }
+    }
+
+    result.patterns.push_back(std::move(p));
+    result.curve.push_back(
+        {k + 1, detected_count,
+         faults.empty() ? 1.0
+                        : static_cast<double>(detected_count) /
+                              static_cast<double>(faults.size())});
+
+    stale = progress ? 0 : stale + 1;
+    if (stale >= options.stale_limit) break;
+    if (detected_count == static_cast<int>(faults.size())) break;
+  }
+  return result;
 }
 
 }  // namespace cpsinw::faults::reference

@@ -335,7 +335,6 @@ TEST(RetainedKernel, PathCountersSeeNoSerialFallbackOnPackedContexts) {
   EXPECT_EQ(on_x.transistor_binary + on_x.transistor_retained, 0u);
 }
 
-#ifndef CPSINW_TELEMETRY_OFF
 TEST(RetainedKernel, RunShardExportsThePathCounters) {
   const logic::Circuit ckt = logic::c17();
   // Transistor classes only: an X-bearing pattern set rejects line faults.
@@ -375,7 +374,6 @@ TEST(RetainedKernel, RunShardExportsThePathCounters) {
   EXPECT_EQ(x_bearing[2], transistor);
   EXPECT_EQ(x_bearing[0] + x_bearing[1], 0u);
 }
-#endif
 
 // (d) ------------------------------------------------------------------------
 

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "atpg/podem.hpp"
+#include "faults/eval_context.hpp"
 #include "faults/fault_sim.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/netlist_format.hpp"
@@ -32,15 +33,13 @@ TEST_P(RandomCircuits, PackedSimMatchesScalarSim) {
   std::vector<Pattern> patterns;
   for (int k = 0; k < 48; ++k)
     patterns.push_back(random_pattern(rng, ckt.primary_inputs().size()));
-  const auto words = logic::pack_patterns(ckt, patterns);
-  const auto packed = logic::simulate_packed(ckt, words);
+  const faults::EvalContext ctx(ckt, patterns);
+  ASSERT_TRUE(ctx.packed());
   for (std::size_t k = 0; k < patterns.size(); ++k) {
     const logic::SimResult r = sim.simulate(patterns[k]);
-    for (const logic::NetId po : ckt.primary_outputs()) {
-      const bool bit = (packed[static_cast<std::size_t>(po)] >> k) & 1ull;
-      ASSERT_EQ(logic::from_bool(bit), r.value(po))
+    for (const logic::NetId po : ckt.primary_outputs())
+      ASSERT_EQ(ctx.good_value(k, po), r.value(po))
           << "seed=" << GetParam() << " pattern=" << k;
-    }
   }
 }
 

@@ -1,13 +1,12 @@
 // Randomized property suite for the vectorized compiled core: the
 // multi-fault batch kernel (every batch size 1..kBatchLanes, ragged
 // pattern tails) and every SIMD backend must be bit-identical to the
-// single-fault kernels of the reference oracles (reference_sim.hpp) —
-// which the golden-equivalence suite in compiled_circuit_test.cpp pins to
-// the seed's interpreted evaluators, so transitively everything here is
-// pinned to the seed too.  Covers line stuck-at stems and branches,
-// transistor stuck-open/stuck-on and polarity (via IDDQ dictionaries),
-// all five classes through the shard path (bridges against their
-// per-pattern oracle), plus X-bearing pattern sets.
+// reference oracles (reference_sim.hpp), whose line and good-machine
+// walks are the seed's interpreted evaluators (reference_logic.hpp), so
+// everything here is pinned to the seed.  Covers line stuck-at stems and
+// branches, transistor stuck-open/stuck-on and polarity (via IDDQ
+// dictionaries), all five classes through the shard path (bridges against
+// their per-pattern oracle), plus X-bearing pattern sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,6 +24,7 @@
 #include "logic/simd.hpp"
 #include "util/rng.hpp"
 #include "../faults/reference_sim.hpp"
+#include "reference_logic.hpp"
 
 namespace cpsinw::logic {
 namespace {
@@ -110,15 +110,13 @@ TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
     ASSERT_EQ(ctx.word_count(), (patterns.size() + 63) / 64);
     ASSERT_EQ(ctx.plane_stride() % CompiledCircuit::kSimdWords, 0u);
     ASSERT_EQ(ctx.active_words().size(), ctx.word_count());
-    const CompiledCircuit& cc = ctx.compiled();
-    std::vector<std::uint64_t> values;
     for (std::size_t b = 0; b < ctx.word_count(); ++b) {
       const faults::reference::PackedWord word =
           faults::reference::pack_word(ctx, b);
       ASSERT_EQ(ctx.active_words()[b], word.active)
           << w.name << " word " << b;
-      cc.init_packed(word.pi_words, values);
-      cc.eval_packed(values);
+      const std::vector<std::uint64_t> values =
+          reference::simulate_packed(w.ckt, word.pi_words);
       for (NetId n = 0; n < w.ckt.net_count(); ++n)
         ASSERT_EQ(ctx.good_plane(n)[b],
                   values[static_cast<std::size_t>(n)])

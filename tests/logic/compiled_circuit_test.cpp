@@ -1,9 +1,10 @@
 // Golden-equivalence suite for the compiled circuit core: every kernel of
-// logic::CompiledCircuit — scalar good/faulty, packed good, packed line
-// fault, packed transistor substitution — must be bit-identical to the
-// seed's interpreted evaluators, re-implemented here verbatim as the
-// frozen reference (the library itself no longer carries the interpreted
-// walk, so the reference lives in this test).
+// logic::CompiledCircuit — scalar good/faulty, the good planes, the line,
+// transistor and bridge plane kernels behind FaultSimulator — must be
+// bit-identical to the seed's interpreted evaluators, re-implemented here
+// and in reference_logic.hpp verbatim as the frozen reference (the library
+// itself no longer carries the interpreted walk, so the reference lives
+// with the tests).
 #include "logic/compiled_circuit.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,7 @@
 #include "logic/logic_sim.hpp"
 #include "util/rng.hpp"
 #include "../faults/reference_sim.hpp"
+#include "reference_logic.hpp"
 
 namespace cpsinw::logic {
 namespace {
@@ -40,7 +42,7 @@ namespace interp {
 
 LogicV eval_gate(const Circuit& ckt, const GateInst& g,
                  const std::vector<LogicV>& values) {
-  const auto bits = Simulator::local_input(g, values);
+  const auto bits = reference::local_input(g, values);
   if (!bits) {
     const auto in_at = [&](int i) {
       return g.in[static_cast<std::size_t>(i)] >= 0
@@ -89,7 +91,7 @@ SimResult simulate_faulty(const Circuit& ckt, const Pattern& pattern,
           eval_gate(ckt, g, r.net_values);
       continue;
     }
-    const auto bits = Simulator::local_input(g, r.net_values);
+    const auto bits = reference::local_input(g, r.net_values);
     if (!bits) {
       r.net_values[static_cast<std::size_t>(g.out)] = LogicV::kX;
       continue;
@@ -113,38 +115,6 @@ SimResult simulate_faulty(const Circuit& ckt, const Pattern& pattern,
     r.net_values[static_cast<std::size_t>(g.out)] = out;
   }
   return r;
-}
-
-std::vector<std::uint64_t> packed_line(const Circuit& ckt,
-                                       const std::vector<std::uint64_t>& pi,
-                                       const Fault& fault) {
-  std::vector<std::uint64_t> values(
-      static_cast<std::size_t>(ckt.net_count()), 0);
-  for (NetId n = 0; n < ckt.net_count(); ++n)
-    if (ckt.constant_of(n) == LogicV::k1)
-      values[static_cast<std::size_t>(n)] = ~0ull;
-  for (std::size_t i = 0; i < pi.size(); ++i)
-    values[static_cast<std::size_t>(ckt.primary_inputs()[i])] = pi[i];
-
-  const std::uint64_t forced = fault.stuck_at_one ? ~0ull : 0ull;
-  if (fault.site == FaultSite::kNet)
-    values[static_cast<std::size_t>(fault.net)] = forced;
-
-  for (const int gid : ckt.topo_order()) {
-    const GateInst& g = ckt.gate(gid);
-    std::uint64_t in[3] = {0, 0, 0};
-    for (int i = 0; i < g.input_count(); ++i) {
-      in[i] =
-          values[static_cast<std::size_t>(g.in[static_cast<std::size_t>(i)])];
-      if (fault.site == FaultSite::kGateInput && fault.gate == gid &&
-          fault.pin == i)
-        in[i] = forced;
-    }
-    std::uint64_t out = eval_cell_packed(g.kind, in[0], in[1], in[2]);
-    if (fault.site == FaultSite::kNet && g.out == fault.net) out = forced;
-    values[static_cast<std::size_t>(g.out)] = out;
-  }
-  return values;
 }
 
 DetectionRecord transistor_serial(const Circuit& ckt, const Fault& fault,
@@ -192,9 +162,10 @@ DetectionRecord line_fault(const Circuit& ckt, const Fault& fault,
     const std::vector<Pattern> slice(
         patterns.begin() + static_cast<long>(base),
         patterns.begin() + static_cast<long>(base + count));
-    const auto pi_words = pack_patterns(ckt, slice);
-    const auto good = simulate_packed(ckt, pi_words);
-    const auto bad = packed_line(ckt, pi_words, fault);
+    const auto pi_words = reference::pack_patterns(ckt, slice);
+    const auto good = reference::simulate_packed(ckt, pi_words);
+    const auto bad = reference::packed_line(
+        ckt, pi_words, faults::checked_line_fault(ckt, fault));
     const std::uint64_t active =
         count == 64 ? ~0ull : ((1ull << count) - 1ull);
     std::uint64_t diff = 0;
@@ -344,15 +315,8 @@ TEST(CompiledCircuit, ScalarFaultyMatchesInterpretedReference) {
 TEST(CompiledCircuit, PackedGoodMatchesInterpretedSimulatePacked) {
   for (const Named& w : benchmark_roster()) {
     const std::vector<Pattern> patterns = random_patterns(w.ckt, 64, 31);
-    const auto pi_words = pack_patterns(w.ckt, patterns);
-    // The free simulate_packed() is the interpreted reference the library
-    // keeps on purpose.
-    const auto want = simulate_packed(w.ckt, pi_words);
-    const CompiledCircuit cc(w.ckt);
-    std::vector<std::uint64_t> got;
-    cc.init_packed(pi_words, got);
-    cc.eval_packed(got);
-    EXPECT_EQ(got, want) << w.name;
+    const auto want = reference::simulate_packed(
+        w.ckt, reference::pack_patterns(w.ckt, patterns));
     // Context good planes are built by the compiled plane kernel; word 0
     // of every net's row must match the interpreted single-word words.
     const faults::EvalContext ctx(w.ckt, patterns);

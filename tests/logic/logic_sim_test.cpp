@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/eval_context.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::logic {
@@ -164,25 +165,13 @@ TEST(PackedSim, MatchesScalarSimulatorOnC17) {
   const Simulator sim(ckt);
   std::vector<Pattern> patterns;
   for (unsigned v = 0; v < 32; ++v) patterns.push_back(bits_to_pattern(v, 5));
-  const auto words = pack_patterns(ckt, patterns);
-  const auto packed = simulate_packed(ckt, words);
+  const faults::EvalContext ctx(ckt, patterns);
+  ASSERT_TRUE(ctx.packed());
   for (unsigned v = 0; v < 32; ++v) {
     const SimResult r = sim.simulate(patterns[v]);
-    for (const NetId po : ckt.primary_outputs()) {
-      const bool bit =
-          (packed[static_cast<std::size_t>(po)] >> v) & 1ull;
-      EXPECT_EQ(from_bool(bit), r.value(po)) << "v=" << v;
-    }
+    for (const NetId po : ckt.primary_outputs())
+      EXPECT_EQ(ctx.good_value(v, po), r.value(po)) << "v=" << v;
   }
-}
-
-TEST(PackedSim, RejectsOverAndUnderSpecification) {
-  const Circuit ckt = c17();
-  std::vector<Pattern> too_many(65, bits_to_pattern(0, 5));
-  EXPECT_THROW((void)pack_patterns(ckt, too_many), std::invalid_argument);
-  Pattern with_x = bits_to_pattern(0, 5);
-  with_x[0] = LogicV::kX;
-  EXPECT_THROW((void)pack_patterns(ckt, {with_x}), std::invalid_argument);
 }
 
 TEST(EvalCellX, PrecisionOnAllCells) {
