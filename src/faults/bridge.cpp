@@ -282,6 +282,7 @@ bool bridge_detected_by_output(const logic::Circuit& ckt,
 bool bridge_excited_for_iddq(const logic::Circuit& ckt,
                              const BridgeFault& fault,
                              const Pattern& pattern) {
+  (void)checked_bridge(ckt, fault);
   const logic::Simulator sim(ckt);
   const logic::SimResult r = sim.simulate(pattern);
   const LogicV va = r.value(fault.a);

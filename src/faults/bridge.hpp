@@ -92,6 +92,7 @@ struct BridgeFault {
                                              const logic::Pattern& pattern);
 
 /// IDDQ excitation: the two nets are driven to opposite values.
+/// @throws std::invalid_argument on a bad pair (see checked_bridge)
 [[nodiscard]] bool bridge_excited_for_iddq(const logic::Circuit& ckt,
                                            const BridgeFault& fault,
                                            const logic::Pattern& pattern);

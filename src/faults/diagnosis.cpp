@@ -1,6 +1,8 @@
 #include "faults/diagnosis.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "gates/fault_dictionary.hpp"
 
@@ -10,6 +12,23 @@ using logic::LogicV;
 using logic::Pattern;
 
 namespace {
+
+/// Throws std::invalid_argument, prefixed with `where`, when the fault's
+/// ids do not fit the circuit (checked_line_fault, transistor_fault_error):
+/// predict indexes nets, gates and pins with them unchecked.
+void check_fault(const logic::Circuit& ckt, const Fault& fault,
+                 const std::string& where) {
+  if (fault.site == FaultSite::kGateTransistor) {
+    if (const char* error = transistor_fault_error(ckt, fault))
+      throw std::invalid_argument(where + ": " + error);
+    return;
+  }
+  try {
+    (void)checked_line_fault(ckt, fault);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(where + ": " + e.what());
+  }
+}
 
 /// Simulated (outputs, iddq) of a fault under one pattern.
 struct Predicted {
@@ -77,6 +96,7 @@ bool compatible(const Predicted& predicted, const Observation& observed) {
 Observation predict_observation(const logic::Circuit& ckt,
                                 const Fault& fault,
                                 const Pattern& pattern) {
+  check_fault(ckt, fault, "predict_observation");
   const Predicted p = predict(logic::Simulator(ckt), fault, pattern);
   return {pattern, p.outputs, p.iddq};
 }
@@ -96,6 +116,7 @@ Observation predict_good_observation(const logic::Circuit& ckt,
 std::vector<DiagnosisCandidate> diagnose(
     const logic::Circuit& ckt, std::span<const Observation> observations,
     const std::vector<Fault>& candidates) {
+  for (const Fault& f : candidates) check_fault(ckt, f, "diagnose");
   const logic::Simulator sim(ckt);
   std::vector<DiagnosisCandidate> ranked;
   ranked.reserve(candidates.size());

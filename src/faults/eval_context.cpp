@@ -51,7 +51,7 @@ void EvalContext::build() {
   // all-zero-input pattern and are masked off by active_words().
   n_words_ = (patterns_.size() + 63) / 64;
   stride_ = logic::CompiledCircuit::plane_stride(n_words_);
-  pi_planes_.assign(n_pi * stride_, 0);
+  std::vector<std::uint64_t> pi_planes(n_pi * stride_, 0);
   active_words_.assign(n_words_, 0);
   for (std::size_t k = 0; k < patterns_.size(); ++k) {
     const std::size_t w = k / 64;
@@ -59,9 +59,9 @@ void EvalContext::build() {
     active_words_[w] |= bit;
     for (std::size_t i = 0; i < n_pi; ++i)
       if (patterns_[k][i] == logic::LogicV::k1)
-        pi_planes_[i * stride_ + w] |= bit;
+        pi_planes[i * stride_ + w] |= bit;
   }
-  cc_->init_packed_planes(pi_planes_.data(), stride_, good_planes_);
+  cc_->init_packed_planes(pi_planes.data(), stride_, good_planes_);
   cc_->eval_packed_planes(good_planes_, stride_);
 }
 

@@ -81,10 +81,6 @@ class EvalContext {
   [[nodiscard]] const std::uint64_t* good_plane(logic::NetId net) const {
     return good_planes_.data() + static_cast<std::size_t>(net) * stride_;
   }
-  /// Packed-PI plane base, same layout with one row per primary input.
-  [[nodiscard]] const std::uint64_t* pi_planes() const {
-    return pi_planes_.data();
-  }
   /// Per pattern word `w`: the valid-pattern mask (bit k set when pattern
   /// 64 * w + k exists).
   [[nodiscard]] const std::vector<std::uint64_t>& active_words() const {
@@ -135,7 +131,6 @@ class EvalContext {
   std::vector<logic::SimResult> good_;  ///< X-bearing contexts only
   std::size_t n_words_ = 0;
   std::size_t stride_ = 0;
-  std::vector<std::uint64_t> pi_planes_;    ///< [pi][stride_] PI words
   std::vector<std::uint64_t> good_planes_;  ///< [net][stride_] good words
   std::vector<std::uint64_t> active_words_;
   bool packed_ = false;

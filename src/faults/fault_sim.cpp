@@ -108,10 +108,8 @@ logic::CompiledCircuit::LineFault checked_line_fault(
 const char* transistor_fault_error(const logic::Circuit& ckt,
                                    const Fault& fault) {
   if (fault.gate < 0 || fault.gate >= ckt.gate_count()) return "bad gate id";
-  const int transistors = static_cast<int>(
-      gates::cell(ckt.gate(fault.gate).kind).transistors.size());
-  if (fault.cell_fault.transistor < 0 ||
-      fault.cell_fault.transistor >= transistors)
+  if (!gates::has_transistor(ckt.gate(fault.gate).kind,
+                             fault.cell_fault.transistor))
     return "bad transistor index";
   return nullptr;
 }

@@ -215,6 +215,11 @@ const CellTemplate& cell(CellKind kind) {
   throw std::invalid_argument("cell: unknown kind");
 }
 
+bool has_transistor(CellKind kind, int transistor) {
+  return transistor >= 0 &&
+         transistor < static_cast<int>(cell(kind).transistors.size());
+}
+
 const char* to_string(TransistorFault kind) {
   switch (kind) {
     case TransistorFault::kNone: return "none";

@@ -87,6 +87,10 @@ struct CellTemplate {
 /// The template of a cell kind (static storage, never mutated).
 [[nodiscard]] const CellTemplate& cell(CellKind kind);
 
+/// Whether `transistor` indexes one of cell `kind`'s transistors: the
+/// range rule of every entry point that takes a transistor fault.
+[[nodiscard]] bool has_transistor(CellKind kind, int transistor);
+
 /// Transistor-level fault kinds modeled at switch level (paper Secs. V-B,
 /// V-C).  Floating-PG defects are analog-parametric and live at the SPICE
 /// level (Fig. 5 experiments).

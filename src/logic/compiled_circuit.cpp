@@ -151,12 +151,53 @@ bool CompiledCircuit::eval_scalar_faulty(
 // ---- SoA bit-plane kernels ------------------------------------------------
 //
 // The bodies live in logic/packed_kernels.hpp as templates over a 4x64-bit
-// vector; this TU instantiates the portable U64x4 shape (and the NEON pair
-// on aarch64), while compiled_circuit_avx2.cpp — the only TU built with
-// -mavx2 — provides the __m256i instantiations behind the *_avx2 entry
-// points and compiled_circuit_avx512.cpp — the only TU built with
-// -mavx512f -mavx512vl — the VPTERNLOGQ variants behind *_avx512.  Dispatch is per call on simd::active_backend(), so the bench
-// and the bit-identity tests can flip backends inside one process.
+// vector, and each backend is one KernelTable of their instantiations:
+// this TU owns the portable (and, on aarch64, the NEON) table, and the
+// only TUs built with -mavx2 and -mavx512f -mavx512vl own the M256 ones.
+// Dispatch is per call on simd::active_backend(), so the bench and the
+// bit-identity tests can flip backends inside one process.
+
+namespace kernels {
+
+// The one list of backends.  The units compiled into this build set the
+// macros; the running CPU gets the final say (the binary may land on older
+// x86-64).  NEON is architecturally guaranteed on aarch64.
+const KernelTable* table(simd::Backend b) {
+  switch (b) {
+    case simd::Backend::kPortable: return &kKernels<U64x4>;
+#if defined(CPSINW_SIMD_AVX2)
+    case simd::Backend::kAvx2:
+      return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : nullptr;
+#endif
+#if defined(CPSINW_SIMD_AVX512)
+    case simd::Backend::kAvx512:
+      return __builtin_cpu_supports("avx512f") &&
+                     __builtin_cpu_supports("avx512vl")
+                 ? &kAvx512Kernels
+                 : nullptr;
+#endif
+#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
+    case simd::Backend::kNeon: return &kKernels<U64x2x2>;
+#endif
+    default: return nullptr;
+  }
+}
+
+}  // namespace kernels
+
+namespace {
+
+/// The table of the backend the kernels dispatch to right now.  The
+/// widest table is looked up once, so a kernel call probes no CPU flag.
+const kernels::KernelTable& active_kernels() {
+  static const kernels::KernelTable* const widest =
+      kernels::table(simd::compiled_backend());
+  return simd::active_backend() == simd::Backend::kPortable
+             ? kernels::kKernels<kernels::U64x4>
+             : *widest;
+}
+
+}  // namespace
 
 void CompiledCircuit::init_packed_planes(
     const std::uint64_t* pi_planes, std::size_t stride,
@@ -184,20 +225,7 @@ void CompiledCircuit::eval_packed_planes(std::vector<std::uint64_t>& planes,
   assert(stride % kSimdWords == 0);
   assert(planes.size() ==
          static_cast<std::size_t>(ckt_->net_count()) * stride);
-#if defined(CPSINW_SIMD_AVX512)
-  if (simd::active_backend() == simd::Backend::kAvx512)
-    return kernels::eval_planes_avx512(*this, planes.data(), stride);
-#endif
-#if defined(CPSINW_SIMD_AVX2)
-  if (simd::active_backend() == simd::Backend::kAvx2)
-    return kernels::eval_planes_avx2(*this, planes.data(), stride);
-#endif
-#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
-  if (simd::active_backend() == simd::Backend::kNeon)
-    return kernels::eval_planes_t<kernels::U64x2x2>(*this, planes.data(),
-                                                    stride);
-#endif
-  kernels::eval_planes_t<kernels::U64x4>(*this, planes.data(), stride);
+  active_kernels().planes(*this, planes.data(), stride);
 }
 
 std::size_t CompiledCircuit::eval_packed_line_batch(
@@ -207,27 +235,9 @@ std::size_t CompiledCircuit::eval_packed_line_batch(
   assert(n_faults >= 1 && n_faults <= kBatchLanes);
   assert(n_words <= stride);
   if (n_words == 0) return 0;
-#if defined(CPSINW_SIMD_AVX512)
-  if (simd::active_backend() == simd::Backend::kAvx512)
-    return kernels::eval_line_batch_avx512(*this, good_planes, stride,
-                                           n_words, active, faults, n_faults,
-                                           det, lane_scratch);
-#endif
-#if defined(CPSINW_SIMD_AVX2)
-  if (simd::active_backend() == simd::Backend::kAvx2)
-    return kernels::eval_line_batch_avx2(*this, good_planes, stride, n_words,
-                                         active, faults, n_faults, det,
-                                         lane_scratch);
-#endif
-#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
-  if (simd::active_backend() == simd::Backend::kNeon)
-    return kernels::eval_line_batch_t<kernels::U64x2x2>(
-        *this, good_planes, stride, n_words, active, faults, n_faults, det,
-        lane_scratch);
-#endif
-  return kernels::eval_line_batch_t<kernels::U64x4>(
-      *this, good_planes, stride, n_words, active, faults, n_faults, det,
-      lane_scratch);
+  return active_kernels().line_batch(*this, good_planes, stride, n_words,
+                                     active, faults, n_faults, det,
+                                     lane_scratch);
 }
 
 void CompiledCircuit::eval_packed_faulty_planes(
@@ -237,27 +247,9 @@ void CompiledCircuit::eval_packed_faulty_planes(
   assert(fa.compiled_binary);
   assert(n_words <= stride);
   if (n_words == 0) return;
-#if defined(CPSINW_SIMD_AVX512)
-  if (simd::active_backend() == simd::Backend::kAvx512)
-    return kernels::eval_faulty_planes_avx512(*this, good_planes, stride,
-                                              n_words, fault_gate, fa, diff,
-                                              contention, lane_scratch);
-#endif
-#if defined(CPSINW_SIMD_AVX2)
-  if (simd::active_backend() == simd::Backend::kAvx2)
-    return kernels::eval_faulty_planes_avx2(*this, good_planes, stride,
-                                            n_words, fault_gate, fa, diff,
-                                            contention, lane_scratch);
-#endif
-#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
-  if (simd::active_backend() == simd::Backend::kNeon)
-    return kernels::eval_faulty_planes_t<kernels::U64x2x2>(
-        *this, good_planes, stride, n_words, fault_gate, fa, diff, contention,
-        lane_scratch);
-#endif
-  kernels::eval_faulty_planes_t<kernels::U64x4>(*this, good_planes, stride,
-                                                n_words, fault_gate, fa, diff,
-                                                contention, lane_scratch);
+  active_kernels().faulty_planes(*this, good_planes, stride, n_words,
+                                fault_gate, fa, diff, contention,
+                                lane_scratch);
 }
 
 void CompiledCircuit::eval_packed_retained_planes(
@@ -269,27 +261,10 @@ void CompiledCircuit::eval_packed_retained_planes(
   assert(!fa.compiled_binary);
   assert(n_words <= stride);
   if (n_words == 0) return;
-#if defined(CPSINW_SIMD_AVX512)
-  if (simd::active_backend() == simd::Backend::kAvx512)
-    return kernels::eval_retained_planes_avx512(
-        *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
-        detect, potential, contention, lane_scratch, x_scratch);
-#endif
-#if defined(CPSINW_SIMD_AVX2)
-  if (simd::active_backend() == simd::Backend::kAvx2)
-    return kernels::eval_retained_planes_avx2(
-        *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
-        detect, potential, contention, lane_scratch, x_scratch);
-#endif
-#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
-  if (simd::active_backend() == simd::Backend::kNeon)
-    return kernels::eval_retained_planes_t<kernels::U64x2x2>(
-        *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
-        detect, potential, contention, lane_scratch, x_scratch);
-#endif
-  kernels::eval_retained_planes_t<kernels::U64x4>(
-      *this, good_planes, stride, n_words, fault_gate, fa, retain, carry,
-      detect, potential, contention, lane_scratch, x_scratch);
+  active_kernels().retained_planes(*this, good_planes, stride, n_words,
+                                  fault_gate, fa, retain, carry, detect,
+                                  potential, contention, lane_scratch,
+                                  x_scratch);
 }
 
 void CompiledCircuit::eval_packed_bridge_planes(
@@ -302,30 +277,9 @@ void CompiledCircuit::eval_packed_bridge_planes(
   assert(bridge.a != bridge.b);
   assert(n_words <= stride);
   if (n_words == 0) return;
-#if defined(CPSINW_SIMD_AVX512)
-  if (simd::active_backend() == simd::Backend::kAvx512)
-    return kernels::eval_bridge_planes_avx512(*this, good_planes, stride,
-                                              n_words, bridge, detect,
-                                              contention, lane_scratch,
-                                              n1_scratch);
-#endif
-#if defined(CPSINW_SIMD_AVX2)
-  if (simd::active_backend() == simd::Backend::kAvx2)
-    return kernels::eval_bridge_planes_avx2(*this, good_planes, stride,
-                                            n_words, bridge, detect,
-                                            contention, lane_scratch,
-                                            n1_scratch);
-#endif
-#if defined(__aarch64__) && !defined(CPSINW_SIMD_OFF)
-  if (simd::active_backend() == simd::Backend::kNeon)
-    return kernels::eval_bridge_planes_t<kernels::U64x2x2>(
-        *this, good_planes, stride, n_words, bridge, detect, contention,
-        lane_scratch, n1_scratch);
-#endif
-  kernels::eval_bridge_planes_t<kernels::U64x4>(*this, good_planes, stride,
-                                                n_words, bridge, detect,
-                                                contention, lane_scratch,
-                                                n1_scratch);
+  active_kernels().bridge_planes(*this, good_planes, stride, n_words,
+                                bridge, detect, contention, lane_scratch,
+                                n1_scratch);
 }
 
 }  // namespace cpsinw::logic

@@ -56,6 +56,9 @@ class Simulator {
   /// Single-fault evaluation.  The faulted gate's output is produced by its
   /// switch-level fault dictionary; a floating (Z) output retains the value
   /// from `previous_state` (or X when absent).
+  /// @throws std::invalid_argument when the gate id is not in
+  ///   [0, gate_count()) or the transistor index is not in [0, the cell's
+  ///   transistor count), before any dictionary lookup
   [[nodiscard]] SimResult simulate_faulty(
       const Pattern& pattern, const GateFault& fault,
       const std::vector<LogicV>* previous_state = nullptr) const;

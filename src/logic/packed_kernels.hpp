@@ -1,20 +1,21 @@
 // Internal: the SoA plane kernels behind CompiledCircuit's packed
-// evaluation, written once as templates over a 4x64-bit vector type and
-// instantiated per SIMD backend — U64x4 (portable, always built; also the
-// NEON shape on aarch64, where the compiler lowers it to q-register ops)
-// in compiled_circuit.cpp, an __m256i wrapper in
-// compiled_circuit_avx2.cpp (the only TU compiled with -mavx2), and an
-// __m256i + VPTERNLOGQ wrapper in compiled_circuit_avx512.cpp (the only
-// TU compiled with -mavx512f -mavx512vl; the gate-evaluation overload of
-// eval_cell_vec collapses every cell to one ternary-logic instruction).
+// evaluation, written once as templates over a 4x64-bit vector type.
+// Each SIMD backend is one KernelTable of their instantiations over its
+// vector type: U64x4 (portable, always built) and U64x2x2 (NEON, aarch64
+// only) in compiled_circuit.cpp, and M256, the one __m256i wrapper
+// below, in compiled_circuit_avx2.cpp (the only TU compiled with -mavx2)
+// and compiled_circuit_avx512.cpp (the only TU compiled with -mavx512f
+// -mavx512vl, whose eval_cell_vec overload collapses every cell to one
+// ternary-logic instruction).
 //
 // The vector concept: load/store/splat, the four bitwise ops, and scalar
 // lane access.  Lane access is deliberately rare — it appears only at
 // fault-injection events and when extracting per-word detection results,
 // never in the per-gate walk.
 //
-// Not installed API: include only from compiled_circuit*.cpp (and the
-// kernel tests, which pin eval_cell_dual against eval_cell_x).
+// Not installed API: include only from compiled_circuit*.cpp, simd.cpp
+// (which reads table()) and the kernel tests, which pin eval_cell_dual
+// against eval_cell_x and every supported table against the portable one.
 #pragma once
 
 #include <algorithm>
@@ -22,9 +23,13 @@
 #include <vector>
 
 #include "logic/compiled_circuit.hpp"
+#include "logic/simd.hpp"
 
 #if defined(__aarch64__)
 #include <arm_neon.h>
+#endif
+#if defined(__AVX2__)
+#include <immintrin.h>
 #endif
 
 namespace cpsinw::logic::kernels {
@@ -119,6 +124,58 @@ struct U64x2x2 {
 };
 
 #endif  // __aarch64__
+
+#if defined(__AVX2__)
+
+namespace {
+
+/// The __m256i shape of the vector concept, seen only by the -mavx2 and
+/// -mavx512f units (both flags define __AVX2__).  The unnamed namespace
+/// makes it a distinct type in each, so each unit's instantiations stay
+/// local to it and the linker cannot merge them across ISAs.  Lane access
+/// goes through memory (the intrinsics want immediate indices); it only
+/// appears at fault-injection events and result extraction.
+struct M256 {
+  __m256i v;
+
+  static M256 load(const std::uint64_t* p) {
+    return M256{_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
+  }
+  static void store(std::uint64_t* p, const M256& x) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), x.v);
+  }
+  static M256 splat(std::uint64_t x) {
+    return M256{_mm256_set1_epi64x(static_cast<long long>(x))};
+  }
+  void set_lane(std::size_t i, std::uint64_t x) {
+    alignas(32) std::uint64_t tmp[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
+    tmp[i] = x;
+    v = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
+  }
+  [[nodiscard]] std::uint64_t lane(std::size_t i) const {
+    alignas(32) std::uint64_t tmp[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
+    return tmp[i];
+  }
+
+  friend M256 operator&(const M256& a, const M256& b) {
+    return M256{_mm256_and_si256(a.v, b.v)};
+  }
+  friend M256 operator|(const M256& a, const M256& b) {
+    return M256{_mm256_or_si256(a.v, b.v)};
+  }
+  friend M256 operator^(const M256& a, const M256& b) {
+    return M256{_mm256_xor_si256(a.v, b.v)};
+  }
+  friend M256 operator~(const M256& a) {
+    return M256{_mm256_xor_si256(a.v, _mm256_set1_epi64x(-1))};
+  }
+};
+
+}  // namespace
+
+#endif  // __AVX2__
 
 // ---- shared kernel bodies -------------------------------------------------
 
@@ -947,79 +1004,54 @@ void eval_bridge_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
   for_each_strip(n_words, strip);
 }
 
-// ---- AVX2 entry points (defined in compiled_circuit_avx2.cpp) -------------
+// ---- kernel tables ---------------------------------------------------------
 
-// The __m256i instantiations of the five template kernels above, behind
-// out-of-line entry points so -mavx2 code exists in exactly one TU.
-// Contracts (arguments, results, scratch reuse) are identical to the
-// templates'; compiled_circuit.cpp dispatches here when the running CPU
-// reports AVX2.
+/// The five plane kernels of one backend, each with the signature of its
+/// template above.  CompiledCircuit's eval_packed_* methods call through
+/// the active backend's table, so adding or deleting a kernel is one
+/// member here and one entry in kKernels.
+struct KernelTable {
+  using Scratch = std::vector<std::uint64_t>;
+  void (*planes)(const CompiledCircuit&, std::uint64_t*, std::size_t);
+  std::size_t (*line_batch)(const CompiledCircuit&, const std::uint64_t*,
+                            std::size_t, std::size_t, const std::uint64_t*,
+                            const CompiledCircuit::LineFault*, std::size_t,
+                            std::uint64_t*, Scratch&);
+  void (*faulty_planes)(const CompiledCircuit&, const std::uint64_t*,
+                        std::size_t, std::size_t, int,
+                        const gates::FaultAnalysis&, std::uint64_t*,
+                        std::uint64_t*, Scratch&);
+  void (*retained_planes)(const CompiledCircuit&, const std::uint64_t*,
+                          std::size_t, std::size_t, int,
+                          const gates::FaultAnalysis&, bool,
+                          CompiledCircuit::RetainedCarry&, std::uint64_t*,
+                          std::uint64_t*, std::uint64_t*, Scratch&, Scratch&);
+  void (*bridge_planes)(const CompiledCircuit&, const std::uint64_t*,
+                        std::size_t, std::size_t,
+                        const CompiledCircuit::Bridge&, std::uint64_t*,
+                        std::uint64_t*, Scratch&, Scratch&);
+};
+
+/// The table of the kernels instantiated over vector type V.  Name it
+/// only in the unit that owns V's ISA: the portable and NEON tables in
+/// compiled_circuit.cpp, the M256 tables in the -m units.
+template <class V>
+inline constexpr KernelTable kKernels = {
+    &eval_planes_t<V>, &eval_line_batch_t<V>, &eval_faulty_planes_t<V>,
+    &eval_retained_planes_t<V>, &eval_bridge_planes_t<V>};
+
+// The M256 tables, defined in compiled_circuit_avx2.cpp and (with the
+// VPTERNLOGQ eval_cell_vec) compiled_circuit_avx512.cpp.
 #if defined(CPSINW_SIMD_AVX2)
-void eval_planes_avx2(const CompiledCircuit& cc, std::uint64_t* planes,
-                      std::size_t stride);
-std::size_t eval_line_batch_avx2(const CompiledCircuit& cc,
-                                 const std::uint64_t* good, std::size_t stride,
-                                 std::size_t n_words,
-                                 const std::uint64_t* active,
-                                 const CompiledCircuit::LineFault* faults,
-                                 std::size_t n_faults, std::uint64_t* det,
-                                 std::vector<std::uint64_t>& lane_scratch);
-void eval_faulty_planes_avx2(const CompiledCircuit& cc,
-                             const std::uint64_t* good, std::size_t stride,
-                             std::size_t n_words, int fault_gate,
-                             const gates::FaultAnalysis& fa,
-                             std::uint64_t* diff, std::uint64_t* contention,
-                             std::vector<std::uint64_t>& lane_scratch);
-void eval_retained_planes_avx2(
-    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
-    std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
-    bool retain, CompiledCircuit::RetainedCarry& carry, std::uint64_t* detect,
-    std::uint64_t* potential, std::uint64_t* contention,
-    std::vector<std::uint64_t>& lane_scratch,
-    std::vector<std::uint64_t>& x_scratch);
-void eval_bridge_planes_avx2(const CompiledCircuit& cc,
-                             const std::uint64_t* good, std::size_t stride,
-                             std::size_t n_words,
-                             const CompiledCircuit::Bridge& bridge,
-                             std::uint64_t* detect, std::uint64_t* contention,
-                             std::vector<std::uint64_t>& lane_scratch,
-                             std::vector<std::uint64_t>& n1_scratch);
+extern const KernelTable kAvx2Kernels;
 #endif
-
-// ---- AVX-512VL entry points (defined in compiled_circuit_avx512.cpp) ------
-
-// Same 256-bit planes as AVX2, but eval_cell_vec collapses every gate to
-// one VPTERNLOGQ; the only TU built with -mavx512f -mavx512vl.  Taken
-// when the CPU reports AVX512F + AVX512VL.
 #if defined(CPSINW_SIMD_AVX512)
-void eval_planes_avx512(const CompiledCircuit& cc, std::uint64_t* planes,
-                        std::size_t stride);
-std::size_t eval_line_batch_avx512(
-    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
-    std::size_t n_words, const std::uint64_t* active,
-    const CompiledCircuit::LineFault* faults, std::size_t n_faults,
-    std::uint64_t* det, std::vector<std::uint64_t>& lane_scratch);
-void eval_faulty_planes_avx512(const CompiledCircuit& cc,
-                               const std::uint64_t* good, std::size_t stride,
-                               std::size_t n_words, int fault_gate,
-                               const gates::FaultAnalysis& fa,
-                               std::uint64_t* diff, std::uint64_t* contention,
-                               std::vector<std::uint64_t>& lane_scratch);
-void eval_retained_planes_avx512(
-    const CompiledCircuit& cc, const std::uint64_t* good, std::size_t stride,
-    std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
-    bool retain, CompiledCircuit::RetainedCarry& carry, std::uint64_t* detect,
-    std::uint64_t* potential, std::uint64_t* contention,
-    std::vector<std::uint64_t>& lane_scratch,
-    std::vector<std::uint64_t>& x_scratch);
-void eval_bridge_planes_avx512(const CompiledCircuit& cc,
-                               const std::uint64_t* good, std::size_t stride,
-                               std::size_t n_words,
-                               const CompiledCircuit::Bridge& bridge,
-                               std::uint64_t* detect,
-                               std::uint64_t* contention,
-                               std::vector<std::uint64_t>& lane_scratch,
-                               std::vector<std::uint64_t>& n1_scratch);
+extern const KernelTable kAvx512Kernels;
 #endif
+
+/// The kernel table of backend `b`, or nullptr when this build or this CPU
+/// cannot run it.  This is the one list of backends: simd::supported(b)
+/// is `table(b) != nullptr`.
+[[nodiscard]] const KernelTable* table(simd::Backend b);
 
 }  // namespace cpsinw::logic::kernels

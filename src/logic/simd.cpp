@@ -2,39 +2,25 @@
 
 #include <atomic>
 
+#include "logic/packed_kernels.hpp"
+
 namespace cpsinw::logic::simd {
 
 namespace {
 
 std::atomic<bool> g_force_portable{false};
 
-Backend detect_backend() {
-#if defined(CPSINW_SIMD_OFF)
-  return Backend::kPortable;
-#elif defined(__aarch64__)
-  // NEON is architecturally guaranteed on aarch64.
-  return Backend::kNeon;
-#else
-  // Widest-first: the TUs compiled into this build set the macros, the
-  // running CPU gets the final say (the binary may land on older
-  // x86-64).
-#if defined(CPSINW_SIMD_AVX512)
-  if (__builtin_cpu_supports("avx512f") &&
-      __builtin_cpu_supports("avx512vl"))
-    return Backend::kAvx512;
-#endif
-#if defined(CPSINW_SIMD_AVX2)
-  if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
-#endif
-  return Backend::kPortable;
-#endif
-}
-
 }  // namespace
 
+bool supported(Backend b) { return kernels::table(b) != nullptr; }
+
 Backend compiled_backend() {
-  static const Backend b = detect_backend();
-  return b;
+  static const Backend widest = [] {
+    for (const Backend b : {Backend::kAvx512, Backend::kAvx2, Backend::kNeon})
+      if (supported(b)) return b;
+    return Backend::kPortable;
+  }();
+  return widest;
 }
 
 Backend active_backend() {
@@ -59,10 +45,6 @@ const char* backend_name(Backend b) {
 
 void force_portable(bool on) {
   g_force_portable.store(on, std::memory_order_relaxed);
-}
-
-bool forced_portable() {
-  return g_force_portable.load(std::memory_order_relaxed);
 }
 
 }  // namespace cpsinw::logic::simd

@@ -145,9 +145,13 @@ TEST(Bridge, RejectsBadPairs) {
   for (const BridgeFault& bad :
        {BridgeFault{3, 3, BridgeBehavior::kWiredOr},
         BridgeFault{-1, 3, BridgeBehavior::kWiredOr},
-        BridgeFault{3, 100000000, BridgeBehavior::kWiredOr}})
+        BridgeFault{3, 100000000, BridgeBehavior::kWiredOr}}) {
     EXPECT_THROW((void)simulate_bridge(ckt, bad, bits_to_pattern(0, 5)),
                  std::invalid_argument);
+    EXPECT_THROW(
+        (void)bridge_excited_for_iddq(ckt, bad, bits_to_pattern(0, 5)),
+        std::invalid_argument);
+  }
 }
 
 TEST(Bridge, BehaviorNames) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "gates/dictionary_cache.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::faults {
@@ -130,6 +133,41 @@ TEST(Diagnosis, PredictionsMarkLineContention) {
   Pattern p1 = p;
   p1[0] = LogicV::k1;  // net "1" driven to its stuck value: no fight
   EXPECT_FALSE(predict_observation(ckt, f, p1).iddq_elevated);
+}
+
+/// Ids outside the circuit are rejected by both entry points before
+/// anything indexes with them or caches a dictionary for them, also when
+/// a valid candidate comes first.
+TEST(Diagnosis, RejectsOutOfRangeFaults) {
+  const logic::Circuit ckt = logic::c17();
+  const Pattern ones(5, LogicV::k1);
+  const std::vector<Observation> observed = {
+      predict_good_observation(ckt, ones)};
+  const std::size_t cached = gates::DictionaryCache::global().size();
+  for (const Fault& bad :
+       {Fault::net_stuck(ckt.net_count() + 1000, true),
+        Fault::transistor(0, -1, gates::TransistorFault::kStuckOn),
+        Fault::input_stuck(99, 0, true)}) {
+    EXPECT_THROW((void)predict_observation(ckt, bad, ones),
+                 std::invalid_argument);
+    EXPECT_THROW((void)diagnose(ckt, observed, {bad}), std::invalid_argument);
+    EXPECT_THROW(
+        (void)diagnose(ckt, observed, {Fault::net_stuck(0, true), bad}),
+        std::invalid_argument);
+  }
+  EXPECT_EQ(gates::DictionaryCache::global().size(), cached);
+  // The message names the entry point.
+  try {
+    (void)diagnose(ckt, observed, {Fault::input_stuck(99, 0, true)});
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "diagnose: line fault: gate id out of range");
+  }
+  try {
+    (void)predict_observation(
+        ckt, Fault::transistor(0, -1, gates::TransistorFault::kStuckOn), ones);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "predict_observation: bad transistor index");
+  }
 }
 
 }  // namespace

@@ -18,9 +18,11 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
+#include "gates/dictionary_cache.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/compiled_circuit.hpp"
 #include "logic/logic_sim.hpp"
+#include "logic/packed_kernels.hpp"
 #include "logic/simd.hpp"
 #include "util/rng.hpp"
 #include "../faults/reference_sim.hpp"
@@ -331,6 +333,170 @@ TEST(CompiledBatch, SimdBackendBitIdenticalToPortable) {
     for (std::size_t i = 0; i < wide.size(); ++i)
       expect_record_eq(wide[i], port[i],
                        w.name + " fault " + std::to_string(i));
+  }
+}
+
+/// Output words of every kernel of one table over one circuit and pattern
+/// set, in call order.
+struct TableRun {
+  std::vector<std::uint64_t> planes;
+  std::vector<std::uint64_t> line;      ///< det words + evaluated words
+  std::vector<std::uint64_t> binary;    ///< diff + contention
+  std::vector<std::uint64_t> retained;  ///< detect/potential/contention/carry
+  std::vector<std::uint64_t> bridge;    ///< detect + contention
+};
+
+/// The faults a circuit feeds each kernel: every line fault, every
+/// uncollapsed transistor fault (split by dictionary shape) and a band of
+/// net pairs, adjacent and a few ids apart, under all four wirings.
+struct KernelFaults {
+  std::vector<CompiledCircuit::LineFault> line;
+  std::vector<std::pair<int, const gates::FaultAnalysis*>> binary;
+  std::vector<std::pair<int, const gates::FaultAnalysis*>> retained;
+  std::vector<CompiledCircuit::Bridge> bridges;
+};
+
+KernelFaults kernel_faults(const Circuit& ckt) {
+  KernelFaults out;
+  for (const Fault& f : all_line_faults(ckt))
+    out.line.push_back(faults::checked_line_fault(ckt, f));
+  faults::FaultListOptions flo;
+  flo.collapse = false;
+  flo.include_line_stuck_at = false;
+  for (const Fault& f : faults::generate_fault_list(ckt, flo)) {
+    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
+        ckt.gate(f.gate).kind, f.cell_fault);
+    (fa.compiled_binary ? out.binary : out.retained).emplace_back(f.gate,
+                                                                  &fa);
+  }
+  using Wire = CompiledCircuit::Bridge::Wire;
+  for (NetId a = 0; a < ckt.net_count(); ++a)
+    for (const NetId b : {a + 1, a + 5})
+      if (b < ckt.net_count())
+        for (const Wire wire : {Wire::kAnd, Wire::kOr, Wire::kDominantA,
+                                Wire::kDominantB})
+          out.bridges.push_back({a, b, wire});
+  return out;
+}
+
+TableRun run_table(const kernels::KernelTable& t, const CompiledCircuit& cc,
+                   const KernelFaults& kf,
+                   const std::vector<std::uint64_t>& seeded,
+                   const std::vector<std::uint64_t>& active,
+                   std::size_t stride) {
+  const std::size_t n_words = active.size();
+  TableRun run;
+  run.planes = seeded;
+  t.planes(cc, run.planes.data(), stride);
+  const std::uint64_t* good = run.planes.data();
+  std::vector<std::uint64_t> lanes;
+  std::vector<std::uint64_t> x_lanes;
+  std::vector<std::uint64_t> n1_lanes;
+
+  std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
+  for (std::size_t g = 0; g < kf.line.size();
+       g += CompiledCircuit::kBatchLanes) {
+    const std::size_t n =
+        std::min(CompiledCircuit::kBatchLanes, kf.line.size() - g);
+    std::fill(det.begin(), det.end(), 0);
+    run.line.push_back(t.line_batch(cc, good, stride, n_words, active.data(),
+                                    kf.line.data() + g, n, det.data(),
+                                    lanes));
+    run.line.insert(run.line.end(), det.begin(), det.end());
+  }
+
+  std::vector<std::uint64_t> a(n_words);
+  std::vector<std::uint64_t> b(n_words);
+  std::vector<std::uint64_t> c(n_words);
+  for (const auto& [gate, fa] : kf.binary) {
+    t.faulty_planes(cc, good, stride, n_words, gate, *fa, a.data(), b.data(),
+                    lanes);
+    run.binary.insert(run.binary.end(), a.begin(), a.end());
+    run.binary.insert(run.binary.end(), b.begin(), b.end());
+  }
+
+  // Two calls per fault, split at the first SIMD group like the fault
+  // simulator's first strip, so the carry crosses a call boundary.
+  for (const bool retain : {false, true}) {
+    for (const auto& [gate, fa] : kf.retained) {
+      CompiledCircuit::RetainedCarry carry;
+      for (std::size_t w0 = 0; w0 < n_words;) {
+        const std::size_t nw = w0 == 0 ? std::min<std::size_t>(
+                                             CompiledCircuit::kSimdWords,
+                                             n_words)
+                                       : n_words - w0;
+        t.retained_planes(cc, good + w0, stride, nw, gate, *fa, retain, carry,
+                          a.data(), b.data(), c.data(), lanes, x_lanes);
+        run.retained.insert(run.retained.end(), a.begin(), a.begin() + nw);
+        run.retained.insert(run.retained.end(), b.begin(), b.begin() + nw);
+        run.retained.insert(run.retained.end(), c.begin(), c.begin() + nw);
+        run.retained.push_back(carry.value);
+        run.retained.push_back(carry.x);
+        w0 += nw;
+      }
+    }
+  }
+
+  for (const CompiledCircuit::Bridge& br : kf.bridges) {
+    t.bridge_planes(cc, good, stride, n_words, br, a.data(), b.data(), lanes,
+                    n1_lanes);
+    run.bridge.insert(run.bridge.end(), a.begin(), a.end());
+    run.bridge.insert(run.bridge.end(), b.begin(), b.end());
+  }
+  return run;
+}
+
+TEST(CompiledBatch, EverySupportedTableMatchesPortable) {
+  // The dispatcher runs only the widest supported table, so this is the
+  // test that runs the others (AVX2 on an AVX-512 host): each kernel of
+  // each supported table against the portable table's, on the same
+  // inputs.
+  const kernels::KernelTable* portable =
+      kernels::table(simd::Backend::kPortable);
+  ASSERT_NE(portable, nullptr);
+  std::vector<simd::Backend> wide;
+  for (const simd::Backend b :
+       {simd::Backend::kAvx2, simd::Backend::kAvx512, simd::Backend::kNeon})
+    if (kernels::table(b) != nullptr) wide.push_back(b);
+  if (wide.empty()) GTEST_SKIP() << "only the portable table is supported";
+
+  for (const Named& w : roster()) {
+    const CompiledCircuit cc(w.ckt);
+    const KernelFaults kf = kernel_faults(w.ckt);
+    ASSERT_FALSE(kf.binary.empty()) << w.name;
+    ASSERT_FALSE(kf.retained.empty()) << w.name;
+    // Word and SIMD-group boundaries, and (1100) more words than one
+    // transistor-kernel strip.
+    for (const std::size_t n_patterns : {1, 65, 200, 300, 1100}) {
+      const std::size_t n_words = (n_patterns + 63) / 64;
+      const std::size_t stride = CompiledCircuit::plane_stride(n_words);
+      std::vector<std::uint64_t> active(n_words, ~0ull);
+      if (n_patterns % 64 != 0)
+        active.back() = (1ull << (n_patterns % 64)) - 1;
+      util::SplitMix64 rng(n_patterns);
+      const std::size_t n_pi = w.ckt.primary_inputs().size();
+      std::vector<std::uint64_t> pi(n_pi * stride, 0);
+      for (std::size_t i = 0; i < n_pi; ++i)
+        for (std::size_t k = 0; k < n_words; ++k)
+          pi[i * stride + k] = rng.next_u64() & active[k];
+      std::vector<std::uint64_t> seeded;
+      cc.init_packed_planes(pi.data(), stride, seeded);
+
+      const TableRun want = run_table(*portable, cc, kf, seeded, active,
+                                      stride);
+      for (const simd::Backend b : wide) {
+        const TableRun got =
+            run_table(*kernels::table(b), cc, kf, seeded, active, stride);
+        const std::string label = w.name + " " + simd::backend_name(b) +
+                                  " patterns " + std::to_string(n_patterns);
+        EXPECT_TRUE(got.planes == want.planes) << label << " planes";
+        EXPECT_TRUE(got.line == want.line) << label << " line_batch";
+        EXPECT_TRUE(got.binary == want.binary) << label << " faulty_planes";
+        EXPECT_TRUE(got.retained == want.retained)
+            << label << " retained_planes";
+        EXPECT_TRUE(got.bridge == want.bridge) << label << " bridge_planes";
+      }
+    }
   }
 }
 

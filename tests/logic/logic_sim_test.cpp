@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "faults/eval_context.hpp"
 #include "logic/benchmarks.hpp"
 
@@ -136,6 +138,14 @@ TEST(Simulator, FaultySimulationUsesDictionary) {
   }
   EXPECT_TRUE(flipped);
   EXPECT_TRUE(iddq);
+
+  // Transistor indices outside the cell are rejected, not simulated as
+  // the fault-free cell (-1) or passed to the dictionary builder (99).
+  for (const int bad : {-1, 99})
+    EXPECT_THROW((void)sim.simulate_faulty(
+                     bits_to_pattern(0, 2),
+                     {g, {bad, gates::TransistorFault::kStuckOn}}),
+                 std::invalid_argument);
 }
 
 TEST(Simulator, StuckOpenRetainsPreviousValue) {
