@@ -172,12 +172,13 @@ void BM_CompiledLineFaultSim(benchmark::State& state) {
 }
 BENCHMARK(BM_CompiledLineFaultSim);
 
-void BM_CompiledBatchLineFaultSim(benchmark::State& state) {
-  // Same campaign through the multi-fault batch kernel: kBatchLanes line
-  // faults share one forward walk over the SoA bit planes.  The
-  // words_per_s counter is the kernel's post-early-exit plane throughput
-  // (pattern words evaluated per second across all lanes).
-  const logic::Circuit ckt = logic::parity_tree(48);
+void BM_LineFaultSimFreshRows(benchmark::State& state) {
+  // A line campaign with its observability rows paid every iteration: a
+  // fresh context per run, so each run walks every stem its faults reach
+  // once and folds every fault's local step against the rows.  A ripple
+  // adder has stems (a parity tree has none); the stem_walks counter is
+  // the walks per run.
+  const logic::Circuit ckt = logic::ripple_adder(16);
   const faults::FaultSimulator fsim(ckt);
   faults::FaultListOptions flo;
   flo.include_transistor_faults = false;
@@ -190,25 +191,17 @@ void BM_CompiledBatchLineFaultSim(benchmark::State& state) {
       p.push_back(logic::from_bool(rng.chance(0.5)));
     patterns.push_back(std::move(p));
   }
-  const faults::EvalContext ctx(ckt, patterns);
-  faults::LineBatchStats stats;
+  const logic::CompiledCircuit cc(ckt);
+  std::uint64_t stem_walks = 0;
   for (auto _ : state) {
-    faults::LineBatchStats run_stats;
-    benchmark::DoNotOptimize(
-        fsim.run_range(ctx, faults, 0, faults.size(), {}, &run_stats));
-    stats.merge(run_stats);
+    const faults::EvalContext ctx(cc, patterns);
+    benchmark::DoNotOptimize(fsim.run_range(ctx, faults, 0, faults.size()));
+    stem_walks = ctx.stem_walks();
   }
   state.counters["faults"] = static_cast<double>(faults.size());
-  state.counters["words_per_s"] = benchmark::Counter(
-      static_cast<double>(stats.words), benchmark::Counter::kIsRate);
-  state.counters["lane_fill"] =
-      stats.groups != 0
-          ? static_cast<double>(stats.lane_slots) /
-                static_cast<double>(stats.groups *
-                                    logic::CompiledCircuit::kBatchLanes)
-          : 0.0;
+  state.counters["stem_walks"] = static_cast<double>(stem_walks);
 }
-BENCHMARK(BM_CompiledBatchLineFaultSim);
+BENCHMARK(BM_LineFaultSimFreshRows);
 
 void BM_PodemLineFault(benchmark::State& state) {
   const logic::Circuit ckt = logic::multiplier_2x2();

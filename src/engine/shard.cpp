@@ -127,20 +127,10 @@ ShardResult run_shard(const faults::EvalContext& ctx,
   reg.counter("shard.faults_sampled_out").add(out.results.size() - simulated);
   reg.counter("shard.bridges_simulated").add(bridges.size());
   reg.histogram("shard.exec_s").record(out.elapsed_s);
-  // Batched line-kernel occupancy: batch_width counts lanes actually
-  // occupied (not kBatchLanes per pass), so batch_width /
-  // (batch_groups * kBatchLanes) is the mean lane fill across kernel
-  // invocations (1.0 = every lane carried a fault).  faults_batched
-  // counts each line fault once even when dropping strips re-group it.
-  // The fill histogram reuses the power-of-two-µs buckets by encoding a
-  // group of k faults as 2^(k-1) µs, so fills 1..kBatchLanes land in
-  // distinct buckets 1..kBatchLanes of shard.batch_fill.
+  // Line faults, transistor faults by evaluation path, and bridges that
+  // took the scalar loop: a nonzero serial count on a packed (fully
+  // specified) pattern set would be a silent fallback.
   reg.counter("engine.faults_batched").add(batch_stats.faults);
-  reg.counter("engine.batch_groups").add(batch_stats.groups);
-  reg.counter("engine.batch_width").add(batch_stats.lane_slots);
-  // Transistor faults by evaluation path, and bridges that took the
-  // scalar loop: a nonzero serial count on a packed (fully specified)
-  // pattern set would be a silent fallback.
   reg.counter("engine.faults_transistor_binary")
       .add(batch_stats.transistor_binary);
   reg.counter("engine.faults_transistor_retained")
@@ -148,12 +138,6 @@ ShardResult run_shard(const faults::EvalContext& ctx,
   reg.counter("engine.faults_transistor_serial")
       .add(batch_stats.transistor_serial);
   reg.counter("engine.faults_bridge_serial").add(batch_stats.bridge_serial);
-  auto& fill_hist = reg.histogram("shard.batch_fill");
-  for (std::size_t k = 0; k < batch_stats.fill.size(); ++k) {
-    const double encoded_s = static_cast<double>(1ull << k) * 1e-6;
-    for (std::size_t g = 0; g < batch_stats.fill[k]; ++g)
-      fill_hist.record(encoded_s);
-  }
   return out;
 }
 

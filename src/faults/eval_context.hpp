@@ -5,7 +5,9 @@
 // (O(faults x patterns) good-machine work); an EvalContext makes that
 // O(patterns).  It holds the good machine once: as SoA bit planes when
 // every pattern is fully specified (packed()), as per-pattern scalar
-// SimResults otherwise; plus a memoized fault-dictionary cache.
+// SimResults otherwise; plus a memoized fault-dictionary cache and, on
+// packed contexts, the per-net observability rows every fault that
+// changes one net shares (obs_row).
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
@@ -15,15 +17,23 @@
 //   * the pattern set is owned (copied/moved in), so a context can be
 //     shared across shards and threads without aliasing the builder's
 //     buffers;
-//   * the context is immutable after construction — concurrent readers
-//     need no synchronization;
+//   * the good machine is immutable after construction — concurrent
+//     readers need no synchronization;
+//   * the observability rows are a memo, logically const: each row is a
+//     pure function of the compile and the good planes, filled once, on
+//     first request, under its net's std::once_flag, and never written
+//     again, so any thread may ask for any row at any time and every
+//     thread sees the same words.  Their buffer is allocated on the first
+//     request: a context no fault asks a row of pays nothing for it;
 //   * the dictionary cache is borrowed (default: the process-wide
 //     gates::DictionaryCache::global()) and must outlive the context.
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "gates/dictionary_cache.hpp"
@@ -119,10 +129,54 @@ class EvalContext {
   /// that every fault walk over the context reads.
   [[nodiscard]] const logic::CompiledCircuit& compiled() const { return *cc_; }
 
+  // ---- Observability rows (packed contexts only) ---------------------------
+
+  /// Observability row of `net`, plane_stride() words: bit k of word w is
+  /// set when flipping the net under pattern 64 * w + k flips some primary
+  /// output (words past word_count() and bits past the last pattern are
+  /// not meaningful — mask with active_words()).  Every fault that changes
+  /// only this net shares the row.  A PO's row is all ones; a net nothing
+  /// reads is all zeros; a net read by exactly one pin (g, p) takes
+  /// sens(g, p) & obs(g's output), where sens marks the patterns in which
+  /// flipping that pin flips g's output; a stem — a non-PO net with two or
+  /// more reader pins — takes one CompiledCircuit::eval_packed_stem_planes
+  /// walk.  Rows are filled on first request, each once, from any thread
+  /// (see the ownership rules above); a chain of single-reader nets is
+  /// filled iteratively from its far end, so no chain depth can exhaust
+  /// the stack.
+  /// @param lane_scratch the caller's stem-walk scratch (the cone cache of
+  ///   eval_packed_stem_planes); only a stem fill touches it
+  [[nodiscard]] const std::uint64_t* obs_row(
+      logic::NetId net, std::vector<std::uint64_t>& lane_scratch) const;
+
+  /// Stem walks this context has run to fill its rows: each stem is walked
+  /// at most once per context, whichever thread asks first.
+  [[nodiscard]] std::uint64_t stem_walks() const {
+    return obs_ ? obs_->stem_walks.load(std::memory_order_relaxed) : 0;
+  }
+
  private:
   /// The body both constructors share: validates the patterns and builds
   /// the good machine off *cc_.
   void build();
+
+  /// The row memo behind obs_row (packed contexts only).  `rows`,
+  /// `is_po`, `filled` and `ready` are allocated under `alloc` on the
+  /// first request; row n is written once under filled[n], and ready[n]
+  /// publishes it to the chain walks of other requests.
+  struct ObsRows {
+    std::once_flag alloc;
+    std::vector<std::uint64_t> rows;       ///< [net][stride_]
+    std::vector<char> is_po;               ///< per net
+    std::vector<std::once_flag> filled;    ///< per net
+    std::vector<std::atomic<bool>> ready;  ///< per net: row written
+    std::atomic<std::uint64_t> stem_walks{0};
+  };
+
+  /// Writes row `net`, whose successor on its chain (if it has one) is
+  /// ready: the PO, readerless, single-reader and stem cases of obs_row.
+  void fill_row(ObsRows& memo, logic::NetId net,
+                std::vector<std::uint64_t>& lane_scratch) const;
 
   gates::DictionaryCache* cache_;
   std::vector<logic::Pattern> patterns_;
@@ -134,6 +188,7 @@ class EvalContext {
   std::vector<std::uint64_t> good_planes_;  ///< [net][stride_] good words
   std::vector<std::uint64_t> active_words_;
   bool packed_ = false;
+  std::unique_ptr<ObsRows> obs_;  ///< packed contexts only
 };
 
 }  // namespace cpsinw::faults

@@ -58,6 +58,89 @@ DetectionRecord serial_walk(const EvalContext& ctx, const Fault& fault,
   return rec;
 }
 
+/// Folds one fault's per-word detect and contention words into its record,
+/// word by word in pattern order (see WordFold), and stops once no later
+/// word can change it: in full mode when the output side (a detection
+/// seen, or `out_possible` false) and the IDDQ side (contention seen, or
+/// `iddq_possible` false) are both settled.  `step(w, cont)` returns word
+/// w's detect word and sets its contention word.
+template <class Step>
+DetectionRecord fold_words(const EvalContext& ctx,
+                           const FaultSimOptions& options, bool out_possible,
+                           bool iddq_possible, const Step& step) {
+  WordFold fold{options.observe_iddq,
+                options.detection_mode == DetectionMode::kFirstOnly};
+  const std::uint64_t* const active = ctx.active_words().data();
+  for (std::size_t w = 0; w < ctx.word_count(); ++w) {
+    std::uint64_t cont = 0;
+    const std::uint64_t detect = step(w, cont);
+    if (fold.fold(w, 1, &detect, nullptr, &cont, active)) break;
+    if ((fold.any_d != 0 || !out_possible) &&
+        (fold.any_c != 0 || !iddq_possible))
+      break;
+  }
+  return fold.record();
+}
+
+/// Line stuck-at record on a packed context.  Either fault changes one
+/// net: a stem fault its own, where the good value differs from the stuck
+/// one; a branch fault its gate's output, where the cell with the pin
+/// forced differs from the good cell.  The net's observability row says
+/// where that change reaches a PO.
+DetectionRecord line_record(const EvalContext& ctx,
+                            const logic::CompiledCircuit::LineFault& lf,
+                            const FaultSimOptions& options,
+                            std::vector<std::uint64_t>& lanes) {
+  if (ctx.word_count() == 0) return {};
+  if (lf.net >= 0) {
+    const std::uint64_t stuck = lf.stuck_one ? ~0ull : 0ull;
+    const std::uint64_t* const good = ctx.good_plane(lf.net);
+    const std::uint64_t* const row = ctx.obs_row(lf.net, lanes);
+    return fold_words(ctx, options, true, false,
+                      [&](std::size_t w, std::uint64_t&) {
+                        return (good[w] ^ stuck) & row[w];
+                      });
+  }
+  const logic::CompiledCircuit& cc = ctx.compiled();
+  const logic::CompiledCircuit::GateRec& g =
+      cc.gates()[cc.position_of(lf.gate)];
+  const unsigned bit = 1u << lf.pin;
+  const unsigned truth = substituted_truth(g, [&](unsigned v) {
+    return lf.stuck_one ? v | bit : v & ~bit;
+  });
+  const std::uint64_t* const row = ctx.obs_row(g.out, lanes);
+  return fold_words(ctx, options, true, false,
+                    [&](std::size_t w, std::uint64_t& cont) {
+                      return local_step(ctx, g, truth, 0, w, cont) & row[w];
+                    });
+}
+
+/// Binary-dictionary transistor record on a packed context: the faulted
+/// gate's cell becomes the dictionary's compiled truth table, its output
+/// change reaches a PO where the output's observability row says, and
+/// contention is local.  A dictionary without a wrong-value row never
+/// changes the output, so it reads no row.
+DetectionRecord binary_record(const EvalContext& ctx, const Fault& fault,
+                              const gates::FaultAnalysis& fa,
+                              const FaultSimOptions& options,
+                              std::vector<std::uint64_t>& lanes) {
+  const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
+  if (ctx.word_count() == 0 || (!fa.output_detectable && !iddq_possible))
+    return {};
+  const logic::CompiledCircuit& cc = ctx.compiled();
+  const logic::CompiledCircuit::GateRec& g =
+      cc.gates()[cc.position_of(fault.gate)];
+  const std::uint64_t* const row =
+      fa.output_detectable ? ctx.obs_row(g.out, lanes) : nullptr;
+  return fold_words(
+      ctx, options, fa.output_detectable, iddq_possible,
+      [&](std::size_t w, std::uint64_t& cont) {
+        const std::uint64_t flip = local_step(
+            ctx, g, fa.compiled_truth, fa.compiled_contention, w, cont);
+        return row != nullptr ? flip & row[w] : 0;
+      });
+}
+
 }  // namespace
 
 int FaultSimReport::detected_count() const {
@@ -146,133 +229,25 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
     throw std::invalid_argument(
         "run_range: line faults need fully-specified (packable) patterns");
 
-  // --- Line faults: groups of kBatchLanes faults share one forward walk
-  // per pattern word over the context's SoA good planes.  Each fault's
-  // record derives from its own detection words, so grouping never changes
-  // results — concatenating shard ranges stays bit-identical to one
-  // whole-list run. ----------------------------------------------------------
-  if (any_line_fault)
-    run_line_faults_batched(ctx, faults, begin, end, records, stats);
-
-  // --- Transistor faults: the binary or the retained-state plane kernel
-  // on packed contexts, serial simulation on X-bearing ones.  One scratch
-  // set serves the whole range (the kernels' cone cache persists across
-  // faults, so reuse also skips its per-call re-zeroing). ------------------
-  TransistorScratch scratch;
+  // Every fault is self-contained: line and binary-dictionary transistor
+  // faults fold a local step against the context's shared observability
+  // rows, retained-state ones take the dual-rail kernel, and X-bearing
+  // contexts the serial walk.  One scratch set serves the whole range (the
+  // stem walks behind the rows and the retained kernel share the cone
+  // cache in `lanes`, so reuse also skips its per-call re-zeroing).
+  WalkScratch scratch;
   for (std::size_t fi = begin; fi < end; ++fi) {
     const Fault& f = faults[fi];
-    if (f.site != FaultSite::kGateTransistor) continue;
-    records[fi - begin] =
-        simulate_transistor_scratch(ctx, f, options, scratch, stats);
+    if (f.site == FaultSite::kGateTransistor) {
+      records[fi - begin] =
+          simulate_transistor_scratch(ctx, f, options, scratch, stats);
+      continue;
+    }
+    records[fi - begin] = line_record(ctx, checked_line_fault(ckt_, f),
+                                      options, scratch.lanes);
+    if (stats != nullptr) ++stats->faults;
   }
   return records;
-}
-
-void FaultSimulator::run_line_faults_batched(
-    const EvalContext& ctx, const std::vector<Fault>& faults,
-    std::size_t begin, std::size_t end, std::vector<DetectionRecord>& records,
-    LineBatchStats* stats) const {
-  using logic::CompiledCircuit;
-  const CompiledCircuit& cc = ctx.compiled();
-
-  // Gather + validate, then sort by injection position: the kernel skips
-  // every gate before its group's earliest event, so co-locating faults
-  // with deep injection points maximizes the shared skipped prefix.
-  struct Entry {
-    std::size_t rec;  ///< index into `records`
-    CompiledCircuit::LineFault lf;
-    std::size_t pos;  ///< earliest position the fault can diverge at
-  };
-  std::vector<Entry> entries;
-  entries.reserve(end - begin);
-  for (std::size_t fi = begin; fi < end; ++fi) {
-    const Fault& f = faults[fi];
-    if (f.site == FaultSite::kGateTransistor) continue;
-    Entry e;
-    e.rec = fi - begin;
-    e.lf = checked_line_fault(ckt_, f);
-    if (e.lf.net >= 0) {
-      const int driver = ckt_.driver_of(e.lf.net);
-      e.pos = driver < 0 ? 0 : cc.position_of(driver);
-    } else {
-      e.pos = cc.position_of(e.lf.gate);
-    }
-    entries.push_back(e);
-  }
-
-  // Stable counting sort by position — positions are bounded by the gate
-  // count, so two counting passes replace comparison sorting (which showed
-  // up as the single largest fixed cost of this wrapper, ahead of the
-  // kernel itself on shallow circuits).
-  const std::size_t n_pos = cc.gates().size() + 1;
-  std::vector<std::uint32_t> counts(n_pos + 1, 0);
-  for (const Entry& e : entries) ++counts[e.pos + 1];
-  for (std::size_t p = 1; p <= n_pos; ++p) counts[p] += counts[p - 1];
-  std::vector<Entry> sorted(entries.size());
-  for (const Entry& e : entries) sorted[counts[e.pos]++] = e;
-  entries.swap(sorted);
-
-  const std::size_t n_words = ctx.word_count();
-  std::vector<std::uint64_t> lane_scratch;
-  LineBatchStats local;
-  local.faults = entries.size();
-
-  // --- Fault dropping: walk the word range in strips and re-form the lane
-  // groups from the *surviving* faults between strips, so a detected fault
-  // stops consuming a lane for the rest of the walk (= mid-walk lane
-  // refill from pending faults).  A fault's detection words depend only on
-  // the fault, never on its group (the kernel early-exits a group only
-  // once every lane detected), so any strip/group schedule yields the same
-  // record as one full-width pass.  The first strip is narrow: most
-  // detectable faults die within a few words, so the expensive full-width
-  // walks only ever see the hard tail.  Strips start on kSimdWords
-  // boundaries, which keeps the plane pointer offsets aligned with the
-  // padded row stride. -------------------------------------------------------
-  std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * kWideStrip);
-  std::vector<std::uint32_t> live(entries.size());
-  for (std::size_t i = 0; i < live.size(); ++i)
-    live[i] = static_cast<std::uint32_t>(i);
-
-  std::size_t w0 = 0;
-  std::size_t strip = kFirstStrip;
-  while (w0 < n_words && !live.empty()) {
-    const std::size_t nw = std::min(strip, n_words - w0);
-    strip = kWideStrip;
-    std::size_t survivors = 0;
-    for (std::size_t g = 0; g < live.size();
-         g += CompiledCircuit::kBatchLanes) {
-      const std::size_t n =
-          std::min(CompiledCircuit::kBatchLanes, live.size() - g);
-      CompiledCircuit::LineFault lfs[CompiledCircuit::kBatchLanes];
-      for (std::size_t j = 0; j < n; ++j) lfs[j] = entries[live[g + j]].lf;
-      const std::size_t words_done = cc.eval_packed_line_batch(
-          ctx.good_planes() + w0, ctx.plane_stride(), nw,
-          ctx.active_words().data() + w0, lfs, n, det.data(), lane_scratch);
-      for (std::size_t j = 0; j < n; ++j) {
-        DetectionRecord& rec = records[entries[live[g + j]].rec];
-        const std::uint64_t* fd = det.data() + j * nw;
-        bool hit = false;
-        for (std::size_t w = 0; w < words_done; ++w) {
-          if (fd[w] == 0) continue;
-          rec.detected_output = true;
-          rec.first_pattern =
-              static_cast<int>((w0 + w) * 64) + __builtin_ctzll(fd[w]);
-          hit = true;
-          break;
-        }
-        // Order-preserving compaction: survivors keep their position-
-        // sorted order, so regrouped lanes stay co-located by depth.
-        if (!hit) live[survivors++] = live[g + j];
-      }
-      ++local.groups;
-      local.lane_slots += n;
-      local.words += words_done;
-      ++local.fill[n - 1];
-    }
-    live.resize(survivors);
-    w0 += nw;
-  }
-  if (stats != nullptr) stats->merge(local);
 }
 
 bool FaultSimulator::line_fault_detected(const Fault& fault,
@@ -307,13 +282,13 @@ DetectionRecord FaultSimulator::simulate_transistor_fault(
 DetectionRecord FaultSimulator::simulate_transistor_fault(
     const EvalContext& ctx, const Fault& fault,
     const FaultSimOptions& options) const {
-  TransistorScratch scratch;
+  WalkScratch scratch;
   return simulate_transistor_scratch(ctx, fault, options, scratch);
 }
 
 DetectionRecord FaultSimulator::simulate_transistor_scratch(
     const EvalContext& ctx, const Fault& fault,
-    const FaultSimOptions& options, TransistorScratch& scratch,
+    const FaultSimOptions& options, WalkScratch& scratch,
     LineBatchStats* stats) const {
   check_context(ctx);
   if (fault.site != FaultSite::kGateTransistor)
@@ -345,7 +320,7 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   if (ctx.packed()) {
     if (fa.compiled_binary) {
       if (stats != nullptr) ++stats->transistor_binary;
-      return simulate_transistor_packed(ctx, fault, fa, options, scratch);
+      return binary_record(ctx, fault, fa, options, scratch.lanes);
     }
     if (stats != nullptr) ++stats->transistor_retained;
     return simulate_transistor_retained(ctx, fault, fa, options, scratch);
@@ -354,59 +329,10 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   return serial_walk(ctx, fault, fa, options);
 }
 
-DetectionRecord FaultSimulator::simulate_transistor_packed(
-    const EvalContext& ctx, const Fault& fault,
-    const gates::FaultAnalysis& fa, const FaultSimOptions& options,
-    TransistorScratch& scratch) const {
-  // Faulty machine: every gate evaluates normally except the faulted one,
-  // whose output words come from its compiled faulty table — pattern words
-  // share the context's good planes.  A binary dictionary can only produce
-  // a nonzero diff word when some row is kWrongValue and a nonzero
-  // contention word when some row contends, so for a fault with neither
-  // the empty record is exact without any pass.
-  if (!fa.output_detectable && (!options.observe_iddq || !fa.iddq_detectable))
-    return {};
-  const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
-  const logic::CompiledCircuit& cc = ctx.compiled();
-  const std::size_t n_words = ctx.word_count();
-  std::vector<std::uint64_t>& diff = scratch.diff;
-  std::vector<std::uint64_t>& contention = scratch.contention;
-  const std::uint64_t* const active = ctx.active_words().data();
-
-  // --- Strip-mined walk.  In full mode the walk stops only once no later
-  // word can change the record — output side resolved (diff seen, or no
-  // kWrongValue row exists) AND IDDQ side resolved (contention seen, not
-  // observed, or no contending row) — so the record equals a full pass.
-  // In first-only mode the walk stops at the word holding the first
-  // counted detection (see WordFold). ---------------------------------------
-  diff.resize(kWideStrip);
-  contention.resize(kWideStrip);
-  WordFold fold{options.observe_iddq, first_only};
-  std::size_t w0 = 0;
-  std::size_t strip = kFirstStrip;
-  while (w0 < n_words) {
-    const std::size_t nw = std::min(strip, n_words - w0);
-    strip = kWideStrip;
-    cc.eval_packed_faulty_planes(ctx.good_planes() + w0, ctx.plane_stride(),
-                                 nw, fault.gate, fa, diff.data(),
-                                 contention.data(), scratch.lanes);
-    if (fold.fold(w0, nw, diff.data(), nullptr, contention.data(), active))
-      break;
-    w0 += nw;
-    if (!first_only) {
-      const bool out_final = fold.any_d != 0 || !fa.output_detectable;
-      const bool iddq_final =
-          !options.observe_iddq || fold.any_c != 0 || !fa.iddq_detectable;
-      if (out_final && iddq_final) break;
-    }
-  }
-  return fold.record();
-}
-
 DetectionRecord FaultSimulator::simulate_transistor_retained(
     const EvalContext& ctx, const Fault& fault,
     const gates::FaultAnalysis& fa, const FaultSimOptions& options,
-    TransistorScratch& scratch) const {
+    WalkScratch& scratch) const {
   // The dual-rail kernel reproduces the serial walk pattern for pattern;
   // the carry threads the faulted output's retained charge from each strip
   // into the next.  A full-mode walk stops once every observable is

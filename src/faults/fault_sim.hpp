@@ -1,11 +1,14 @@
-// Fault simulation: 64-pattern-parallel for line stuck-at faults and for
-// every transistor fault on fully specified pattern sets — a binary plane
-// kernel for purely binary dictionaries, and a dual-rail (value + X) plane
-// kernel for dictionaries with floating or marginal rows, which threads
-// floating-output retention along the pattern axis (what two-pattern
-// stuck-open tests rely on).  X-bearing pattern sets take the serial
-// dictionary-based walk.  IDDQ observation covers the paper's polarity
-// faults.
+// Fault simulation, 64 patterns per word on fully specified pattern sets.
+// A line stuck-at fault and a transistor fault with a purely binary
+// dictionary change one net, the output of one gate (a stem fault its own
+// net): each folds a one-gate local step against that net's observability
+// row, which the context computes once and every fault on the net shares
+// (critical path tracing inside fan-out-free regions, one explicit walk
+// per fan-out stem).  Dictionaries with floating or marginal rows take a
+// dual-rail (value + X) plane kernel, which threads floating-output
+// retention along the pattern axis (what two-pattern stuck-open tests
+// rely on).  X-bearing pattern sets take the serial dictionary-based
+// walk.  IDDQ observation covers the paper's polarity faults.
 //
 // All fault-independent work (the circuit compilation, pattern packing,
 // the good machine, the switch-level dictionaries) lives in a
@@ -17,7 +20,6 @@
 // that build a local context (one compile per call).
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "faults/eval_context.hpp"
@@ -63,10 +65,9 @@ enum class DetectionMode {
 /// travel on the shard_io wire.
 ///
 /// Work reduction is not a setting: every walk drops a fault once nothing
-/// more can be learned about it.  Line faults leave the active universe at
-/// their first detecting word (the strip-mined walk refills freed lanes
-/// from pending faults); transistor faults stop once every observable of
-/// their dictionary (PO flip, X at a PO, IDDQ excitation) has fired or is
+/// more can be learned about it.  A line fault stops at its first
+/// detecting word; a transistor fault once every observable of its
+/// dictionary (PO flip, X at a PO, IDDQ excitation) has fired or is
 /// impossible.  Full-mode records are exactly the whole-pattern-set
 /// records.
 struct FaultSimOptions {
@@ -81,27 +82,22 @@ struct FaultSimOptions {
   DetectionMode detection_mode = DetectionMode::kFull;
 };
 
-/// Occupancy accounting for the batched line-fault kernel plus the
-/// per-path transistor and bridge counts, filled by run_range and
-/// simulate_bridges when a caller passes a sink (the engine shard loop
-/// feeds these into the `engine.faults_batched` / `engine.batch_width` /
-/// `engine.faults_transistor_*` / `engine.faults_bridge_serial` counters
-/// and the `shard.batch_fill` histogram).
+/// Per-path fault counts, filled by run_range and simulate_bridges when a
+/// caller passes a sink (the engine shard loop feeds them into the
+/// `engine.faults_batched` and `engine.faults_transistor_*` /
+/// `engine.faults_bridge_serial` counters).
 struct LineBatchStats {
-  std::size_t faults = 0;      ///< line faults handled (counted once each)
-  std::size_t groups = 0;      ///< kernel invocations (strips re-group, so a
-                               ///< fault can ride several invocations)
-  /// Lanes that actually carried a fault, summed over invocations — NOT
-  /// groups x kBatchLanes: a partially filled group contributes only its
-  /// occupied lanes, so occupancy = lane_slots / (groups * kBatchLanes).
+  std::size_t faults = 0;  ///< line faults handled
+  /// No kernel batches line faults any more, so these four always read 0;
+  /// perfbench still reads them, and ROADMAP item 10 drops them together
+  /// with its per-layer metrics.
+  std::size_t groups = 0;
   std::size_t lane_slots = 0;
-  std::size_t words = 0;       ///< pattern words evaluated (post early-exit)
-  /// Always 0 (critical-path tracing was removed); perfbench still reads it.
+  std::size_t words = 0;
   std::size_t cpt_faults = 0;
-  /// fill[k]: kernel invocations that carried k+1 faults.
-  std::array<std::size_t, logic::CompiledCircuit::kBatchLanes> fill{};
-  /// Transistor faults by evaluation path: the binary plane kernel, the
-  /// retained-state (dual-rail) plane kernel, and the serial walk.
+  /// Transistor faults by evaluation path: the observability rows (binary
+  /// dictionaries), the retained-state (dual-rail) plane kernel, and the
+  /// serial walk.
   std::size_t transistor_binary = 0;
   std::size_t transistor_retained = 0;
   std::size_t transistor_serial = 0;
@@ -110,11 +106,6 @@ struct LineBatchStats {
 
   void merge(const LineBatchStats& o) {
     faults += o.faults;
-    groups += o.groups;
-    lane_slots += o.lane_slots;
-    words += o.words;
-    cpt_faults += o.cpt_faults;
-    for (std::size_t k = 0; k < fill.size(); ++k) fill[k] += o.fill[k];
     transistor_binary += o.transistor_binary;
     transistor_retained += o.transistor_retained;
     transistor_serial += o.transistor_serial;
@@ -172,14 +163,15 @@ class FaultSimulator {
 
   /// Engine hook: simulates the contiguous sub-range [begin, end) of a
   /// fault list, returning records parallel to that range.  Each fault is
-  /// self-contained (line faults via packed batches, transistor faults via
-  /// their own retained-state sequence), so concatenating the records of a
-  /// partition of [0, size) is bit-identical to one `run` over the whole
-  /// list — this is what makes campaign sharding deterministic.  All
-  /// shards of a job share one EvalContext instead of recompiling the
-  /// circuit, re-packing patterns and re-simulating the good machine per
-  /// shard.  When `stats` is non-null, the batched line path's occupancy
-  /// accounting and the per-path transistor counts are merged in.
+  /// self-contained (the observability rows it reads depend only on the
+  /// context, and a transistor fault threads its own retained-state
+  /// sequence), so concatenating the records of a partition of [0, size)
+  /// is bit-identical to one `run` over the whole list — this is what
+  /// makes campaign sharding deterministic.  All shards of a job share one
+  /// EvalContext instead of recompiling the circuit, re-packing patterns,
+  /// re-simulating the good machine and re-walking the stems per shard.
+  /// When `stats` is non-null, the line-fault and per-path transistor
+  /// counts are added in.
   [[nodiscard]] std::vector<DetectionRecord> run_range(
       const EvalContext& ctx, const std::vector<Fault>& faults,
       std::size_t begin, std::size_t end, const FaultSimOptions& options = {},
@@ -208,8 +200,8 @@ class FaultSimulator {
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
 
-  /// Context-based variant: shares the precomputed good machine; takes a
-  /// plane kernel whenever the context is packed.
+  /// Context-based variant: shares the precomputed good machine and, for a
+  /// binary dictionary on a packed context, the observability rows.
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options = {}) const;
@@ -223,24 +215,13 @@ class FaultSimulator {
   [[nodiscard]] const logic::Circuit& circuit() const { return ckt_; }
 
  private:
-  /// Line-fault walk of run_range: validates and gathers the line faults
-  /// of [begin, end), sorts them by injection position, and walks the word
-  /// range in strips, feeding kBatchLanes-sized groups of the surviving
-  /// faults through eval_packed_line_batch.  A fault leaves the groups at
-  /// its first detecting word (freed lanes refill from the survivors), and
-  /// its DetectionRecord derives from its own detection words.
-  void run_line_faults_batched(const EvalContext& ctx,
-                               const std::vector<Fault>& faults,
-                               std::size_t begin, std::size_t end,
-                               std::vector<DetectionRecord>& records,
-                               LineBatchStats* stats) const;
-
-  /// Scratch buffers for the transistor plane kernels, hoisted by
-  /// run_range so a whole fault range shares one set of allocations.  Both
-  /// kernels keep their cone cache in `lanes` with one layout, so binary
-  /// and retained faults of one gate interleaving in fault-list order keep
-  /// the cache (and skip the re-zeroing).
-  struct TransistorScratch {
+  /// Scratch buffers of run_range's walks, hoisted so a whole fault range
+  /// shares one set of allocations.  The stem walks behind the
+  /// observability rows and the retained kernel keep their cone cache in
+  /// `lanes` with one layout (a gate-driven stem under its driver's key),
+  /// so a row fill and the retained faults of one gate keep the cache (and
+  /// skip the re-zeroing).
+  struct WalkScratch {
     std::vector<std::uint64_t> diff;
     std::vector<std::uint64_t> potential;
     std::vector<std::uint64_t> contention;
@@ -256,29 +237,23 @@ class FaultSimulator {
 
   /// Dispatching body of simulate_transistor_fault with caller-owned
   /// scratch (the public overload wraps it with a local set): packed +
-  /// binary dictionary -> simulate_transistor_packed, packed + floating or
-  /// marginal rows -> simulate_transistor_retained, X-bearing patterns ->
-  /// the serial walk.  Counts the path taken into `stats` when non-null.
+  /// binary dictionary -> the local step against the gate output's
+  /// observability row, packed + floating or marginal rows ->
+  /// simulate_transistor_retained, X-bearing patterns -> the serial walk.
+  /// Counts the path taken into `stats` when non-null.
   /// @throws std::invalid_argument on a line fault, or when
   ///   transistor_fault_error rejects the fault's ids
   [[nodiscard]] DetectionRecord simulate_transistor_scratch(
       const EvalContext& ctx, const Fault& fault,
-      const FaultSimOptions& options, TransistorScratch& scratch,
+      const FaultSimOptions& options, WalkScratch& scratch,
       LineBatchStats* stats = nullptr) const;
-
-  /// Packed transistor path: valid only for dictionaries with all-binary,
-  /// non-floating rows (checked by the caller).
-  [[nodiscard]] DetectionRecord simulate_transistor_packed(
-      const EvalContext& ctx, const Fault& fault,
-      const gates::FaultAnalysis& fa, const FaultSimOptions& options,
-      TransistorScratch& scratch) const;
 
   /// Packed retained-state path: dictionaries with floating and/or
   /// marginal rows on packed contexts, through the dual-rail plane kernel.
   [[nodiscard]] DetectionRecord simulate_transistor_retained(
       const EvalContext& ctx, const Fault& fault,
       const gates::FaultAnalysis& fa, const FaultSimOptions& options,
-      TransistorScratch& scratch) const;
+      WalkScratch& scratch) const;
 
   void check_context(const EvalContext& ctx) const;
 

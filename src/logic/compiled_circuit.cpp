@@ -228,28 +228,15 @@ void CompiledCircuit::eval_packed_planes(std::vector<std::uint64_t>& planes,
   active_kernels().planes(*this, planes.data(), stride);
 }
 
-std::size_t CompiledCircuit::eval_packed_line_batch(
+void CompiledCircuit::eval_packed_stem_planes(
     const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
-    const std::uint64_t* active, const LineFault* faults, std::size_t n_faults,
-    std::uint64_t* det, std::vector<std::uint64_t>& lane_scratch) const {
-  assert(n_faults >= 1 && n_faults <= kBatchLanes);
-  assert(n_words <= stride);
-  if (n_words == 0) return 0;
-  return active_kernels().line_batch(*this, good_planes, stride, n_words,
-                                     active, faults, n_faults, det,
-                                     lane_scratch);
-}
-
-void CompiledCircuit::eval_packed_faulty_planes(
-    const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
-    int fault_gate, const gates::FaultAnalysis& fa, std::uint64_t* diff,
-    std::uint64_t* contention, std::vector<std::uint64_t>& lane_scratch) const {
-  assert(fa.compiled_binary);
+    NetId stem, std::uint64_t* obs,
+    std::vector<std::uint64_t>& lane_scratch) const {
+  assert(stem >= 0 && stem < ckt_->net_count());
   assert(n_words <= stride);
   if (n_words == 0) return;
-  active_kernels().faulty_planes(*this, good_planes, stride, n_words,
-                                fault_gate, fa, diff, contention,
-                                lane_scratch);
+  active_kernels().stem_planes(*this, good_planes, stride, n_words, stem, obs,
+                               lane_scratch);
 }
 
 void CompiledCircuit::eval_packed_retained_planes(

@@ -124,7 +124,7 @@ class CompiledCircuit {
                           const gates::FaultAnalysis& fa,
                           const std::vector<LogicV>* previous_state) const;
 
-  // ---- SoA bit-plane kernels (multi-word, multi-fault, SIMD) ---------------
+  // ---- SoA bit-plane kernels (multi-word, SIMD) ----------------------------
   //
   // Layout: planes[net * stride + w] holds pattern word `w` of net `net` —
   // structure-of-arrays, so one net's words are contiguous and a group of
@@ -139,8 +139,8 @@ class CompiledCircuit {
 
   /// Pattern words processed per SIMD step (4 x 64 = 256 patterns).
   static constexpr std::size_t kSimdWords = 4;
-  /// Line faults evaluated per eval_packed_line_batch pass (one per SIMD
-  /// lane).
+  /// No kernel batches line faults any more; perfbench still reads this
+  /// constant for its lane-fill metric, and ROADMAP item 10 drops both.
   static constexpr std::size_t kBatchLanes = 4;
 
   /// Plane stride in words for `n_words` pattern words.
@@ -163,42 +163,20 @@ class CompiledCircuit {
   void eval_packed_planes(std::vector<std::uint64_t>& planes,
                           std::size_t stride) const;
 
-  /// Multi-fault batched line kernel: up to kBatchLanes faults share one
-  /// forward walk per pattern word.  The fault-free prefix comes straight
-  /// from `good_planes` (broadcast into the lanes), and the walk starts at
-  /// the earliest injection position; per-fault overrides (stem forces,
-  /// branch pin overrides) are applied as per-lane events at their gate
-  /// positions.  For fault f and word w, `det[f * n_words + w]` receives
-  /// the PO-difference word masked by `active[w]`.  Early exit: once every
-  /// fault in the batch has at least one nonzero detection word, remaining
-  /// words are skipped (their det words stay zero) — callers that only
-  /// need (detected, first_pattern) observe no difference.
-  /// @param faults validated descriptors (see faults::checked_line_fault);
-  ///   n_faults must be in [1, kBatchLanes]
-  /// @param lane_scratch reused across calls; resized internally
-  /// @returns the number of pattern words actually evaluated
-  std::size_t eval_packed_line_batch(const std::uint64_t* good_planes,
-                                     std::size_t stride, std::size_t n_words,
-                                     const std::uint64_t* active,
-                                     const LineFault* faults,
-                                     std::size_t n_faults, std::uint64_t* det,
-                                     std::vector<std::uint64_t>& lane_scratch)
-      const;
-
-  /// Plane-wide transistor-fault kernel for compiled_binary dictionaries:
-  /// `fault_gate` becomes the minterm expansion of the compiled
-  /// truth/contention masks of `fa`, over all pattern words in kSimdWords
-  /// groups, sharing the good planes as the fault-free prefix.  Writes the
-  /// per-word PO-difference and contention words (unmasked — callers AND
-  /// with their active words).  No early exit: IDDQ-only excitations in
-  /// late words must still be observed, exactly like the per-batch loop it
-  /// replaces.
-  void eval_packed_faulty_planes(const std::uint64_t* good_planes,
-                                 std::size_t stride, std::size_t n_words,
-                                 int fault_gate, const gates::FaultAnalysis& fa,
-                                 std::uint64_t* diff, std::uint64_t* contention,
-                                 std::vector<std::uint64_t>& lane_scratch)
-      const;
+  /// Stem walk: the observability row of `stem` over all pattern words.
+  /// The net is flipped in every word and the flip propagates down its
+  /// fan-out cone, sharing the good planes as the fault-free prefix; per
+  /// word, `obs` receives the OR of the PO differences (unmasked — callers
+  /// AND with their active words): bit k is set when flipping the net
+  /// under that pattern flips some PO.  Any net may be walked (a PO's row
+  /// comes out all ones).  The cone is cached in `lane_scratch` under the
+  /// key of the driver's fault cone (a PI or constant stem has its own),
+  /// the same layout and cache as eval_packed_retained_planes, so rows and
+  /// retained-state faults of one gate share one scratch.
+  void eval_packed_stem_planes(const std::uint64_t* good_planes,
+                               std::size_t stride, std::size_t n_words,
+                               NetId stem, std::uint64_t* obs,
+                               std::vector<std::uint64_t>& lane_scratch) const;
 
   /// Faulted-output state threaded along the pattern axis between
   /// eval_packed_retained_planes calls: the (value, X) of the last pattern
@@ -219,9 +197,9 @@ class CompiledCircuit {
   /// word ranges equal one call over their union.  The output propagates
   /// in dual rail (value + X planes, X-exact against eval_cell_x) down
   /// the fan-out cone cached in `lane_scratch` — the same layout and cache
-  /// as eval_packed_faulty_planes, so faults of both kinds can share one
-  /// scratch.  Writes per word (unmasked): `detect` (some PO binary and
-  /// different from good), `potential` (some PO X) and `contention`.
+  /// as eval_packed_stem_planes, so both can share one scratch.  Writes
+  /// per word (unmasked): `detect` (some PO binary and different from
+  /// good), `potential` (some PO X) and `contention`.
   /// @param x_scratch X lanes, parallel to the value lanes; reused across
   ///   calls, resized internally
   void eval_packed_retained_planes(
@@ -244,8 +222,9 @@ class CompiledCircuit {
   /// oscillates, and the scalar path's oscillation rule (a = b = X) can
   /// never flip a PO: three-valued propagation is sound, so a binary PO
   /// equals the good machine's value.  The cone is cached in
-  /// `lane_scratch` (the transistor kernels' layout) and rediscovered
-  /// only when the pair changes, so a pair's four behaviours share it.
+  /// `lane_scratch` (the stem and retained kernels' layout) and
+  /// rediscovered only when the pair changes, so a pair's four behaviours
+  /// share it.
   /// Writes per word (unmasked): `detect` (some PO binary and different
   /// from good) and `contention` (the good machine drives a and b to
   /// opposite values: the IDDQ excitation).

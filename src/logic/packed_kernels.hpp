@@ -8,10 +8,8 @@
 // -mavx512vl, whose eval_cell_vec overload collapses every cell to one
 // ternary-logic instruction).
 //
-// The vector concept: load/store/splat, the four bitwise ops, and scalar
-// lane access.  Lane access is deliberately rare — it appears only at
-// fault-injection events and when extracting per-word detection results,
-// never in the per-gate walk.
+// The vector concept: load/store/splat and the four bitwise ops.  Kernels
+// never touch a single lane: per-word results leave through stores.
 //
 // Not installed API: include only from compiled_circuit*.cpp, simd.cpp
 // (which reads table()) and the kernel tests, which pin eval_cell_dual
@@ -53,8 +51,6 @@ struct U64x4 {
     p[3] = v.w[3];
   }
   static U64x4 splat(std::uint64_t x) { return U64x4{{x, x, x, x}}; }
-  void set_lane(std::size_t i, std::uint64_t x) { w[i] = x; }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const { return w[i]; }
 
   friend U64x4 operator&(const U64x4& a, const U64x4& b) {
     return U64x4{{a.w[0] & b.w[0], a.w[1] & b.w[1], a.w[2] & b.w[2],
@@ -76,7 +72,6 @@ struct U64x4 {
 #if defined(__aarch64__)
 
 /// The NEON shape of the vector concept: two uint64x2_t q registers.
-/// Lane ops need immediate indices, hence the switches (cold paths only).
 struct U64x2x2 {
   uint64x2_t v[2];
 
@@ -90,22 +85,6 @@ struct U64x2x2 {
   static U64x2x2 splat(std::uint64_t x) {
     const uint64x2_t s = vdupq_n_u64(x);
     return U64x2x2{{s, s}};
-  }
-  void set_lane(std::size_t i, std::uint64_t x) {
-    switch (i) {
-      case 0: v[0] = vsetq_lane_u64(x, v[0], 0); break;
-      case 1: v[0] = vsetq_lane_u64(x, v[0], 1); break;
-      case 2: v[1] = vsetq_lane_u64(x, v[1], 0); break;
-      default: v[1] = vsetq_lane_u64(x, v[1], 1); break;
-    }
-  }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const {
-    switch (i) {
-      case 0: return vgetq_lane_u64(v[0], 0);
-      case 1: return vgetq_lane_u64(v[0], 1);
-      case 2: return vgetq_lane_u64(v[1], 0);
-      default: return vgetq_lane_u64(v[1], 1);
-    }
   }
 
   friend U64x2x2 operator&(const U64x2x2& a, const U64x2x2& b) {
@@ -132,9 +111,7 @@ namespace {
 /// The __m256i shape of the vector concept, seen only by the -mavx2 and
 /// -mavx512f units (both flags define __AVX2__).  The unnamed namespace
 /// makes it a distinct type in each, so each unit's instantiations stay
-/// local to it and the linker cannot merge them across ISAs.  Lane access
-/// goes through memory (the intrinsics want immediate indices); it only
-/// appears at fault-injection events and result extraction.
+/// local to it and the linker cannot merge them across ISAs.
 struct M256 {
   __m256i v;
 
@@ -146,17 +123,6 @@ struct M256 {
   }
   static M256 splat(std::uint64_t x) {
     return M256{_mm256_set1_epi64x(static_cast<long long>(x))};
-  }
-  void set_lane(std::size_t i, std::uint64_t x) {
-    alignas(32) std::uint64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    tmp[i] = x;
-    v = _mm256_load_si256(reinterpret_cast<const __m256i*>(tmp));
-  }
-  [[nodiscard]] std::uint64_t lane(std::size_t i) const {
-    alignas(32) std::uint64_t tmp[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(tmp), v);
-    return tmp[i];
   }
 
   friend M256 operator&(const M256& a, const M256& b) {
@@ -217,222 +183,15 @@ void eval_planes_t(const CompiledCircuit& cc, std::uint64_t* planes,
   }
 }
 
-/// Batched line-fault kernel: kBatchLanes faults, one per SIMD lane, one
-/// forward walk per pattern word starting at the earliest injection
-/// position.  See CompiledCircuit::eval_packed_line_batch for the
-/// contract; this body is shared verbatim by every backend, so the
-/// backends are bit-identical by construction.
-template <class V>
-std::size_t eval_line_batch_t(const CompiledCircuit& cc,
-                              const std::uint64_t* good, std::size_t stride,
-                              std::size_t n_words, const std::uint64_t* active,
-                              const CompiledCircuit::LineFault* faults,
-                              std::size_t n_faults, std::uint64_t* det,
-                              std::vector<std::uint64_t>& lane_scratch) {
-  constexpr std::size_t kLanes = CompiledCircuit::kBatchLanes;
-  // Words walked together per strip: the walk keeps one lane vector per
-  // word, so a strip carries up to kGroups independent dependency chains —
-  // on the cone-restricted suffixes the single-word walk is latency-bound
-  // on its gate-to-gate chain, and the extra chains fill the idle ALU
-  // slots while the scalar epoch bookkeeping is paid once per strip.  The
-  // first strip stays narrow: most line faults detect within the first
-  // couple of words, and a wide first strip would evaluate words the
-  // word-granular early exit never needed.  Survivors get full-width
-  // strips, where the ILP is worth the coarser exit.
-  constexpr std::size_t kGroups = 4;
-  constexpr std::size_t kFirstStrip = 2;
-  const auto& gates = cc.gates();
-  const Circuit& ckt = cc.circuit();
-  const std::size_t n_net = static_cast<std::size_t>(ckt.net_count());
-  // Lane storage plus a per-net epoch tail and a running epoch counter: a
-  // net's lanes are only valid when its epoch equals the current strip's;
-  // every other net reads straight from the good planes.  This keeps the
-  // per-word cost proportional to the walked suffix, not to net_count (a
-  // full per-word broadcast of the good machine would cost as much as
-  // seeding a whole single-fault pass and cancel the batching win).  The
-  // counter persists across calls sharing the scratch, so the epochs are
-  // zeroed once per scratch lifetime, not once per kernel call.
-  const std::size_t need = n_net * (kLanes * kGroups + 1) + 1;
-  if (lane_scratch.size() != need) lane_scratch.assign(need, 0);
-  std::uint64_t* const lanes = lane_scratch.data();
-  std::uint64_t* const epoch = lane_scratch.data() + n_net * kLanes * kGroups;
-  std::uint64_t& counter = lane_scratch[need - 1];
-  std::fill_n(det, n_faults * n_words, 0ull);
-
-  // Injection plan.  A stem fault forces its net's lane at seed time and
-  // re-forces it right after the driver's write (a post event); a branch
-  // fault overrides one pin of one gate's local inputs (a pre event).
-  // Gates before the earliest event position would recompute the good
-  // machine, so the walk skips them — their values come from `good`.
-  struct Seed {
-    NetId net;
-    std::size_t lane;
-    std::uint64_t word;
-  };
-  struct Event {
-    std::size_t pos;
-    std::size_t lane;
-    int pin;  ///< >= 0: pre-compute pin override; < 0: post-compute re-force
-    std::uint64_t word;
-  };
-  Seed seeds[kLanes];
-  Event events[kLanes];
-  std::size_t n_seed = 0;
-  std::size_t n_ev = 0;
-  std::size_t min_pos = gates.size();
-  for (std::size_t f = 0; f < n_faults; ++f) {
-    const CompiledCircuit::LineFault& lf = faults[f];
-    const std::uint64_t forced = lf.stuck_one ? ~0ull : 0ull;
-    if (lf.net >= 0) {
-      seeds[n_seed++] = {lf.net, f, forced};
-      const int driver = ckt.driver_of(lf.net);
-      if (driver < 0) {
-        min_pos = 0;  // a PI/constant stem: every reader must see the force
-      } else {
-        const std::size_t pos = cc.position_of(driver);
-        events[n_ev++] = {pos, f, -1, forced};
-        min_pos = std::min(min_pos, pos);
-      }
-    } else {
-      const std::size_t pos = cc.position_of(lf.gate);
-      events[n_ev++] = {pos, f, lf.pin, forced};
-      min_pos = std::min(min_pos, pos);
-    }
-  }
-  // Insertion sort by position: at most kLanes events, and the walk only
-  // needs same-position events adjacent (they touch disjoint lanes, so
-  // their relative order is immaterial).
-  for (std::size_t i = 1; i < n_ev; ++i) {
-    const Event e = events[i];
-    std::size_t j = i;
-    for (; j > 0 && events[j - 1].pos > e.pos; --j) events[j] = events[j - 1];
-    events[j] = e;
-  }
-
-  std::uint64_t undetected = (1ull << n_faults) - 1ull;
-
-  // One strip: NW consecutive pattern words walked together (NW is a
-  // compile-time constant so the per-word loops fully unroll and the NW
-  // dependency chains stay in registers).
-  const auto strip = [&]<std::size_t NW>(std::size_t w, std::uint64_t cur) {
-    // Lanes diverge from the good machine only at seeded nets and walked
-    // gate outputs; everything else reads the good plane lazily below.
-    for (std::size_t s = 0; s < n_seed; ++s) {
-      const std::size_t n = static_cast<std::size_t>(seeds[s].net);
-      if (epoch[n] != cur) {
-        for (std::size_t gi = 0; gi < NW; ++gi)
-          V::store(lanes + n * kLanes * kGroups + gi * kLanes,
-                   V::splat(good[n * stride + w + gi]));
-        epoch[n] = cur;
-      }
-      for (std::size_t gi = 0; gi < NW; ++gi)
-        lanes[n * kLanes * kGroups + gi * kLanes + seeds[s].lane] =
-            seeds[s].word;
-    }
-
-    std::size_t ei = 0;
-    for (std::size_t k = min_pos; k < gates.size(); ++k) {
-      const CompiledCircuit::GateRec& g = gates[k];
-      const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
-      const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
-      const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
-      const bool d0 = epoch[n0] == cur;
-      const bool d1 = epoch[n1] == cur;
-      const bool d2 = epoch[n2] == cur;
-      // Cone restriction: a gate with no diverged input and no injection
-      // event computes exactly the good machine — skip it, leaving its
-      // output epoch stale so downstream readers take the good plane.
-      if (!d0 && !d1 && !d2 && !(ei < n_ev && events[ei].pos == k)) continue;
-      V a[NW], b[NW], c[NW];
-      for (std::size_t gi = 0; gi < NW; ++gi) {
-        a[gi] = d0 ? V::load(lanes + n0 * kLanes * kGroups + gi * kLanes)
-                   : V::splat(good[n0 * stride + w + gi]);
-        b[gi] = d1 ? V::load(lanes + n1 * kLanes * kGroups + gi * kLanes)
-                   : V::splat(good[n1 * stride + w + gi]);
-        c[gi] = d2 ? V::load(lanes + n2 * kLanes * kGroups + gi * kLanes)
-                   : V::splat(good[n2 * stride + w + gi]);
-      }
-      std::size_t post_n = 0;
-      Seed post[kLanes];
-      while (ei < n_ev && events[ei].pos == k) {
-        const Event& e = events[ei++];
-        if (e.pin < 0) {
-          post[post_n++] = {g.out, e.lane, e.word};
-        } else {
-          V* const dst = e.pin == 0 ? a : e.pin == 1 ? b : c;
-          for (std::size_t gi = 0; gi < NW; ++gi)
-            dst[gi].set_lane(e.lane, e.word);
-        }
-      }
-      for (std::size_t gi = 0; gi < NW; ++gi)
-        V::store(lanes + static_cast<std::size_t>(g.out) * kLanes * kGroups +
-                     gi * kLanes,
-                 eval_cell_vec(g.kind, a[gi], b[gi], c[gi]));
-      epoch[static_cast<std::size_t>(g.out)] = cur;
-      for (std::size_t p = 0; p < post_n; ++p)
-        for (std::size_t gi = 0; gi < NW; ++gi)
-          lanes[static_cast<std::size_t>(post[p].net) * kLanes * kGroups +
-                gi * kLanes + post[p].lane] = post[p].word;
-    }
-
-    // A PO the walk never wrote still equals the good machine in every
-    // lane — zero contribution, skipped.
-    V diff[NW];
-    for (std::size_t gi = 0; gi < NW; ++gi) diff[gi] = V::splat(0);
-    for (const NetId po : ckt.primary_outputs()) {
-      const std::size_t n = static_cast<std::size_t>(po);
-      if (epoch[n] != cur) continue;
-      for (std::size_t gi = 0; gi < NW; ++gi)
-        diff[gi] = diff[gi] | (V::load(lanes + n * kLanes * kGroups +
-                                       gi * kLanes) ^
-                               V::splat(good[n * stride + w + gi]));
-    }
-    // One vector store, then scalar reads: per-lane extract instructions
-    // would round-trip through memory once per lane on AVX2.
-    for (std::size_t gi = 0; gi < NW; ++gi) {
-      alignas(32) std::uint64_t dbuf[kLanes];
-      V::store(dbuf, diff[gi]);
-      const std::uint64_t act = active[w + gi];
-      for (std::size_t f = 0; f < n_faults; ++f) {
-        const std::uint64_t d = dbuf[f] & act;
-        det[f * n_words + w + gi] = d;
-        if (d != 0) undetected &= ~(1ull << f);
-      }
-    }
-  };
-
-  std::size_t w = 0;
-  bool first = true;
-  while (w < n_words && undetected != 0) {
-    const std::uint64_t cur = ++counter;  // never reused: epochs stay valid
-    const std::size_t rem = n_words - w;
-    if (!first && rem >= kGroups) {
-      strip.template operator()<kGroups>(w, cur);
-      w += kGroups;
-    } else if (rem >= kFirstStrip) {
-      strip.template operator()<kFirstStrip>(w, cur);
-      w += kFirstStrip;
-      first = false;
-    } else {
-      strip.template operator()<1>(w, cur);
-      w += 1;
-      first = false;
-    }
-  }
-  return w;
-}
-
-/// Word groups walked together per strip by both transistor plane
-/// kernels.  Strip widening: independent word-group chains walked
-/// together hide the gate-to-gate latency (a single chain is serial
-/// through each cone gate) and amortize the per-fault scalar costs.
-/// Wider than the line kernel's strips because these kernels have no
-/// early exit to lose.
+/// Word groups walked together per strip by the cone kernels.  Strip
+/// widening: independent word-group chains walked together hide the
+/// gate-to-gate latency (a single chain is serial through each cone gate)
+/// and amortize the per-call scalar costs.
 inline constexpr std::size_t kConeGroups = 4;
 
-/// The cached fan-out cone of one faulted gate or one bridged net pair, as
-/// laid out in the lane scratch that the transistor and bridge kernels
-/// share.
+/// The cached fan-out cone of one faulted gate, one stem or one bridged
+/// net pair, as laid out in the lane scratch that the stem, retained and
+/// bridge kernels share.
 struct FaultCone {
   /// Lane storage: word j of a strip for net n lives at
   /// lanes[n * kSimdWords * kConeGroups + j].
@@ -531,8 +290,20 @@ inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
                      pos + 1, lane_scratch);
 }
 
+/// The fan-out cone of a stem.  A gate-driven stem's cone is its driver's
+/// fault_cone, under the same key, so a retained-state fault on the driver
+/// reuses the cache; a stem without a driver (a PI or a constant) walks
+/// from position 0 under a key of its own (bit 62; bridges take bit 63).
+inline FaultCone stem_cone(const CompiledCircuit& cc, NetId stem,
+                           std::vector<std::uint64_t>& lane_scratch) {
+  const int driver = cc.circuit().driver_of(stem);
+  if (driver >= 0) return fault_cone(cc, driver, lane_scratch);
+  return seeded_cone(cc, (1ull << 62) | static_cast<std::uint64_t>(stem),
+                     stem, stem, 0, lane_scratch);
+}
+
 /// The fan-out cone of a bridged pair, keyed by the unordered pair (the
-/// top bit keeps pair keys apart from gate keys).
+/// top bit keeps pair keys apart from gate and stem keys).
 inline FaultCone bridge_cone(const CompiledCircuit& cc, NetId a, NetId b,
                              std::vector<std::uint64_t>& lane_scratch) {
   const std::uint64_t lo = static_cast<std::uint64_t>(std::min(a, b));
@@ -580,90 +351,62 @@ inline void for_each_strip(std::size_t n_words, const Strip& strip) {
   }
 }
 
-/// Plane-wide transistor kernel: minterm expansion of the compiled
-/// truth/contention masks over kSimdWords words per step.
+/// Stem kernel: the observability row of one net.  The net is flipped in
+/// every pattern word and the flip walks the net's fan-out cone
+/// (stem_cone); `obs` receives, per word (unmasked), the OR of the PO
+/// differences — bit k is set when flipping the net under that pattern
+/// flips some PO.  The cone's PO list holds the net itself when it is a
+/// PO, so the row of a PO comes out all ones.
 template <class V>
-void eval_faulty_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
-                          std::size_t stride, std::size_t n_words,
-                          int fault_gate, const gates::FaultAnalysis& fa,
-                          std::uint64_t* diff, std::uint64_t* contention,
-                          std::vector<std::uint64_t>& lane_scratch) {
+void eval_stem_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
+                        std::size_t stride, std::size_t n_words, NetId stem,
+                        std::uint64_t* obs,
+                        std::vector<std::uint64_t>& lane_scratch) {
   constexpr std::size_t kW = CompiledCircuit::kSimdWords;
-  constexpr std::size_t kGroups = kConeGroups;
+  constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
   const auto& gates = cc.gates();
-  // With the cone precomputed the strip walk is branch-free vector work.
-  const FaultCone fc = fault_cone(cc, fault_gate, lane_scratch);
+  const FaultCone fc = stem_cone(cc, stem, lane_scratch);
   std::uint64_t* const lv = fc.lanes;
-  const std::uint64_t* const cone = fc.gates;
-  const std::size_t cone_len = fc.gate_count;
-  const std::uint64_t* const po_list = fc.po_nets;
-  const std::size_t po_len = fc.po_count;
-  const CompiledCircuit::GateRec& fg = gates[cc.position_of(fault_gate)];
-  const unsigned combos = 1u << fg.n_in;
-  const unsigned rows = fa.compiled_truth | fa.compiled_contention;
+  const std::size_t s = static_cast<std::size_t>(stem);
 
-  // One strip: NW word groups (NW * kW pattern words) walked together.
-  // No vector value stays live across the sub-loops (contention is final
-  // at expansion time, PO diffs accumulate per group), so wide strips add
-  // independent chains without spilling registers.
+  // One strip: NW word groups walked together.  No vector value stays live
+  // across the sub-loops, so wide strips add independent chains without
+  // spilling registers.
   const auto strip = [&]<std::size_t NW>(std::size_t wg) {
-    // Faulted gate: its local inputs equal the good machine's (single
-    // faulted gate, acyclic circuit — they cannot be in its own cone), so
-    // the contention accumulation is the per-pattern IDDQ excitation mask.
-    for (std::size_t gi = 0; gi < NW; ++gi) {
-      const V in[3] = {
-          V::load(good + static_cast<std::size_t>(fg.in[0]) * stride + wg +
-                  gi * kW),
-          V::load(good + static_cast<std::size_t>(fg.in[1]) * stride + wg +
-                  gi * kW),
-          V::load(good + static_cast<std::size_t>(fg.in[2]) * stride + wg +
-                  gi * kW)};
-      V out = V::splat(0);
-      V cont = V::splat(0);
-      for (unsigned vec = 0; vec < combos; ++vec) {
-        if (((rows >> vec) & 1u) == 0) continue;
-        V minterm = V::splat(~0ull);
-        for (unsigned i = 0; i < fg.n_in; ++i)
-          minterm = minterm & (((vec >> i) & 1u) != 0 ? in[i] : ~in[i]);
-        if (((fa.compiled_truth >> vec) & 1u) != 0) out = out | minterm;
-        if (((fa.compiled_contention >> vec) & 1u) != 0)
-          cont = cont | minterm;
-      }
-      V::store(lv + static_cast<std::size_t>(fg.out) * kW * kGroups + gi * kW,
-               out);
-      store_clamped(contention, wg + gi * kW, n_words, cont);
-    }
+    for (std::size_t gi = 0; gi < NW; ++gi)
+      V::store(lv + s * kRow + gi * kW,
+               ~V::load(good + s * stride + wg + gi * kW));
 
-    // Cone walk: topological order guarantees every lane slot read below
-    // was stored earlier in this strip (by the faulted gate or a cone
-    // predecessor), so no per-gate validity checks remain.
-    for (std::size_t idx = 0; idx < cone_len; ++idx) {
-      const std::uint64_t e = cone[idx];
+    // Topological order guarantees every lane slot read below was stored
+    // earlier in this strip (by the flip or a cone predecessor).
+    for (std::size_t idx = 0; idx < fc.gate_count; ++idx) {
+      const std::uint64_t e = fc.gates[idx];
       const CompiledCircuit::GateRec& g = gates[e >> 3];
       const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
       const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
       const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
       for (std::size_t gi = 0; gi < NW; ++gi) {
-        const V a = (e & 1) != 0 ? V::load(lv + n0 * kW * kGroups + gi * kW)
-                                 : V::load(good + n0 * stride + wg + gi * kW);
-        const V b = (e & 2) != 0 ? V::load(lv + n1 * kW * kGroups + gi * kW)
-                                 : V::load(good + n1 * stride + wg + gi * kW);
-        const V c = (e & 4) != 0 ? V::load(lv + n2 * kW * kGroups + gi * kW)
-                                 : V::load(good + n2 * stride + wg + gi * kW);
-        V::store(
-            lv + static_cast<std::size_t>(g.out) * kW * kGroups + gi * kW,
-            eval_cell_vec(g.kind, a, b, c));
+        const std::size_t l = gi * kW;
+        const V a = (e & 1) != 0 ? V::load(lv + n0 * kRow + l)
+                                 : V::load(good + n0 * stride + wg + l);
+        const V b = (e & 2) != 0 ? V::load(lv + n1 * kRow + l)
+                                 : V::load(good + n1 * stride + wg + l);
+        const V c = (e & 4) != 0 ? V::load(lv + n2 * kRow + l)
+                                 : V::load(good + n2 * stride + wg + l);
+        V::store(lv + static_cast<std::size_t>(g.out) * kRow + l,
+                 eval_cell_vec(g.kind, a, b, c));
       }
     }
 
     for (std::size_t gi = 0; gi < NW; ++gi) {
+      const std::size_t l = gi * kW;
       V d = V::splat(0);
-      for (std::size_t i = 0; i < po_len; ++i) {
-        const std::size_t n = static_cast<std::size_t>(po_list[i]);
-        d = d | (V::load(lv + n * kW * kGroups + gi * kW) ^
-                 V::load(good + n * stride + wg + gi * kW));
+      for (std::size_t i = 0; i < fc.po_count; ++i) {
+        const std::size_t n = static_cast<std::size_t>(fc.po_nets[i]);
+        d = d | (V::load(lv + n * kRow + l) ^
+                 V::load(good + n * stride + wg + l));
       }
-      store_clamped(diff, wg + gi * kW, n_words, d);
+      store_clamped(obs, wg + l, n_words, d);
     }
   };
 
@@ -1006,21 +749,19 @@ void eval_bridge_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
 
 // ---- kernel tables ---------------------------------------------------------
 
-/// The five plane kernels of one backend, each with the signature of its
-/// template above.  CompiledCircuit's eval_packed_* methods call through
-/// the active backend's table, so adding or deleting a kernel is one
-/// member here and one entry in kKernels.
+/// The four plane kernels of one backend, each with the signature of its
+/// template above: the good machine, the stem walk behind the
+/// observability rows of line and binary-dictionary transistor faults,
+/// the dual-rail retained-state walk, and the bridge fixpoint.
+/// CompiledCircuit's eval_packed_* methods call through the active
+/// backend's table, so adding or deleting a kernel is one member here and
+/// one entry in kKernels.
 struct KernelTable {
   using Scratch = std::vector<std::uint64_t>;
   void (*planes)(const CompiledCircuit&, std::uint64_t*, std::size_t);
-  std::size_t (*line_batch)(const CompiledCircuit&, const std::uint64_t*,
-                            std::size_t, std::size_t, const std::uint64_t*,
-                            const CompiledCircuit::LineFault*, std::size_t,
-                            std::uint64_t*, Scratch&);
-  void (*faulty_planes)(const CompiledCircuit&, const std::uint64_t*,
-                        std::size_t, std::size_t, int,
-                        const gates::FaultAnalysis&, std::uint64_t*,
-                        std::uint64_t*, Scratch&);
+  void (*stem_planes)(const CompiledCircuit&, const std::uint64_t*,
+                      std::size_t, std::size_t, NetId, std::uint64_t*,
+                      Scratch&);
   void (*retained_planes)(const CompiledCircuit&, const std::uint64_t*,
                           std::size_t, std::size_t, int,
                           const gates::FaultAnalysis&, bool,
@@ -1037,8 +778,8 @@ struct KernelTable {
 /// compiled_circuit.cpp, the M256 tables in the -m units.
 template <class V>
 inline constexpr KernelTable kKernels = {
-    &eval_planes_t<V>, &eval_line_batch_t<V>, &eval_faulty_planes_t<V>,
-    &eval_retained_planes_t<V>, &eval_bridge_planes_t<V>};
+    &eval_planes_t<V>, &eval_stem_planes_t<V>, &eval_retained_planes_t<V>,
+    &eval_bridge_planes_t<V>};
 
 // The M256 tables, defined in compiled_circuit_avx2.cpp and (with the
 // VPTERNLOGQ eval_cell_vec) compiled_circuit_avx512.cpp.

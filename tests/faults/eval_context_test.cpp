@@ -1,15 +1,21 @@
 // Golden-equivalence suite for the shared evaluation context: the
-// context-based run/run_range paths — including both transistor plane
-// kernels — must be bit-identical to the seed's serial algorithm
+// context-based run/run_range paths — the observability rows behind line
+// and binary-dictionary transistor faults, and the retained-state plane
+// kernel — must be bit-identical to the seed's serial algorithm
 // (reference_sim.hpp).
 #include "faults/eval_context.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "atpg/two_pattern.hpp"
 #include "faults/bridge.hpp"
 #include "faults/fault_sim.hpp"
+#include "logic/bench_format.hpp"
 #include "logic/benchmarks.hpp"
+#include "logic/netlist_ingest.hpp"
+#include "logic/simd.hpp"
 #include "reference_sim.hpp"
 #include "util/rng.hpp"
 
@@ -337,6 +343,118 @@ TEST(EvalContext, RejectsForeignCircuitAndBadRanges) {
       patterns[3].resize(a.primary_inputs().size() + extra, LogicV::k0);
       EXPECT_THROW((void)EvalContext(a, patterns), std::invalid_argument)
           << "with_x=" << with_x << " extra=" << extra;
+    }
+  }
+}
+
+/// RAII pin of the portable backend (tests must not leak the override).
+struct ForcePortable {
+  explicit ForcePortable(bool on) { logic::simd::force_portable(on); }
+  ~ForcePortable() { logic::simd::force_portable(false); }
+};
+
+logic::Circuit ingested(const logic::Circuit& ckt) {
+  return logic::read_bench_string(logic::to_bench_string(ckt));
+}
+
+struct Named {
+  std::string name;
+  logic::Circuit ckt;
+};
+
+/// The roster, the committed fixtures, ingested alu arrays and random
+/// circuits.
+std::vector<Named> inputs() {
+  std::vector<Named> out;
+  out.push_back({"c17", logic::c17()});
+  out.push_back({"full_adder", logic::full_adder()});
+  out.push_back({"alu_slice", logic::alu_slice()});
+  out.push_back({"parity_tree_9", logic::parity_tree(9)});
+  out.push_back({"tmr_voter_3", logic::tmr_voter(3)});
+  out.push_back({"ripple_adder_4", logic::ripple_adder(4)});
+  out.push_back({"multiplier_2x2", logic::multiplier_2x2()});
+  out.push_back({"xor3_parity_chain_7", logic::xor3_parity_chain(7)});
+  for (const char* file :
+       {"c17.bench", "full_adder.cpn", "full_adder.v", "voter_cells.v"})
+    out.push_back({file, logic::load_circuit_file(
+                             std::string(CPSINW_TEST_DATA_DIR) + "/" + file)});
+  for (const int slices : {1, 4, 16, 64})
+    out.push_back({"alu_array_" + std::to_string(slices),
+                   ingested(logic::alu_array(slices))});
+  for (std::uint64_t seed = 1; seed <= 8; ++seed)
+    out.push_back({"random_" + std::to_string(seed),
+                   logic::random_circuit(seed, 4 + static_cast<int>(seed),
+                                         12 + 6 * static_cast<int>(seed))});
+  return out;
+}
+
+TEST(EvalContext, RecordsMatchTheOraclesAcrossTheMatrix) {
+  // The oracles simulate one fault at a time, pattern by pattern, so on
+  // the larger circuits they check an evenly spread sample: at most 256
+  // faults and a fixed budget of reference gate evaluations per (pattern
+  // count, options) cell.  run_range covers every fault that reads rows
+  // (line and binary-dictionary faults, so rows are shared as in a
+  // campaign) plus the sampled retained-state ones.
+  constexpr double kBudget = 4e6;
+  constexpr std::size_t kMaxSample = 256;
+  for (const Named& in : inputs()) {
+    FaultListOptions flo;
+    flo.collapse = false;
+    const std::vector<Fault> universe = generate_fault_list(in.ckt, flo);
+    const FaultSimulator fsim(in.ckt);
+    const double gates = in.ckt.gate_count();
+    for (const int count : {0, 1, 65, 300}) {
+      const std::vector<Pattern> patterns =
+          random_patterns(in.ckt, count, 5 + count);
+      const double per_fault = 2.0 * gates * std::max(count, 1);
+      const std::size_t sample = std::clamp<std::size_t>(
+          static_cast<std::size_t>(kBudget / per_fault), 8, kMaxSample);
+      const std::size_t step =
+          std::max<std::size_t>(1, universe.size() / sample);
+      const EvalContext ctx(in.ckt, patterns);
+      std::vector<Fault> run;
+      std::vector<std::size_t> checked;  ///< positions in `run`
+      std::vector<DetectionRecord> line_want;  ///< option-independent
+      for (std::size_t i = 0; i < universe.size(); ++i) {
+        const Fault& f = universe[i];
+        const bool line = f.site != FaultSite::kGateTransistor;
+        const bool reads_rows =
+            line || ctx.dictionary(in.ckt.gate(f.gate).kind, f.cell_fault)
+                        .compiled_binary;
+        if (i % step != 0 && !reads_rows) continue;
+        if (i % step == 0) {
+          checked.push_back(run.size());
+          line_want.push_back(line ? reference::line(ctx, f)
+                                   : DetectionRecord{});
+        }
+        run.push_back(f);
+      }
+      for (int o = 0; o < 8; ++o) {
+        FaultSimOptions options;
+        options.detection_mode =
+            (o & 1) != 0 ? DetectionMode::kFirstOnly : DetectionMode::kFull;
+        options.observe_iddq = (o & 2) != 0;
+        options.sequential_patterns = (o & 4) != 0;
+        std::vector<std::vector<DetectionRecord>> runs;
+        for (const bool portable : {true, false}) {
+          ForcePortable pin(portable);
+          const EvalContext fresh(in.ckt, patterns);  // rows per backend
+          runs.push_back(fsim.run_range(fresh, run, 0, run.size(), options));
+        }
+        for (std::size_t k = 0; k < checked.size(); ++k) {
+          const Fault& f = run[checked[k]];
+          const DetectionRecord want =
+              f.site == FaultSite::kGateTransistor
+                  ? reference::transistor(in.ckt, f, patterns, options)
+                  : line_want[k];
+          for (std::size_t b = 0; b < runs.size(); ++b)
+            expect_record_eq(runs[b][checked[k]], want,
+                             in.name + " patterns " + std::to_string(count) +
+                                 " options " + std::to_string(o) +
+                                 (b == 0 ? " portable" : " dispatched") +
+                                 " fault " + std::to_string(checked[k]));
+        }
+      }
     }
   }
 }

@@ -156,15 +156,15 @@ TEST(RetainedKernel, DualRailCellsAreXExactAgainstEvalCellX) {
                                    V::splat(val[1]), V::splat(unk[1]),
                                    V::splat(val[2]), V::splat(unk[2]), v, x);
     for (std::size_t lane = 0; lane < 4; ++lane) {
-      EXPECT_EQ(v.lane(lane) & x.lane(lane), 0u)
+      EXPECT_EQ(v.w[lane] & x.w[lane], 0u)
           << "non-canonical output, kind " << static_cast<int>(kind);
       for (int k = 0; k < combos; ++k) {
         LogicV pin[3] = {LogicV::kX, LogicV::kX, LogicV::kX};
         int rest = k;
         for (int i = 0; i < n; ++i, rest /= 3) pin[i] = decode[rest % 3];
         const LogicV want = logic::eval_cell_x(kind, pin[0], pin[1], pin[2]);
-        const LogicV got = ((x.lane(lane) >> k) & 1u) != 0 ? LogicV::kX
-                           : ((v.lane(lane) >> k) & 1u) != 0 ? LogicV::k1
+        const LogicV got = ((x.w[lane] >> k) & 1u) != 0 ? LogicV::kX
+                           : ((v.w[lane] >> k) & 1u) != 0 ? LogicV::k1
                                                               : LogicV::k0;
         EXPECT_EQ(got, want) << "kind " << static_cast<int>(kind)
                              << " assignment " << k;

@@ -1,12 +1,12 @@
 // Randomized property suite for the vectorized compiled core: the
-// multi-fault batch kernel (every batch size 1..kBatchLanes, ragged
-// pattern tails) and every SIMD backend must be bit-identical to the
-// reference oracles (reference_sim.hpp), whose line and good-machine
-// walks are the seed's interpreted evaluators (reference_logic.hpp), so
-// everything here is pinned to the seed.  Covers line stuck-at stems and
-// branches, transistor stuck-open/stuck-on and polarity (via IDDQ
-// dictionaries), all five classes through the shard path (bridges against
-// their per-pattern oracle), plus X-bearing pattern sets.
+// observability rows (every net, ragged pattern tails) and every SIMD
+// backend must be bit-identical to the reference oracles
+// (reference_sim.hpp), whose line and good-machine walks are the seed's
+// interpreted evaluators (reference_logic.hpp), so everything here is
+// pinned to the seed.  Covers line stuck-at stems and branches,
+// transistor stuck-open/stuck-on and polarity (via IDDQ dictionaries),
+// all five classes through the shard path (bridges against their
+// per-pattern oracle), plus X-bearing pattern sets.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -134,7 +134,7 @@ TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
   }
 }
 
-TEST(CompiledBatch, BatchKernelMatchesSingleFaultKernelAllBatchSizes) {
+TEST(CompiledBatch, ObservabilityRowsMatchTheStemFaultOracle) {
   const int counts[] = {1, 63, 65, 100, 128, 200};
   std::size_t ci = 0;
   for (const Named& w : roster()) {
@@ -142,45 +142,43 @@ TEST(CompiledBatch, BatchKernelMatchesSingleFaultKernelAllBatchSizes) {
     const auto patterns = random_patterns(w.ckt, count, 7 + ci);
     const EvalContext ctx(w.ckt, patterns);
     ASSERT_TRUE(ctx.packed());
-    const CompiledCircuit& cc = ctx.compiled();
-    const std::vector<Fault> universe = all_line_faults(w.ckt);
     const std::size_t n_words = ctx.word_count();
+    const std::vector<std::uint64_t>& active = ctx.active_words();
 
-    // Reference detection words, one fault at a time.
-    std::vector<std::vector<std::uint64_t>> want;
-    std::vector<CompiledCircuit::LineFault> lfs;
-    for (const Fault& f : universe) {
-      want.push_back(faults::reference::line_det_words(ctx, f));
-      lfs.push_back(faults::checked_line_fault(w.ckt, f));
+    // Flipping a net under a pattern is the net stuck at the complement of
+    // its good value there, so its row, masked by the patterns, is the
+    // union of its two stem faults' reference detection words.
+    std::vector<std::uint64_t> lanes;
+    for (NetId n = 0; n < w.ckt.net_count(); ++n) {
+      const auto sa0 =
+          faults::reference::line_det_words(ctx, Fault::net_stuck(n, false));
+      const auto sa1 =
+          faults::reference::line_det_words(ctx, Fault::net_stuck(n, true));
+      const std::uint64_t* row = ctx.obs_row(n, lanes);
+      for (std::size_t wd = 0; wd < n_words; ++wd)
+        ASSERT_EQ(row[wd] & active[wd], sa0[wd] | sa1[wd])
+            << w.name << " net " << n << " word " << wd;
     }
 
-    // Every batch size, over windows sliding through the universe so
-    // stems/branches/sa0/sa1 mix within one group.
-    std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t n = 1; n <= CompiledCircuit::kBatchLanes; ++n) {
-      for (std::size_t g = 0; g + n <= universe.size(); g += n) {
-        const std::size_t words_done = cc.eval_packed_line_batch(
-            ctx.good_planes(), ctx.plane_stride(), n_words,
-            ctx.active_words().data(), lfs.data() + g, n, det.data(),
-            scratch);
-        ASSERT_GE(words_done, 1u);
-        ASSERT_LE(words_done, n_words);
-        for (std::size_t j = 0; j < n; ++j) {
-          bool detected = false;
-          for (std::size_t wd = 0; wd < words_done; ++wd) {
-            ASSERT_EQ(det[j * n_words + wd], want[g + j][wd])
-                << w.name << " batch " << n << " fault " << (g + j)
-                << " word " << wd;
-            detected |= det[j * n_words + wd] != 0;
-          }
-          // Early exit is only legal once every lane has a detection.
-          if (words_done < n_words) {
-            ASSERT_TRUE(detected);
-          }
-        }
-      }
+    // Rows do not depend on the order they are asked in: a fresh context
+    // filled from the last net back (each chain walk then stops one link
+    // further down) holds the same words.
+    const EvalContext back(w.ckt, patterns);
+    for (NetId n = w.ckt.net_count() - 1; n >= 0; --n) {
+      const std::uint64_t* want = ctx.obs_row(n, lanes);
+      const std::uint64_t* got = back.obs_row(n, lanes);
+      for (std::size_t wd = 0; wd < n_words; ++wd)
+        ASSERT_EQ(got[wd], want[wd])
+            << w.name << " net " << n << " word " << wd;
     }
+
+    // Every stem and branch fault's record comes through its row.
+    const std::vector<Fault> universe = all_line_faults(w.ckt);
+    const auto got = FaultSimulator(w.ckt).run_range(ctx, universe, 0,
+                                                     universe.size());
+    for (std::size_t i = 0; i < universe.size(); ++i)
+      expect_record_eq(got[i], faults::reference::line(ctx, universe[i]),
+                       w.name + " fault " + std::to_string(i));
   }
 }
 
@@ -201,23 +199,11 @@ TEST(CompiledBatch, RunRangeMatchesReferenceRecords) {
     for (std::size_t i = 0; i < got.size(); ++i)
       expect_record_eq(got[i], ref[i], w.name + " fault " + std::to_string(i));
 
-    // Occupancy accounting is consistent with the universe.
+    // The line-fault count is consistent with the universe.
     std::size_t line_faults = 0;
     for (const Fault& f : universe)
       if (f.site != FaultSite::kGateTransistor) ++line_faults;
     EXPECT_EQ(stats.faults, line_faults) << w.name;
-    // lane_slots counts lanes actually occupied, so it never exceeds the
-    // full-group capacity and always matches the fill histogram exactly.
-    EXPECT_LE(stats.lane_slots,
-              stats.groups * CompiledCircuit::kBatchLanes);
-    std::size_t fill_sum = 0;
-    for (std::size_t k = 0; k < stats.fill.size(); ++k)
-      fill_sum += stats.fill[k] * (k + 1);
-    EXPECT_EQ(fill_sum, stats.lane_slots) << w.name;
-    // Every fault rides at least one kernel invocation (dropping strips
-    // may route one through several).
-    EXPECT_GE(stats.lane_slots, stats.faults) << w.name;
-    EXPECT_GT(stats.words, 0u) << w.name;
 
     // Concatenating sub-range records equals the whole-list run (the
     // campaign sharding contract).
@@ -290,38 +276,27 @@ TEST(CompiledBatch, SimdBackendBitIdenticalToPortable) {
                                 ctx.plane_stride());
     ASSERT_EQ(wide_planes, portable_planes) << w.name;
 
-    // Batch kernel: identical detection words under both backends.
-    const CompiledCircuit& cc = ctx.compiled();
-    const std::vector<Fault> universe = all_line_faults(w.ckt);
-    std::vector<CompiledCircuit::LineFault> lfs;
-    for (const Fault& f : universe)
-      lfs.push_back(faults::checked_line_fault(w.ckt, f));
-    const std::size_t n_words = ctx.word_count();
-    std::vector<std::uint64_t> det_wide(CompiledCircuit::kBatchLanes *
-                                        n_words);
-    std::vector<std::uint64_t> det_port(det_wide.size());
-    std::vector<std::uint64_t> scratch;
-    for (std::size_t g = 0; g < lfs.size();
-         g += CompiledCircuit::kBatchLanes) {
-      const std::size_t n =
-          std::min(CompiledCircuit::kBatchLanes, lfs.size() - g);
-      const std::size_t words_wide = cc.eval_packed_line_batch(
-          ctx.good_planes(), ctx.plane_stride(), n_words,
-          ctx.active_words().data(), lfs.data() + g, n, det_wide.data(),
-          scratch);
-      std::size_t words_port = 0;
-      {
-        ForcePortable pin(true);
-        words_port = cc.eval_packed_line_batch(
-            ctx.good_planes(), ctx.plane_stride(), n_words,
-            ctx.active_words().data(), lfs.data() + g, n, det_port.data(),
-            scratch);
-      }
-      ASSERT_EQ(words_wide, words_port) << w.name << " group " << g;
-      ASSERT_EQ(det_wide, det_port) << w.name << " group " << g;
+    // Observability rows: identical words under both backends, each
+    // filled in its own context.
+    std::vector<std::uint64_t> lanes;
+    std::vector<std::uint64_t> wide_rows;
+    for (NetId n = 0; n < w.ckt.net_count(); ++n) {
+      const std::uint64_t* row = ctx.obs_row(n, lanes);
+      wide_rows.insert(wide_rows.end(), row, row + ctx.word_count());
     }
+    std::vector<std::uint64_t> portable_rows;
+    {
+      ForcePortable pin(true);
+      const EvalContext port_ctx(w.ckt, patterns);
+      for (NetId n = 0; n < w.ckt.net_count(); ++n) {
+        const std::uint64_t* row = port_ctx.obs_row(n, lanes);
+        portable_rows.insert(portable_rows.end(), row,
+                             row + port_ctx.word_count());
+      }
+    }
+    ASSERT_EQ(wide_rows, portable_rows) << w.name;
 
-    // Full run_range (line + transistor planes paths) under each backend.
+    // Full run_range (rows, retained kernel) under each backend.
     const FaultSimulator fsim(w.ckt);
     faults::FaultListOptions flo;
     flo.collapse = false;
@@ -340,34 +315,29 @@ TEST(CompiledBatch, SimdBackendBitIdenticalToPortable) {
 /// set, in call order.
 struct TableRun {
   std::vector<std::uint64_t> planes;
-  std::vector<std::uint64_t> line;      ///< det words + evaluated words
-  std::vector<std::uint64_t> binary;    ///< diff + contention
+  std::vector<std::uint64_t> stem;      ///< one observability row per net
   std::vector<std::uint64_t> retained;  ///< detect/potential/contention/carry
   std::vector<std::uint64_t> bridge;    ///< detect + contention
 };
 
-/// The faults a circuit feeds each kernel: every line fault, every
-/// uncollapsed transistor fault (split by dictionary shape) and a band of
-/// net pairs, adjacent and a few ids apart, under all four wirings.
+/// The faults a circuit feeds the fault kernels: every uncollapsed
+/// retained-state transistor fault and a band of net pairs, adjacent and a
+/// few ids apart, under all four wirings.  The stem kernel walks every
+/// net.
 struct KernelFaults {
-  std::vector<CompiledCircuit::LineFault> line;
-  std::vector<std::pair<int, const gates::FaultAnalysis*>> binary;
   std::vector<std::pair<int, const gates::FaultAnalysis*>> retained;
   std::vector<CompiledCircuit::Bridge> bridges;
 };
 
 KernelFaults kernel_faults(const Circuit& ckt) {
   KernelFaults out;
-  for (const Fault& f : all_line_faults(ckt))
-    out.line.push_back(faults::checked_line_fault(ckt, f));
   faults::FaultListOptions flo;
   flo.collapse = false;
   flo.include_line_stuck_at = false;
   for (const Fault& f : faults::generate_fault_list(ckt, flo)) {
     const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
         ckt.gate(f.gate).kind, f.cell_fault);
-    (fa.compiled_binary ? out.binary : out.retained).emplace_back(f.gate,
-                                                                  &fa);
+    if (!fa.compiled_binary) out.retained.emplace_back(f.gate, &fa);
   }
   using Wire = CompiledCircuit::Bridge::Wire;
   for (NetId a = 0; a < ckt.net_count(); ++a)
@@ -393,26 +363,12 @@ TableRun run_table(const kernels::KernelTable& t, const CompiledCircuit& cc,
   std::vector<std::uint64_t> x_lanes;
   std::vector<std::uint64_t> n1_lanes;
 
-  std::vector<std::uint64_t> det(CompiledCircuit::kBatchLanes * n_words);
-  for (std::size_t g = 0; g < kf.line.size();
-       g += CompiledCircuit::kBatchLanes) {
-    const std::size_t n =
-        std::min(CompiledCircuit::kBatchLanes, kf.line.size() - g);
-    std::fill(det.begin(), det.end(), 0);
-    run.line.push_back(t.line_batch(cc, good, stride, n_words, active.data(),
-                                    kf.line.data() + g, n, det.data(),
-                                    lanes));
-    run.line.insert(run.line.end(), det.begin(), det.end());
-  }
-
   std::vector<std::uint64_t> a(n_words);
   std::vector<std::uint64_t> b(n_words);
   std::vector<std::uint64_t> c(n_words);
-  for (const auto& [gate, fa] : kf.binary) {
-    t.faulty_planes(cc, good, stride, n_words, gate, *fa, a.data(), b.data(),
-                    lanes);
-    run.binary.insert(run.binary.end(), a.begin(), a.end());
-    run.binary.insert(run.binary.end(), b.begin(), b.end());
+  for (NetId n = 0; n < cc.circuit().net_count(); ++n) {
+    t.stem_planes(cc, good, stride, n_words, n, a.data(), lanes);
+    run.stem.insert(run.stem.end(), a.begin(), a.end());
   }
 
   // Two calls per fault, split at the first SIMD group like the fault
@@ -463,10 +419,9 @@ TEST(CompiledBatch, EverySupportedTableMatchesPortable) {
   for (const Named& w : roster()) {
     const CompiledCircuit cc(w.ckt);
     const KernelFaults kf = kernel_faults(w.ckt);
-    ASSERT_FALSE(kf.binary.empty()) << w.name;
     ASSERT_FALSE(kf.retained.empty()) << w.name;
     // Word and SIMD-group boundaries, and (1100) more words than one
-    // transistor-kernel strip.
+    // cone-kernel strip.
     for (const std::size_t n_patterns : {1, 65, 200, 300, 1100}) {
       const std::size_t n_words = (n_patterns + 63) / 64;
       const std::size_t stride = CompiledCircuit::plane_stride(n_words);
@@ -490,8 +445,7 @@ TEST(CompiledBatch, EverySupportedTableMatchesPortable) {
         const std::string label = w.name + " " + simd::backend_name(b) +
                                   " patterns " + std::to_string(n_patterns);
         EXPECT_TRUE(got.planes == want.planes) << label << " planes";
-        EXPECT_TRUE(got.line == want.line) << label << " line_batch";
-        EXPECT_TRUE(got.binary == want.binary) << label << " faulty_planes";
+        EXPECT_TRUE(got.stem == want.stem) << label << " stem_planes";
         EXPECT_TRUE(got.retained == want.retained)
             << label << " retained_planes";
         EXPECT_TRUE(got.bridge == want.bridge) << label << " bridge_planes";
