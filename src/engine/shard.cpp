@@ -127,9 +127,10 @@ ShardResult run_shard(const faults::EvalContext& ctx,
   reg.counter("shard.faults_sampled_out").add(out.results.size() - simulated);
   reg.counter("shard.bridges_simulated").add(bridges.size());
   reg.histogram("shard.exec_s").record(out.elapsed_s);
-  // Line faults, transistor faults by evaluation path, and bridges that
-  // took the scalar loop: a nonzero serial count on a packed (fully
-  // specified) pattern set would be a silent fallback.
+  // Line faults, transistor faults by dictionary kind (packed) or serial
+  // walk (X-bearing), and bridges that took the scalar loop: a nonzero
+  // serial count on a packed (fully specified) pattern set would be a
+  // silent fallback.
   reg.counter("engine.faults_batched").add(batch_stats.faults);
   reg.counter("engine.faults_transistor_binary")
       .add(batch_stats.transistor_binary);

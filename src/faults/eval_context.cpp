@@ -7,6 +7,24 @@
 
 namespace cpsinw::faults {
 
+namespace {
+
+/// Runs `fill` unless `done` is set, then sets it: double-checked under
+/// `lock`, so a finished fill costs readers one acquire load and an
+/// unfinished one an uncontended lock.  (std::call_once makes a futex
+/// system call on every first run in glibc, which cost a two-pattern
+/// check more than its whole fault walk.)
+template <class Fill>
+void fill_once(std::atomic<bool>& done, std::mutex& lock, const Fill& fill) {
+  if (done.load(std::memory_order_acquire)) return;
+  const std::lock_guard<std::mutex> guard(lock);
+  if (done.load(std::memory_order_relaxed)) return;
+  fill();
+  done.store(true, std::memory_order_release);
+}
+
+}  // namespace
+
 EvalContext::EvalContext(const logic::Circuit& ckt,
                          std::vector<logic::Pattern> patterns,
                          gates::DictionaryCache* cache)
@@ -66,56 +84,66 @@ void EvalContext::build() {
   }
   cc_->init_packed_planes(pi_planes.data(), stride_, good_planes_);
   cc_->eval_packed_planes(good_planes_, stride_);
-  obs_ = std::make_unique<ObsRows>();
+  rows_ = std::make_unique<RowMemos>();
 }
 
 const std::uint64_t* EvalContext::obs_row(
     logic::NetId net, std::vector<std::uint64_t>& lane_scratch) const {
+  return row(rows_->obs, false, net, lane_scratch);
+}
+
+const std::uint64_t* EvalContext::xobs_row(
+    logic::NetId net, std::vector<std::uint64_t>& lane_scratch) const {
+  return row(rows_->xobs, true, net, lane_scratch);
+}
+
+const std::uint64_t* EvalContext::row(
+    RowMemo& memo, bool x, logic::NetId net,
+    std::vector<std::uint64_t>& lane_scratch) const {
   assert(packed_);
   assert(net >= 0 && net < circuit().net_count());
   const logic::Circuit& ckt = circuit();
-  ObsRows& memo = *obs_;
   const auto at = [](logic::NetId n) { return static_cast<std::size_t>(n); };
-  std::call_once(memo.alloc, [&] {
+  fill_once(memo.allocated, memo.alloc_lock, [&] {
     const std::size_t n_net = at(ckt.net_count());
-    memo.rows.assign(n_net * stride_, 0);
-    memo.is_po.assign(n_net, 0);
-    for (const logic::NetId po : ckt.primary_outputs()) memo.is_po[at(po)] = 1;
-    memo.filled = std::vector<std::once_flag>(n_net);
-    memo.ready = std::vector<std::atomic<bool>>(n_net);
+    memo.rows = std::make_unique<std::uint64_t[]>(n_net * stride_);
+    memo.nets = std::make_unique<RowMemo::Net[]>(n_net);
+    memo.fill_locks = std::make_unique<std::mutex[]>(RowMemo::kFillLocks);
+    for (const logic::NetId po : ckt.primary_outputs())
+      memo.nets[at(po)].is_po = true;
   });
 
-  if (!memo.ready[at(net)].load()) {
+  if (!memo.nets[at(net)].ready.load(std::memory_order_acquire)) {
     // Walk the chain of single-reader nets forward to the first net whose
     // row is ready or stands on its own (a PO, a readerless net, a stem),
     // then fill back from there, each row under its own flag.
     std::vector<logic::NetId> chain;
-    for (logic::NetId n = net; !memo.ready[at(n)].load();) {
+    for (logic::NetId n = net;
+         !memo.nets[at(n)].ready.load(std::memory_order_acquire);) {
       chain.push_back(n);
       const std::vector<int>& readers = ckt.fanout(n);
-      if (memo.is_po[at(n)] != 0 || readers.size() != 1) break;
+      if (memo.nets[at(n)].is_po || readers.size() != 1) break;
       n = ckt.gate(readers[0]).out;
     }
     for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-      std::call_once(memo.filled[at(*it)], [&] {
-        fill_row(memo, *it, lane_scratch);
-        memo.ready[at(*it)].store(true);
-      });
+      fill_once(memo.nets[at(*it)].ready,
+                memo.fill_locks[at(*it) % RowMemo::kFillLocks],
+                [&] { fill_row(memo, x, *it, lane_scratch); });
   }
-  return memo.rows.data() + at(net) * stride_;
+  return memo.rows.get() + at(net) * stride_;
 }
 
-void EvalContext::fill_row(ObsRows& memo, logic::NetId net,
+void EvalContext::fill_row(RowMemo& memo, bool x, logic::NetId net,
                            std::vector<std::uint64_t>& lane_scratch) const {
   const logic::Circuit& ckt = circuit();
-  std::uint64_t* const row = memo.rows.data() + static_cast<std::size_t>(net) *
-                                                    stride_;
+  std::uint64_t* const row =
+      memo.rows.get() + static_cast<std::size_t>(net) * stride_;
   const std::vector<int>& readers = ckt.fanout(net);
-  if (memo.is_po[static_cast<std::size_t>(net)] != 0) {
+  if (memo.nets[static_cast<std::size_t>(net)].is_po) {
     std::fill_n(row, stride_, ~0ull);
   } else if (readers.size() == 1) {
-    // Fan-out-free link: the flip reaches only its reader's output, where
-    // the reader's own row takes over.
+    // Fan-out-free link: the flip (or X) reaches only its reader's output,
+    // where the reader's own row takes over.
     const logic::CompiledCircuit::GateRec& g =
         cc_->gates()[cc_->position_of(readers[0])];
     unsigned pin = 0;
@@ -123,14 +151,18 @@ void EvalContext::fill_row(ObsRows& memo, logic::NetId net,
     const unsigned sens = substituted_truth(
         g, [pin](unsigned v) { return v ^ (1u << pin); });
     const std::uint64_t* const next =
-        memo.rows.data() + static_cast<std::size_t>(g.out) * stride_;
+        memo.rows.get() + static_cast<std::size_t>(g.out) * stride_;
     std::uint64_t unused = 0;
     for (std::size_t w = 0; w < n_words_; ++w)
       row[w] = local_step(*this, g, sens, 0, w, unused) & next[w];
   } else if (readers.size() > 1) {
-    cc_->eval_packed_stem_planes(good_planes_.data(), stride_, n_words_, net,
-                                 row, lane_scratch);
-    memo.stem_walks.fetch_add(1, std::memory_order_relaxed);
+    if (x)
+      cc_->eval_packed_stem_x_planes(good_planes_.data(), stride_, n_words_,
+                                     net, row, lane_scratch);
+    else
+      cc_->eval_packed_stem_planes(good_planes_.data(), stride_, n_words_,
+                                   net, row, lane_scratch);
+    memo.walks.fetch_add(1, std::memory_order_relaxed);
   }
   // A net nothing reads keeps its zero row.
 }

@@ -7,7 +7,8 @@
 // every pattern is fully specified (packed()), as per-pattern scalar
 // SimResults otherwise; plus a memoized fault-dictionary cache and, on
 // packed contexts, the per-net observability rows every fault that
-// changes one net shares (obs_row).
+// changes one net shares: where a flip of the net reaches a PO (obs_row)
+// and where an X on it reaches a PO as X (xobs_row).
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
@@ -21,10 +22,12 @@
 //     readers need no synchronization;
 //   * the observability rows are a memo, logically const: each row is a
 //     pure function of the compile and the good planes, filled once, on
-//     first request, under its net's std::once_flag, and never written
-//     again, so any thread may ask for any row at any time and every
-//     thread sees the same words.  Their buffer is allocated on the first
-//     request: a context no fault asks a row of pays nothing for it;
+//     first request, under a lock of its kind, and never written again,
+//     so any thread may ask for any row at any time and every thread sees
+//     the same words.  Each kind's buffer is allocated on
+//     the first request for a row of that kind: a context no fault asks a
+//     row of pays nothing for it, and one whose faults never put an X on a
+//     net (line faults, binary dictionaries) never allocates an X row;
 //   * the dictionary cache is borrowed (default: the process-wide
 //     gates::DictionaryCache::global()) and must outlive the context.
 #pragma once
@@ -145,14 +148,41 @@ class EvalContext {
   /// filled iteratively from its far end, so no chain depth can exhaust
   /// the stack.
   /// @param lane_scratch the caller's stem-walk scratch (the cone cache of
-  ///   eval_packed_stem_planes); only a stem fill touches it
+  ///   the stem walks); only a stem fill touches it
   [[nodiscard]] const std::uint64_t* obs_row(
       logic::NetId net, std::vector<std::uint64_t>& lane_scratch) const;
 
-  /// Stem walks this context has run to fill its rows: each stem is walked
-  /// at most once per context, whichever thread asks first.
+  /// X observability row of `net`, laid out and masked like obs_row: bit k
+  /// of word w is set when an X on the net under pattern 64 * w + k
+  /// reaches some primary output as X.  A transistor fault whose output
+  /// goes X (a marginal row, or a floating row with nothing to retain)
+  /// reads it.  Same recurrence as obs_row: a PO's row is all ones, a net
+  /// nothing reads is all zeros, a net read by exactly one pin (g, p)
+  /// takes sens(g, p) & xobs(g's output) (one X pin among binary ones
+  /// makes g's output X exactly where flipping the pin flips it), and a
+  /// stem takes one CompiledCircuit::eval_packed_stem_x_planes walk.
+  [[nodiscard]] const std::uint64_t* xobs_row(
+      logic::NetId net, std::vector<std::uint64_t>& lane_scratch) const;
+
+  /// Stem walks this context has run to fill its binary rows: each stem is
+  /// walked at most once per context, whichever thread asks first.
   [[nodiscard]] std::uint64_t stem_walks() const {
-    return obs_ ? obs_->stem_walks.load(std::memory_order_relaxed) : 0;
+    return rows_ ? rows_->obs.walks.load(std::memory_order_relaxed) : 0;
+  }
+
+  /// X walks this context has run to fill its X rows, at most one per stem.
+  [[nodiscard]] std::uint64_t x_walks() const {
+    return rows_ ? rows_->xobs.walks.load(std::memory_order_relaxed) : 0;
+  }
+
+  /// Bytes of row storage allocated so far, both kinds (0 until a row is
+  /// first requested; an X-free context never adds the X kind's).
+  [[nodiscard]] std::size_t row_bytes() const {
+    if (!rows_) return 0;
+    const std::size_t kinds = (rows_->obs.allocated.load() ? 1 : 0) +
+                              (rows_->xobs.allocated.load() ? 1 : 0);
+    return kinds * static_cast<std::size_t>(circuit().net_count()) *
+           stride_ * sizeof(std::uint64_t);
   }
 
  private:
@@ -160,22 +190,38 @@ class EvalContext {
   /// the good machine off *cc_.
   void build();
 
-  /// The row memo behind obs_row (packed contexts only).  `rows`,
-  /// `is_po`, `filled` and `ready` are allocated under `alloc` on the
-  /// first request; row n is written once under filled[n], and ready[n]
-  /// publishes it to the chain walks of other requests.
-  struct ObsRows {
-    std::once_flag alloc;
-    std::vector<std::uint64_t> rows;       ///< [net][stride_]
-    std::vector<char> is_po;               ///< per net
-    std::vector<std::once_flag> filled;    ///< per net
-    std::vector<std::atomic<bool>> ready;  ///< per net: row written
-    std::atomic<std::uint64_t> stem_walks{0};
+  /// One kind of observability row (packed contexts only).  `rows`,
+  /// `nets` and `fill_locks` are allocated under `alloc_lock` on the first
+  /// request for a row of this kind; row n is written once under
+  /// fill_locks[n % kFillLocks], and nets[n].ready publishes it to every
+  /// later request, which then takes no lock.
+  struct RowMemo {
+    static constexpr std::size_t kFillLocks = 64;
+    struct Net {
+      std::atomic<bool> ready{false};
+      bool is_po = false;
+    };
+    std::mutex alloc_lock;
+    std::atomic<bool> allocated{false};
+    std::unique_ptr<std::uint64_t[]> rows;  ///< [net][stride_]
+    std::unique_ptr<Net[]> nets;
+    std::unique_ptr<std::mutex[]> fill_locks;
+    std::atomic<std::uint64_t> walks{0};
+  };
+  /// Both kinds behind one allocation: binary rows (obs_row) and X rows
+  /// (xobs_row).
+  struct RowMemos {
+    RowMemo obs;
+    RowMemo xobs;
   };
 
-  /// Writes row `net`, whose successor on its chain (if it has one) is
-  /// ready: the PO, readerless, single-reader and stem cases of obs_row.
-  void fill_row(ObsRows& memo, logic::NetId net,
+  /// obs_row and xobs_row over `memo`, whose stems walk in X when `x`.
+  const std::uint64_t* row(RowMemo& memo, bool x, logic::NetId net,
+                           std::vector<std::uint64_t>& lane_scratch) const;
+
+  /// Writes row `net` of `memo`, whose successor on its chain (if it has
+  /// one) is ready: the PO, readerless, single-reader and stem cases.
+  void fill_row(RowMemo& memo, bool x, logic::NetId net,
                 std::vector<std::uint64_t>& lane_scratch) const;
 
   gates::DictionaryCache* cache_;
@@ -188,7 +234,7 @@ class EvalContext {
   std::vector<std::uint64_t> good_planes_;  ///< [net][stride_] good words
   std::vector<std::uint64_t> active_words_;
   bool packed_ = false;
-  std::unique_ptr<ObsRows> obs_;  ///< packed contexts only
+  std::unique_ptr<RowMemos> rows_;  ///< packed contexts only
 };
 
 }  // namespace cpsinw::faults

@@ -1,6 +1,5 @@
 #include "faults/fault_sim.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -58,24 +57,29 @@ DetectionRecord serial_walk(const EvalContext& ctx, const Fault& fault,
   return rec;
 }
 
-/// Folds one fault's per-word detect and contention words into its record,
-/// word by word in pattern order (see WordFold), and stops once no later
-/// word can change it: in full mode when the output side (a detection
-/// seen, or `out_possible` false) and the IDDQ side (contention seen, or
-/// `iddq_possible` false) are both settled.  `step(w, cont)` returns word
-/// w's detect word and sets its contention word.
+/// Folds one fault's per-word detect, potential and contention words into
+/// its record, word by word in pattern order (see WordFold), and stops
+/// once no later word can change it: in full mode when the output side (a
+/// detection seen, or `out_possible` false), the X side (a potential
+/// detection seen, or `x_possible` false) and the IDDQ side (contention
+/// seen, or `iddq_possible` false) are all settled.  `step(w, pot, cont)`
+/// returns word w's detect word and sets its potential and contention
+/// words.
 template <class Step>
 DetectionRecord fold_words(const EvalContext& ctx,
                            const FaultSimOptions& options, bool out_possible,
-                           bool iddq_possible, const Step& step) {
+                           bool x_possible, bool iddq_possible,
+                           const Step& step) {
   WordFold fold{options.observe_iddq,
                 options.detection_mode == DetectionMode::kFirstOnly};
   const std::uint64_t* const active = ctx.active_words().data();
   for (std::size_t w = 0; w < ctx.word_count(); ++w) {
+    std::uint64_t pot = 0;
     std::uint64_t cont = 0;
-    const std::uint64_t detect = step(w, cont);
-    if (fold.fold(w, 1, &detect, nullptr, &cont, active)) break;
+    const std::uint64_t detect = step(w, pot, cont);
+    if (fold.fold(w, 1, &detect, &pot, &cont, active)) break;
     if ((fold.any_d != 0 || !out_possible) &&
+        (fold.any_p != 0 || !x_possible) &&
         (fold.any_c != 0 || !iddq_possible))
       break;
   }
@@ -96,8 +100,8 @@ DetectionRecord line_record(const EvalContext& ctx,
     const std::uint64_t stuck = lf.stuck_one ? ~0ull : 0ull;
     const std::uint64_t* const good = ctx.good_plane(lf.net);
     const std::uint64_t* const row = ctx.obs_row(lf.net, lanes);
-    return fold_words(ctx, options, true, false,
-                      [&](std::size_t w, std::uint64_t&) {
+    return fold_words(ctx, options, true, false, false,
+                      [&](std::size_t w, std::uint64_t&, std::uint64_t&) {
                         return (good[w] ^ stuck) & row[w];
                       });
   }
@@ -109,35 +113,57 @@ DetectionRecord line_record(const EvalContext& ctx,
     return lf.stuck_one ? v | bit : v & ~bit;
   });
   const std::uint64_t* const row = ctx.obs_row(g.out, lanes);
-  return fold_words(ctx, options, true, false,
-                    [&](std::size_t w, std::uint64_t& cont) {
-                      return local_step(ctx, g, truth, 0, w, cont) & row[w];
-                    });
+  return fold_words(
+      ctx, options, true, false, false,
+      [&](std::size_t w, std::uint64_t&, std::uint64_t& cont) {
+        return local_step(ctx, g, truth, 0, w, cont) & row[w];
+      });
 }
 
-/// Binary-dictionary transistor record on a packed context: the faulted
-/// gate's cell becomes the dictionary's compiled truth table, its output
-/// change reaches a PO where the output's observability row says, and
-/// contention is local.  A dictionary without a wrong-value row never
-/// changes the output, so it reads no row.
-DetectionRecord binary_record(const EvalContext& ctx, const Fault& fault,
-                              const gates::FaultAnalysis& fa,
-                              const FaultSimOptions& options,
-                              std::vector<std::uint64_t>& lanes) {
+/// Transistor-fault record on a packed context, for every dictionary: the
+/// faulted gate's output per word comes from retained_row (binary,
+/// marginal X, or retained from the previous pattern), and it is the only
+/// net the fault changes.  Where it is binary and differs from good, the
+/// change reaches a PO where the output's observability row says; where
+/// it is X, the X reaches a PO where its X row says (a PO that stays
+/// binary then equals good); contention is local.  Each row is fetched on
+/// the first word that needs it, so a binary dictionary never asks for an
+/// X row and a fault that never changes its output asks for neither.
+/// Every observable settles early where the dictionary rules it out: a PO
+/// flip without a wrong-value row (unless a floating row can retain a
+/// stale value), an X for a binary dictionary, an observed IDDQ hit
+/// without a contending row.
+DetectionRecord transistor_record(const EvalContext& ctx, const Fault& fault,
+                                  const gates::FaultAnalysis& fa,
+                                  const FaultSimOptions& options,
+                                  std::vector<std::uint64_t>& lanes) {
+  const bool retain = options.sequential_patterns;
+  const bool out_possible =
+      fa.output_detectable || (fa.needs_sequence && retain);
+  const bool x_possible = !fa.compiled_binary;
   const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
-  if (ctx.word_count() == 0 || (!fa.output_detectable && !iddq_possible))
+  if (ctx.word_count() == 0 || (!out_possible && !x_possible && !iddq_possible))
     return {};
   const logic::CompiledCircuit& cc = ctx.compiled();
   const logic::CompiledCircuit::GateRec& g =
       cc.gates()[cc.position_of(fault.gate)];
-  const std::uint64_t* const row =
-      fa.output_detectable ? ctx.obs_row(g.out, lanes) : nullptr;
+  const std::uint64_t* const good = ctx.good_plane(g.out);
+  const std::uint64_t* const active = ctx.active_words().data();
+  const std::uint64_t* obs = nullptr;
+  const std::uint64_t* xobs = nullptr;
+  RetainedCarry carry;
   return fold_words(
-      ctx, options, fa.output_detectable, iddq_possible,
-      [&](std::size_t w, std::uint64_t& cont) {
-        const std::uint64_t flip = local_step(
-            ctx, g, fa.compiled_truth, fa.compiled_contention, w, cont);
-        return row != nullptr ? flip & row[w] : 0;
+      ctx, options, out_possible, x_possible, iddq_possible,
+      [&](std::size_t w, std::uint64_t& pot, std::uint64_t& cont) {
+        std::uint64_t v = 0;
+        std::uint64_t x = 0;
+        cont = retained_row(ctx, g, fa, retain, w, carry, v, x);
+        const std::uint64_t flip = (v ^ good[w]) & ~x & active[w];
+        if (flip != 0 && obs == nullptr) obs = ctx.obs_row(g.out, lanes);
+        if ((x & active[w]) != 0 && xobs == nullptr)
+          xobs = ctx.xobs_row(g.out, lanes);
+        pot = xobs != nullptr ? x & xobs[w] : 0;
+        return obs != nullptr ? flip & obs[w] : 0;
       });
 }
 
@@ -229,12 +255,12 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
     throw std::invalid_argument(
         "run_range: line faults need fully-specified (packable) patterns");
 
-  // Every fault is self-contained: line and binary-dictionary transistor
-  // faults fold a local step against the context's shared observability
-  // rows, retained-state ones take the dual-rail kernel, and X-bearing
-  // contexts the serial walk.  One scratch set serves the whole range (the
-  // stem walks behind the rows and the retained kernel share the cone
-  // cache in `lanes`, so reuse also skips its per-call re-zeroing).
+  // Every fault is self-contained: line and transistor faults fold a
+  // one-gate step against the context's shared observability rows, and
+  // transistor faults on X-bearing contexts take the serial walk.  One
+  // scratch set serves the whole range (the stem walks behind the rows
+  // keep their cone cache in `lanes`, so reuse also skips its per-call
+  // re-zeroing).
   WalkScratch scratch;
   for (std::size_t fi = begin; fi < end; ++fi) {
     const Fault& f = faults[fi];
@@ -312,65 +338,16 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   if (fap == nullptr) fap = &ctx.dictionary(kind, cf);
   const gates::FaultAnalysis& fa = *fap;
 
-  // Purely binary dictionaries (no floating rows to retain, no X rows to
-  // propagate) behave as a combinational table substitution; floating and
-  // marginal rows take the dual-rail kernel, which threads retention along
-  // the pattern axis.  Both need packed patterns: X-bearing sets keep the
-  // serial walk.
+  // Every dictionary folds the same record against the faulted output's
+  // rows; X-bearing pattern sets keep the serial walk.
   if (ctx.packed()) {
-    if (fa.compiled_binary) {
-      if (stats != nullptr) ++stats->transistor_binary;
-      return binary_record(ctx, fault, fa, options, scratch.lanes);
-    }
-    if (stats != nullptr) ++stats->transistor_retained;
-    return simulate_transistor_retained(ctx, fault, fa, options, scratch);
+    if (stats != nullptr)
+      ++(fa.compiled_binary ? stats->transistor_binary
+                            : stats->transistor_retained);
+    return transistor_record(ctx, fault, fa, options, scratch.lanes);
   }
   if (stats != nullptr) ++stats->transistor_serial;
   return serial_walk(ctx, fault, fa, options);
-}
-
-DetectionRecord FaultSimulator::simulate_transistor_retained(
-    const EvalContext& ctx, const Fault& fault,
-    const gates::FaultAnalysis& fa, const FaultSimOptions& options,
-    WalkScratch& scratch) const {
-  // The dual-rail kernel reproduces the serial walk pattern for pattern;
-  // the carry threads the faulted output's retained charge from each strip
-  // into the next.  A full-mode walk stops once every observable is
-  // settled: a PO flip (impossible without a wrong-value row unless a
-  // floating row can retain a stale value), an X at a PO (always possible:
-  // every such dictionary has a marginal or a floating row, and floating
-  // reads X before pattern 0), and an observed IDDQ excitation (impossible
-  // without a contending row).
-  const logic::CompiledCircuit& cc = ctx.compiled();
-  const bool first_only = options.detection_mode == DetectionMode::kFirstOnly;
-  const bool retain = options.sequential_patterns;
-  const bool out_possible =
-      fa.output_detectable || (fa.needs_sequence && retain);
-  const bool iddq_possible = options.observe_iddq && fa.iddq_detectable;
-  const std::size_t n_words = ctx.word_count();
-  scratch.diff.resize(kWideStrip);
-  scratch.potential.resize(kWideStrip);
-  scratch.contention.resize(kWideStrip);
-  logic::CompiledCircuit::RetainedCarry carry;
-  WordFold fold{options.observe_iddq, first_only};
-  std::size_t w0 = 0;
-  std::size_t strip = kFirstStrip;
-  while (w0 < n_words) {
-    const std::size_t nw = std::min(strip, n_words - w0);
-    strip = kWideStrip;
-    cc.eval_packed_retained_planes(
-        ctx.good_planes() + w0, ctx.plane_stride(), nw, fault.gate, fa,
-        retain, carry, scratch.diff.data(), scratch.potential.data(),
-        scratch.contention.data(), scratch.lanes, scratch.x_lanes);
-    if (fold.fold(w0, nw, scratch.diff.data(), scratch.potential.data(),
-                  scratch.contention.data(), ctx.active_words().data()))
-      break;
-    w0 += nw;
-    if (!first_only && (fold.any_d != 0 || !out_possible) && fold.any_p != 0 &&
-        (fold.any_c != 0 || !iddq_possible))
-      break;
-  }
-  return fold.record();
 }
 
 bool FaultSimulator::stuck_open_detected(const Fault& fault,

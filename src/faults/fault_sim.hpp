@@ -1,14 +1,16 @@
 // Fault simulation, 64 patterns per word on fully specified pattern sets.
-// A line stuck-at fault and a transistor fault with a purely binary
-// dictionary change one net, the output of one gate (a stem fault its own
-// net): each folds a one-gate local step against that net's observability
-// row, which the context computes once and every fault on the net shares
-// (critical path tracing inside fan-out-free regions, one explicit walk
-// per fan-out stem).  Dictionaries with floating or marginal rows take a
-// dual-rail (value + X) plane kernel, which threads floating-output
-// retention along the pattern axis (what two-pattern stuck-open tests
-// rely on).  X-bearing pattern sets take the serial dictionary-based
-// walk.  IDDQ observation covers the paper's polarity faults.
+// A line stuck-at fault and a transistor fault change one net, the output
+// of one gate (a stem fault its own net): each folds a one-gate step
+// against that net's observability rows, which the context computes once
+// and every fault on the net shares (critical path tracing inside
+// fan-out-free regions, one explicit walk per fan-out stem).  A line fault
+// reads the binary row, where a flip reaches a PO.  A transistor fault's
+// output comes from its dictionary word by word, threading floating-output
+// retention along the pattern axis (what two-pattern stuck-open tests rely
+// on): where it is binary and wrong it reads the binary row, where it is X
+// (marginal or floating rows) the X row, where an X reaches a PO as X.
+// X-bearing pattern sets take the serial dictionary-based walk.  IDDQ
+// observation covers the paper's polarity faults.
 //
 // All fault-independent work (the circuit compilation, pattern packing,
 // the good machine, the switch-level dictionaries) lives in a
@@ -82,10 +84,10 @@ struct FaultSimOptions {
   DetectionMode detection_mode = DetectionMode::kFull;
 };
 
-/// Per-path fault counts, filled by run_range and simulate_bridges when a
-/// caller passes a sink (the engine shard loop feeds them into the
-/// `engine.faults_batched` and `engine.faults_transistor_*` /
-/// `engine.faults_bridge_serial` counters).
+/// Fault counts by class and path, filled by run_range and
+/// simulate_bridges when a caller passes a sink (the engine shard loop
+/// feeds them into the `engine.faults_batched` and
+/// `engine.faults_transistor_*` / `engine.faults_bridge_serial` counters).
 struct LineBatchStats {
   std::size_t faults = 0;  ///< line faults handled
   /// No kernel batches line faults any more, so these four always read 0;
@@ -95,8 +97,10 @@ struct LineBatchStats {
   std::size_t lane_slots = 0;
   std::size_t words = 0;
   std::size_t cpt_faults = 0;
-  /// Transistor faults by evaluation path: the observability rows (binary
-  /// dictionaries), the retained-state (dual-rail) plane kernel, and the
+  /// Transistor faults on packed contexts, by dictionary kind on the one
+  /// row-reading path: binary dictionaries (binary rows only) and
+  /// retained-state ones (floating or marginal rows, which may also read
+  /// X rows); and transistor faults on X-bearing contexts, which take the
   /// serial walk.
   std::size_t transistor_binary = 0;
   std::size_t transistor_retained = 0;
@@ -200,8 +204,8 @@ class FaultSimulator {
       const Fault& fault, const std::vector<logic::Pattern>& patterns,
       const FaultSimOptions& options = {}) const;
 
-  /// Context-based variant: shares the precomputed good machine and, for a
-  /// binary dictionary on a packed context, the observability rows.
+  /// Context-based variant: shares the precomputed good machine and, on a
+  /// packed context, the observability rows of the faulted output.
   [[nodiscard]] DetectionRecord simulate_transistor_fault(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options = {}) const;
@@ -217,16 +221,10 @@ class FaultSimulator {
  private:
   /// Scratch buffers of run_range's walks, hoisted so a whole fault range
   /// shares one set of allocations.  The stem walks behind the
-  /// observability rows and the retained kernel keep their cone cache in
-  /// `lanes` with one layout (a gate-driven stem under its driver's key),
-  /// so a row fill and the retained faults of one gate keep the cache (and
-  /// skip the re-zeroing).
+  /// observability rows keep their cone cache in `lanes`, so a stem's
+  /// binary and X walks discover its cone once (and skip the re-zeroing).
   struct WalkScratch {
-    std::vector<std::uint64_t> diff;
-    std::vector<std::uint64_t> potential;
-    std::vector<std::uint64_t> contention;
     std::vector<std::uint64_t> lanes;
-    std::vector<std::uint64_t> x_lanes;  ///< X planes of the retained kernel
     /// Direct-index memo over (cell kind, transistor, fault kind) for the
     /// context's dictionary lookups: DictionaryCache::lookup takes a
     /// mutex and walks a std::map, which dominated the per-fault cost of
@@ -236,24 +234,16 @@ class FaultSimulator {
   };
 
   /// Dispatching body of simulate_transistor_fault with caller-owned
-  /// scratch (the public overload wraps it with a local set): packed +
-  /// binary dictionary -> the local step against the gate output's
-  /// observability row, packed + floating or marginal rows ->
-  /// simulate_transistor_retained, X-bearing patterns -> the serial walk.
-  /// Counts the path taken into `stats` when non-null.
+  /// scratch (the public overload wraps it with a local set): packed
+  /// contexts fold the dictionary's output against the faulted output's
+  /// observability rows, X-bearing patterns take the serial walk.  Counts
+  /// the path and dictionary kind into `stats` when non-null.
   /// @throws std::invalid_argument on a line fault, or when
   ///   transistor_fault_error rejects the fault's ids
   [[nodiscard]] DetectionRecord simulate_transistor_scratch(
       const EvalContext& ctx, const Fault& fault,
       const FaultSimOptions& options, WalkScratch& scratch,
       LineBatchStats* stats = nullptr) const;
-
-  /// Packed retained-state path: dictionaries with floating and/or
-  /// marginal rows on packed contexts, through the dual-rail plane kernel.
-  [[nodiscard]] DetectionRecord simulate_transistor_retained(
-      const EvalContext& ctx, const Fault& fault,
-      const gates::FaultAnalysis& fa, const FaultSimOptions& options,
-      WalkScratch& scratch) const;
 
   void check_context(const EvalContext& ctx) const;
 

@@ -1,8 +1,9 @@
-// Internal: the strip widths and the per-word record fold shared by the
-// plane-kernel fault walks (fault_sim.cpp, bridge.cpp), and the one-gate
-// local step shared by the faults that read observability rows
-// (fault_sim.cpp) and the rows' fan-out-free links (eval_context.cpp).
-// Not installed API.
+// Internal: the per-word record fold shared by the fault walks
+// (fault_sim.cpp, bridge.cpp) with the bridge kernel's strip widths, and
+// the one-gate steps of the faults that read observability rows: the local
+// step of line faults, also the rows' fan-out-free links
+// (eval_context.cpp), and the retained row of transistor faults
+// (fault_sim.cpp).  Not installed API.
 #pragma once
 
 #include <cstddef>
@@ -11,6 +12,7 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault_sim.hpp"
 #include "gates/cell.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/compiled_circuit.hpp"
 
 namespace cpsinw::faults {
@@ -55,15 +57,83 @@ inline std::uint64_t local_step(const EvalContext& ctx,
   return out ^ ctx.good_plane(g.out)[w];
 }
 
-/// Strip widths of the strip-mined fault walks, in pattern words: the
-/// first strip is narrow (an early exit usually lands there), survivors
-/// widen.
+/// Faulted-output state threaded along the pattern axis from word to word
+/// by retained_row: the (value, X) of the last pattern already evaluated.
+/// The default, X, is the state before pattern 0.
+struct RetainedCarry {
+  bool value = false;
+  bool x = true;
+};
+
+/// The faulted output of gate `g` under transistor dictionary `fa` over
+/// pattern word `w`, bit-identical per pattern to
+/// CompiledCircuit::eval_scalar_faulty threaded with its previous state.
+/// The gate's local inputs are fault-free (single faulted gate, acyclic
+/// circuit), so each pattern's row is a minterm of the good input words:
+/// truth rows give 1, marginal rows X, floating rows the previous
+/// pattern's faulted (value, X) when `retain` is set and X when not.  The
+/// floating runs are filled forward by a log-step segmented scan; a run
+/// with no earlier defined pattern in the word takes `carry`, which then
+/// advances to the word's last pattern, so consecutive words in pattern
+/// order thread the whole sequence.  Writes the canonical dual-rail output
+/// to `v`/`x` (v = 0 wherever x = 1) and returns the contention (IDDQ
+/// excitation) word.  Rows that output 0 and do not contend are skipped,
+/// so a binary dictionary (no X, no floating row) costs one local_step.
+inline std::uint64_t retained_row(const EvalContext& ctx,
+                                  const logic::CompiledCircuit::GateRec& g,
+                                  const gates::FaultAnalysis& fa, bool retain,
+                                  std::size_t w, RetainedCarry& carry,
+                                  std::uint64_t& v, std::uint64_t& x) {
+  const std::uint64_t in[3] = {ctx.good_plane(g.in[0])[w],
+                               ctx.good_plane(g.in[1])[w],
+                               ctx.good_plane(g.in[2])[w]};
+  std::uint64_t one = 0, unknown = 0, floating = 0, cont = 0;
+  for (unsigned vec = 0; vec < (1u << g.n_in); ++vec) {
+    const int out = fa.compiled_logic[vec];
+    const bool contends = ((fa.compiled_contention >> vec) & 1u) != 0;
+    if (out == 0 && !contends) continue;
+    std::uint64_t minterm = ~0ull;
+    for (unsigned i = 0; i < g.n_in; ++i)
+      minterm &= ((vec >> i) & 1u) != 0 ? in[i] : ~in[i];
+    switch (out) {
+      case 1: one |= minterm; break;
+      case -1: unknown |= minterm; break;
+      case -2: floating |= minterm; break;
+      default: break;
+    }
+    if (contends) cont |= minterm;
+  }
+  if (!retain) {
+    unknown |= floating;
+    floating = 0;
+  }
+  // After the step with shift s, a still-pending bit p has only floating
+  // patterns in (p - 2s, p]; bits below the word count as floating, so a
+  // run reaching bit 0 stays pending and takes the carry at the end.
+  std::uint64_t pending = floating;
+  for (unsigned s = 1; s < 64 && pending != 0; s <<= 1) {
+    one |= (one << s) & pending;
+    unknown |= (unknown << s) & pending;
+    pending &= (pending << s) | ((1ull << s) - 1);
+  }
+  one |= carry.value ? pending : 0;
+  unknown |= carry.x ? pending : 0;
+  carry.value = (one >> 63) != 0;
+  carry.x = (unknown >> 63) != 0;
+  v = one;
+  x = unknown;
+  return cont;
+}
+
+/// Strip widths of the bridge kernel's strip-mined walk, in pattern words:
+/// the first strip is narrow (an early exit usually lands there),
+/// survivors widen.
 constexpr std::size_t kFirstStrip = logic::CompiledCircuit::kSimdWords;
 constexpr std::size_t kWideStrip = 4 * logic::CompiledCircuit::kSimdWords;
 
-/// Folds per-word detect, potential and contention words — of the
-/// retained and bridge kernels strip by strip, of the row-reading faults
-/// word by word — in pattern order into a DetectionRecord under the serial
+/// Folds per-word detect, potential and contention words — of the bridge
+/// kernel strip by strip, of line and transistor faults word by word — in
+/// pattern order into a DetectionRecord under the serial
 /// paths' rules: first_pattern is the first counted hit (a PO flip, or an
 /// IDDQ excitation when observed), and in first-only mode the word holding
 /// it counts only up to and including the hit bit, for every flag —

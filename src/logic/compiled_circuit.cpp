@@ -239,19 +239,15 @@ void CompiledCircuit::eval_packed_stem_planes(
                                lane_scratch);
 }
 
-void CompiledCircuit::eval_packed_retained_planes(
+void CompiledCircuit::eval_packed_stem_x_planes(
     const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
-    int fault_gate, const gates::FaultAnalysis& fa, bool retain,
-    RetainedCarry& carry, std::uint64_t* detect, std::uint64_t* potential,
-    std::uint64_t* contention, std::vector<std::uint64_t>& lane_scratch,
-    std::vector<std::uint64_t>& x_scratch) const {
-  assert(!fa.compiled_binary);
+    NetId stem, std::uint64_t* xobs,
+    std::vector<std::uint64_t>& lane_scratch) const {
+  assert(stem >= 0 && stem < ckt_->net_count());
   assert(n_words <= stride);
   if (n_words == 0) return;
-  active_kernels().retained_planes(*this, good_planes, stride, n_words,
-                                  fault_gate, fa, retain, carry, detect,
-                                  potential, contention, lane_scratch,
-                                  x_scratch);
+  active_kernels().stem_x_planes(*this, good_planes, stride, n_words, stem,
+                                 xobs, lane_scratch);
 }
 
 void CompiledCircuit::eval_packed_bridge_planes(

@@ -133,9 +133,10 @@ class CompiledCircuit {
   // kernels have no tail loop (padding words are computed but never read —
   // callers mask by their active words).  Packed contexts are binary-only
   // (EvalContext falls back to scalar on any X), so the good machine is one
-  // value plane per net.  X appears only inside a faulted cone: the
-  // retained-state kernel carries it as a second, dual-rail X plane in its
-  // own lane scratch (value = 0 wherever X = 1).
+  // value plane per net.  X appears only inside a stem's cone during its X
+  // walk, which keeps the X plane in the lanes and derives the value rail
+  // from the good planes (value = good & ~X: an X on one net leaves every
+  // binary net at its good value).
 
   /// Pattern words processed per SIMD step (4 x 64 = 256 patterns).
   static constexpr std::size_t kSimdWords = 4;
@@ -170,45 +171,25 @@ class CompiledCircuit {
   /// AND with their active words): bit k is set when flipping the net
   /// under that pattern flips some PO.  Any net may be walked (a PO's row
   /// comes out all ones).  The cone is cached in `lane_scratch` under the
-  /// key of the driver's fault cone (a PI or constant stem has its own),
-  /// the same layout and cache as eval_packed_retained_planes, so rows and
-  /// retained-state faults of one gate share one scratch.
+  /// net's key, the layout eval_packed_stem_x_planes and
+  /// eval_packed_bridge_planes share, so a stem's two walks discover its
+  /// cone once.
   void eval_packed_stem_planes(const std::uint64_t* good_planes,
                                std::size_t stride, std::size_t n_words,
                                NetId stem, std::uint64_t* obs,
                                std::vector<std::uint64_t>& lane_scratch) const;
 
-  /// Faulted-output state threaded along the pattern axis between
-  /// eval_packed_retained_planes calls: the (value, X) of the last pattern
-  /// already evaluated.  The default, X, is the state before pattern 0.
-  struct RetainedCarry {
-    bool value = false;
-    bool x = true;
-  };
-
-  /// Plane-wide kernel for transistor faults whose dictionary is not
-  /// compiled_binary (floating and/or marginal rows), bit-identical per
-  /// pattern to eval_scalar_faulty threaded with previous_state.  The
-  /// faulted gate's output comes from the minterms of its good-plane
-  /// inputs: truth rows give 1, marginal rows X, and floating rows the
-  /// previous pattern's faulted (value, X) when `retain` is set (X when
-  /// not).  `carry` seeds that fill before the first word and holds the
-  /// last word's state afterwards, so consecutive calls over consecutive
-  /// word ranges equal one call over their union.  The output propagates
-  /// in dual rail (value + X planes, X-exact against eval_cell_x) down
-  /// the fan-out cone cached in `lane_scratch` — the same layout and cache
-  /// as eval_packed_stem_planes, so both can share one scratch.  Writes
-  /// per word (unmasked): `detect` (some PO binary and different from
-  /// good), `potential` (some PO X) and `contention`.
-  /// @param x_scratch X lanes, parallel to the value lanes; reused across
-  ///   calls, resized internally
-  void eval_packed_retained_planes(
+  /// X walk: the X observability row of `stem` over all pattern words.
+  /// The net is set to X in every word and the X propagates down the same
+  /// cone in dual rail (X-exact against eval_cell_x); per word, `xobs`
+  /// receives the OR of the PO X planes (unmasked): bit k is set when an
+  /// X on the net under that pattern reaches some PO as X.  Any net may be
+  /// walked (a PO's row comes out all ones).  Same cone cache as
+  /// eval_packed_stem_planes.
+  void eval_packed_stem_x_planes(
       const std::uint64_t* good_planes, std::size_t stride,
-      std::size_t n_words, int fault_gate, const gates::FaultAnalysis& fa,
-      bool retain, RetainedCarry& carry, std::uint64_t* detect,
-      std::uint64_t* potential, std::uint64_t* contention,
-      std::vector<std::uint64_t>& lane_scratch,
-      std::vector<std::uint64_t>& x_scratch) const;
+      std::size_t n_words, NetId stem, std::uint64_t* xobs,
+      std::vector<std::uint64_t>& lane_scratch) const;
 
   /// Plane-wide bridge kernel, bit-identical per pattern to the bounded
   /// (4-round) feedback fixpoint of faults::simulate_bridge on binary
@@ -222,9 +203,8 @@ class CompiledCircuit {
   /// oscillates, and the scalar path's oscillation rule (a = b = X) can
   /// never flip a PO: three-valued propagation is sound, so a binary PO
   /// equals the good machine's value.  The cone is cached in
-  /// `lane_scratch` (the stem and retained kernels' layout) and
-  /// rediscovered only when the pair changes, so a pair's four behaviours
-  /// share it.
+  /// `lane_scratch` (the stem walks' layout) and rediscovered only when the
+  /// pair changes, so a pair's four behaviours share it.
   /// Writes per word (unmasked): `detect` (some PO binary and different
   /// from good) and `contention` (the good machine drives a and b to
   /// opposite values: the IDDQ excitation).

@@ -189,9 +189,8 @@ void eval_planes_t(const CompiledCircuit& cc, std::uint64_t* planes,
 /// and amortize the per-call scalar costs.
 inline constexpr std::size_t kConeGroups = 4;
 
-/// The cached fan-out cone of one faulted gate, one stem or one bridged
-/// net pair, as laid out in the lane scratch that the stem, retained and
-/// bridge kernels share.
+/// The cached fan-out cone of one stem or one bridged net pair, as laid
+/// out in the lane scratch that the stem and bridge kernels share.
 struct FaultCone {
   /// Lane storage: word j of a strip for net n lives at
   /// lanes[n * kSimdWords * kConeGroups + j].
@@ -221,11 +220,10 @@ struct FaultCone {
 /// diverge, which of their inputs read lanes vs. good planes, which POs
 /// can differ — is a property of the graph, not of the pattern words, so
 /// it is discovered once (versioned marks + persistent counter) and reused
-/// by every strip and by consecutive faults with the same key (fault lists
-/// enumerate several transistor faults per gate back to back, bridge
-/// universes a pair's four behaviours).  Every kernel sizes the scratch
-/// identically, so faults of any kind interleaving in one range keep the
-/// cache (and skip the re-zeroing).
+/// by every strip and by consecutive calls with the same key (a stem's
+/// binary and X walks, a bridge pair's four behaviours).  Every kernel
+/// sizes the scratch identically, so walks of any kind interleaving on
+/// one scratch keep the cache (and skip the re-zeroing).
 ///
 /// Layout: [lanes: n_net * kW * kConeGroups][marks: n_net][counter]
 ///         [cone key][cone length][cone: n_gates][po count][po list]
@@ -281,25 +279,16 @@ inline FaultCone seeded_cone(const CompiledCircuit& cc, std::uint64_t key,
                    marks,   counter};
 }
 
-/// The fan-out cone of `fault_gate`'s output, keyed by the gate.
-inline FaultCone fault_cone(const CompiledCircuit& cc, int fault_gate,
-                            std::vector<std::uint64_t>& lane_scratch) {
-  const std::size_t pos = cc.position_of(fault_gate);
-  const NetId out = cc.gates()[pos].out;
-  return seeded_cone(cc, static_cast<std::uint64_t>(fault_gate) + 1, out, out,
-                     pos + 1, lane_scratch);
-}
-
-/// The fan-out cone of a stem.  A gate-driven stem's cone is its driver's
-/// fault_cone, under the same key, so a retained-state fault on the driver
-/// reuses the cache; a stem without a driver (a PI or a constant) walks
-/// from position 0 under a key of its own (bit 62; bridges take bit 63).
+/// The fan-out cone of a stem, keyed by the net (bit 62; bridges take bit
+/// 63), so its binary and X walks share one discovery.  Only gates after
+/// the stem's driver can read it, so a gate-driven stem scans from there;
+/// a stem without a driver (a PI or a constant) from position 0.
 inline FaultCone stem_cone(const CompiledCircuit& cc, NetId stem,
                            std::vector<std::uint64_t>& lane_scratch) {
   const int driver = cc.circuit().driver_of(stem);
-  if (driver >= 0) return fault_cone(cc, driver, lane_scratch);
   return seeded_cone(cc, (1ull << 62) | static_cast<std::uint64_t>(stem),
-                     stem, stem, 0, lane_scratch);
+                     stem, stem, driver < 0 ? 0 : cc.position_of(driver) + 1,
+                     lane_scratch);
 }
 
 /// The fan-out cone of a bridged pair, keyed by the unordered pair (the
@@ -351,74 +340,12 @@ inline void for_each_strip(std::size_t n_words, const Strip& strip) {
   }
 }
 
-/// Stem kernel: the observability row of one net.  The net is flipped in
-/// every pattern word and the flip walks the net's fan-out cone
-/// (stem_cone); `obs` receives, per word (unmasked), the OR of the PO
-/// differences — bit k is set when flipping the net under that pattern
-/// flips some PO.  The cone's PO list holds the net itself when it is a
-/// PO, so the row of a PO comes out all ones.
-template <class V>
-void eval_stem_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
-                        std::size_t stride, std::size_t n_words, NetId stem,
-                        std::uint64_t* obs,
-                        std::vector<std::uint64_t>& lane_scratch) {
-  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
-  constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
-  const auto& gates = cc.gates();
-  const FaultCone fc = stem_cone(cc, stem, lane_scratch);
-  std::uint64_t* const lv = fc.lanes;
-  const std::size_t s = static_cast<std::size_t>(stem);
-
-  // One strip: NW word groups walked together.  No vector value stays live
-  // across the sub-loops, so wide strips add independent chains without
-  // spilling registers.
-  const auto strip = [&]<std::size_t NW>(std::size_t wg) {
-    for (std::size_t gi = 0; gi < NW; ++gi)
-      V::store(lv + s * kRow + gi * kW,
-               ~V::load(good + s * stride + wg + gi * kW));
-
-    // Topological order guarantees every lane slot read below was stored
-    // earlier in this strip (by the flip or a cone predecessor).
-    for (std::size_t idx = 0; idx < fc.gate_count; ++idx) {
-      const std::uint64_t e = fc.gates[idx];
-      const CompiledCircuit::GateRec& g = gates[e >> 3];
-      const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
-      const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
-      const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
-      for (std::size_t gi = 0; gi < NW; ++gi) {
-        const std::size_t l = gi * kW;
-        const V a = (e & 1) != 0 ? V::load(lv + n0 * kRow + l)
-                                 : V::load(good + n0 * stride + wg + l);
-        const V b = (e & 2) != 0 ? V::load(lv + n1 * kRow + l)
-                                 : V::load(good + n1 * stride + wg + l);
-        const V c = (e & 4) != 0 ? V::load(lv + n2 * kRow + l)
-                                 : V::load(good + n2 * stride + wg + l);
-        V::store(lv + static_cast<std::size_t>(g.out) * kRow + l,
-                 eval_cell_vec(g.kind, a, b, c));
-      }
-    }
-
-    for (std::size_t gi = 0; gi < NW; ++gi) {
-      const std::size_t l = gi * kW;
-      V d = V::splat(0);
-      for (std::size_t i = 0; i < fc.po_count; ++i) {
-        const std::size_t n = static_cast<std::size_t>(fc.po_nets[i]);
-        d = d | (V::load(lv + n * kRow + l) ^
-                 V::load(good + n * stride + wg + l));
-      }
-      store_clamped(obs, wg + l, n_words, d);
-    }
-  };
-
-  for_each_strip(n_words, strip);
-}
-
 /// Dual-rail cell evaluation: each pin is a (value, X) plane pair in
 /// canonical form (value = 0 wherever X = 1), and so is the result.
 /// X-exact against eval_cell_x: an output bit is binary exactly when
 /// every binary completion of the X pins agrees.  Only the cell's own
 /// pins are read — pins past its arity alias slot 0, which carries X
-/// whenever net 0 lies in the faulted cone.
+/// whenever net 0 lies in the walked cone.
 template <class V>
 inline void eval_cell_dual(gates::CellKind kind, const V& a, const V& ax,
                            const V& b, const V& bx, const V& c, const V& cx,
@@ -462,147 +389,80 @@ inline void eval_cell_dual(gates::CellKind kind, const V& a, const V& ax,
   x = V::splat(0);
 }
 
-/// Faulted output of one pattern word under a retained-state dictionary.
-/// The faulted gate's local inputs are fault-free (single faulted gate,
-/// acyclic circuit), so each pattern's row is a minterm of the good
-/// planes: truth rows give 1, marginal rows X, floating rows the previous
-/// pattern's faulted (value, X) — exactly what eval_scalar_faulty reads
-/// from previous_state.  The floating runs are filled forward by a
-/// log-step segmented scan; a run with no earlier defined pattern in the
-/// word takes `carry`, the state after the previous word.  Without
-/// retention floating rows read X.  Writes the canonical dual-rail output
-/// to `v`/`x`, advances `carry` to this word's last pattern, and returns
-/// the contention (IDDQ excitation) word.
-inline std::uint64_t retained_row(const gates::FaultAnalysis& fa,
-                                  unsigned n_in, const std::uint64_t* in,
-                                  bool retain,
-                                  CompiledCircuit::RetainedCarry& carry,
-                                  std::uint64_t& v, std::uint64_t& x) {
-  std::uint64_t one = 0, unknown = 0, floating = 0, cont = 0;
-  for (unsigned vec = 0; vec < (1u << n_in); ++vec) {
-    std::uint64_t minterm = ~0ull;
-    for (unsigned i = 0; i < n_in; ++i)
-      minterm &= ((vec >> i) & 1u) != 0 ? in[i] : ~in[i];
-    switch (fa.compiled_logic[vec]) {
-      case 1: one |= minterm; break;
-      case -1: unknown |= minterm; break;
-      case -2: floating |= minterm; break;
-      default: break;
-    }
-    if (((fa.compiled_contention >> vec) & 1u) != 0) cont |= minterm;
-  }
-  if (!retain) {
-    unknown |= floating;
-    floating = 0;
-  }
-  // After the step with shift s, a still-pending bit p has only floating
-  // patterns in (p - 2s, p]; bits below the word count as floating, so a
-  // run reaching bit 0 stays pending and takes the carry at the end.
-  std::uint64_t pending = floating;
-  for (unsigned s = 1; s < 64 && pending != 0; s <<= 1) {
-    one |= (one << s) & pending;
-    unknown |= (unknown << s) & pending;
-    pending &= (pending << s) | ((1ull << s) - 1);
-  }
-  one |= carry.value ? pending : 0;
-  unknown |= carry.x ? pending : 0;
-  carry.value = (one >> 63) != 0;
-  carry.x = (unknown >> 63) != 0;
-  v = one;
-  x = unknown;
-  return cont;
-}
-
-/// Plane-wide retained-state transistor kernel: the faulted gate's
-/// dual-rail output per word comes from retained_row, in pattern order so
-/// the carry crosses word and strip boundaries, then propagates down the
-/// shared fan-out cone (fault_cone) with eval_cell_dual.  X lanes live in
-/// `x_scratch`, parallel to the value lanes of `lane_scratch`.  Writes,
-/// per word, detect (some cone PO is binary and differs from good),
-/// potential (some cone PO is X) and contention, all unmasked.
-template <class V>
-void eval_retained_planes_t(const CompiledCircuit& cc,
-                            const std::uint64_t* good, std::size_t stride,
-                            std::size_t n_words, int fault_gate,
-                            const gates::FaultAnalysis& fa, bool retain,
-                            CompiledCircuit::RetainedCarry& carry,
-                            std::uint64_t* detect, std::uint64_t* potential,
-                            std::uint64_t* contention,
-                            std::vector<std::uint64_t>& lane_scratch,
-                            std::vector<std::uint64_t>& x_scratch) {
+/// Stem kernel: the observability row of one net, binary (kX false) or X
+/// (kX true).  The binary walk flips the net in every pattern word and
+/// walks the flip down the net's fan-out cone (stem_cone); `obs`
+/// receives, per word (unmasked), the OR of the PO differences — bit k is
+/// set when flipping the net under that pattern flips some PO.  The X walk
+/// seeds the net with X instead and walks in dual rail keeping only the X
+/// plane in the lanes: X on one net is sound, so a cone net that stays
+/// binary holds its good value and its value rail is good & ~X.  `obs`
+/// then receives the OR of the PO X planes — bit k is set when an X on
+/// the net under that pattern reaches some PO as X.  The cone's PO list
+/// holds the net itself when it is a PO, so either row of a PO comes out
+/// all ones.
+template <class V, bool kX>
+void eval_stem_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
+                        std::size_t stride, std::size_t n_words, NetId stem,
+                        std::uint64_t* obs,
+                        std::vector<std::uint64_t>& lane_scratch) {
   constexpr std::size_t kW = CompiledCircuit::kSimdWords;
   constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
   const auto& gates = cc.gates();
-  const FaultCone fc = fault_cone(cc, fault_gate, lane_scratch);
-  const std::size_t lanes_sz =
-      static_cast<std::size_t>(cc.circuit().net_count()) * kRow;
-  if (x_scratch.size() != lanes_sz) x_scratch.assign(lanes_sz, 0);
+  const FaultCone fc = stem_cone(cc, stem, lane_scratch);
   std::uint64_t* const lv = fc.lanes;
-  std::uint64_t* const xv = x_scratch.data();
-  const CompiledCircuit::GateRec& fg = gates[cc.position_of(fault_gate)];
-  const std::size_t fo = static_cast<std::size_t>(fg.out) * kRow;
+  const std::size_t s = static_cast<std::size_t>(stem);
 
+  // One strip: NW word groups walked together.  No vector value stays live
+  // across the sub-loops, so wide strips add independent chains without
+  // spilling registers.
   const auto strip = [&]<std::size_t NW>(std::size_t wg) {
-    // Faulted gate, one word at a time.  Words past n_words belong to the
-    // caller's next call (or are padding): they get a binary 0 and leave
-    // the carry alone.
-    for (std::size_t j = 0; j < NW * kW; ++j) {
-      const std::size_t w = wg + j;
-      std::uint64_t v = 0, x = 0;
-      if (w < n_words) {
-        const std::uint64_t in[3] = {
-            good[static_cast<std::size_t>(fg.in[0]) * stride + w],
-            good[static_cast<std::size_t>(fg.in[1]) * stride + w],
-            good[static_cast<std::size_t>(fg.in[2]) * stride + w]};
-        contention[w] = retained_row(fa, fg.n_in, in, retain, carry, v, x);
-      }
-      lv[fo + j] = v;
-      xv[fo + j] = x;
-    }
+    for (std::size_t gi = 0; gi < NW; ++gi)
+      V::store(lv + s * kRow + gi * kW,
+               kX ? V::splat(~0ull)
+                  : ~V::load(good + s * stride + wg + gi * kW));
 
-    // Cone walk in dual rail; pins outside the cone read the good planes
-    // with a zero X plane.
-    const V zero = V::splat(0);
+    // Topological order guarantees every lane slot read below was stored
+    // earlier in this strip (by the seed or a cone predecessor).
     for (std::size_t idx = 0; idx < fc.gate_count; ++idx) {
       const std::uint64_t e = fc.gates[idx];
       const CompiledCircuit::GateRec& g = gates[e >> 3];
       const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
       const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
       const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
-      const bool l0 = (e & 1) != 0, l1 = (e & 2) != 0, l2 = (e & 4) != 0;
       for (std::size_t gi = 0; gi < NW; ++gi) {
         const std::size_t l = gi * kW;
-        const V a = l0 ? V::load(lv + n0 * kRow + l)
-                       : V::load(good + n0 * stride + wg + l);
-        const V ax = l0 ? V::load(xv + n0 * kRow + l) : zero;
-        const V b = l1 ? V::load(lv + n1 * kRow + l)
-                       : V::load(good + n1 * stride + wg + l);
-        const V bx = l1 ? V::load(xv + n1 * kRow + l) : zero;
-        const V c = l2 ? V::load(lv + n2 * kRow + l)
-                       : V::load(good + n2 * stride + wg + l);
-        const V cx = l2 ? V::load(xv + n2 * kRow + l) : zero;
-        V v, x;
-        eval_cell_dual(g.kind, a, ax, b, bx, c, cx, v, x);
-        const std::size_t o = static_cast<std::size_t>(g.out) * kRow + l;
-        V::store(lv + o, v);
-        V::store(xv + o, x);
+        // A pin reads its lane inside the cone; outside it, its good word
+        // (binary walk) or no X (X walk).
+        const auto pin = [&](std::uint64_t bit, std::size_t n) {
+          if ((e & bit) != 0) return V::load(lv + n * kRow + l);
+          return kX ? V::splat(0) : V::load(good + n * stride + wg + l);
+        };
+        V out;
+        if constexpr (kX) {
+          const auto dual = [&](std::size_t n, const V& x) {
+            return V::load(good + n * stride + wg + l) & ~x;
+          };
+          const V ax = pin(1, n0), bx = pin(2, n1), cx = pin(4, n2);
+          V v;
+          eval_cell_dual(g.kind, dual(n0, ax), ax, dual(n1, bx), bx,
+                         dual(n2, cx), cx, v, out);
+        } else {
+          out = eval_cell_vec(g.kind, pin(1, n0), pin(2, n1), pin(4, n2));
+        }
+        V::store(lv + static_cast<std::size_t>(g.out) * kRow + l, out);
       }
     }
 
     for (std::size_t gi = 0; gi < NW; ++gi) {
       const std::size_t l = gi * kW;
-      V d = zero;
-      V p = zero;
+      V d = V::splat(0);
       for (std::size_t i = 0; i < fc.po_count; ++i) {
         const std::size_t n = static_cast<std::size_t>(fc.po_nets[i]);
-        const V x = V::load(xv + n * kRow + l);
-        d = d | ((V::load(lv + n * kRow + l) ^
-                  V::load(good + n * stride + wg + l)) &
-                 ~x);
-        p = p | x;
+        const V lane = V::load(lv + n * kRow + l);
+        d = d | (kX ? lane : lane ^ V::load(good + n * stride + wg + l));
       }
-      store_clamped(detect, wg + l, n_words, d);
-      store_clamped(potential, wg + l, n_words, p);
+      store_clamped(obs, wg + l, n_words, d);
     }
   };
 
@@ -750,23 +610,19 @@ void eval_bridge_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
 // ---- kernel tables ---------------------------------------------------------
 
 /// The four plane kernels of one backend, each with the signature of its
-/// template above: the good machine, the stem walk behind the
-/// observability rows of line and binary-dictionary transistor faults,
-/// the dual-rail retained-state walk, and the bridge fixpoint.
-/// CompiledCircuit's eval_packed_* methods call through the active
-/// backend's table, so adding or deleting a kernel is one member here and
-/// one entry in kKernels.
+/// template above: the good machine, the binary and X stem walks behind
+/// the two kinds of observability row that line and transistor faults
+/// read, and the bridge fixpoint.  CompiledCircuit's eval_packed_* methods
+/// call through the active backend's table, so adding or deleting a
+/// kernel is one member here and one entry in kKernels.
 struct KernelTable {
   using Scratch = std::vector<std::uint64_t>;
+  using StemWalk = void (*)(const CompiledCircuit&, const std::uint64_t*,
+                            std::size_t, std::size_t, NetId, std::uint64_t*,
+                            Scratch&);
   void (*planes)(const CompiledCircuit&, std::uint64_t*, std::size_t);
-  void (*stem_planes)(const CompiledCircuit&, const std::uint64_t*,
-                      std::size_t, std::size_t, NetId, std::uint64_t*,
-                      Scratch&);
-  void (*retained_planes)(const CompiledCircuit&, const std::uint64_t*,
-                          std::size_t, std::size_t, int,
-                          const gates::FaultAnalysis&, bool,
-                          CompiledCircuit::RetainedCarry&, std::uint64_t*,
-                          std::uint64_t*, std::uint64_t*, Scratch&, Scratch&);
+  StemWalk stem_planes;
+  StemWalk stem_x_planes;
   void (*bridge_planes)(const CompiledCircuit&, const std::uint64_t*,
                         std::size_t, std::size_t,
                         const CompiledCircuit::Bridge&, std::uint64_t*,
@@ -778,8 +634,8 @@ struct KernelTable {
 /// compiled_circuit.cpp, the M256 tables in the -m units.
 template <class V>
 inline constexpr KernelTable kKernels = {
-    &eval_planes_t<V>, &eval_stem_planes_t<V>, &eval_retained_planes_t<V>,
-    &eval_bridge_planes_t<V>};
+    &eval_planes_t<V>, &eval_stem_planes_t<V, false>,
+    &eval_stem_planes_t<V, true>, &eval_bridge_planes_t<V>};
 
 // The M256 tables, defined in compiled_circuit_avx2.cpp and (with the
 // VPTERNLOGQ eval_cell_vec) compiled_circuit_avx512.cpp.

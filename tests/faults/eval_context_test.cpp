@@ -1,8 +1,7 @@
 // Golden-equivalence suite for the shared evaluation context: the
-// context-based run/run_range paths — the observability rows behind line
-// and binary-dictionary transistor faults, and the retained-state plane
-// kernel — must be bit-identical to the seed's serial algorithm
-// (reference_sim.hpp).
+// context-based run/run_range paths — the binary and X observability rows
+// behind every line and transistor fault — must be bit-identical to the
+// seed's serial algorithm (reference_sim.hpp).
 #include "faults/eval_context.hpp"
 
 #include <gtest/gtest.h>
@@ -82,8 +81,8 @@ TEST(EvalContext, RunMatchesSeedSerialReferenceForAllFaultClasses) {
     const EvalContext ctx(w.ckt, w.patterns);
     ASSERT_TRUE(ctx.packed()) << w.name;
 
-    // The universe must actually exercise both plane kernels (binary and
-    // retained-state dictionaries).
+    // The universe must actually exercise both dictionary kinds (binary
+    // and retained-state, which also reads X rows).
     int binary = 0, retained = 0;
     for (const Fault& f : w.faults) {
       if (f.site != FaultSite::kGateTransistor) continue;
@@ -159,8 +158,8 @@ TEST(EvalContext, TwoPatternStuckOpenSequencesRetainState) {
       if (r.status != atpg::AtpgStatus::kDetected || !r.test) continue;
       ++verified;
       // The (init, test) retention sequence must detect through the
-      // context path (floating dictionaries take the dual-rail
-      // retained-state plane kernel) exactly as through the seed serial
+      // context path (the floating output's retained value read against
+      // the observability rows) exactly as through the seed serial
       // algorithm.
       const std::vector<Pattern> seq = {r.test->init, r.test->test};
       const EvalContext ctx(ckt, seq);
@@ -392,9 +391,8 @@ TEST(EvalContext, RecordsMatchTheOraclesAcrossTheMatrix) {
   // The oracles simulate one fault at a time, pattern by pattern, so on
   // the larger circuits they check an evenly spread sample: at most 256
   // faults and a fixed budget of reference gate evaluations per (pattern
-  // count, options) cell.  run_range covers every fault that reads rows
-  // (line and binary-dictionary faults, so rows are shared as in a
-  // campaign) plus the sampled retained-state ones.
+  // count, options) cell.  run_range covers every fault (all of them read
+  // rows), so both row kinds are shared as in a campaign.
   constexpr double kBudget = 4e6;
   constexpr std::size_t kMaxSample = 256;
   for (const Named& in : inputs()) {
@@ -412,22 +410,14 @@ TEST(EvalContext, RecordsMatchTheOraclesAcrossTheMatrix) {
       const std::size_t step =
           std::max<std::size_t>(1, universe.size() / sample);
       const EvalContext ctx(in.ckt, patterns);
-      std::vector<Fault> run;
-      std::vector<std::size_t> checked;  ///< positions in `run`
+      std::vector<std::size_t> checked;  ///< positions in `universe`
       std::vector<DetectionRecord> line_want;  ///< option-independent
-      for (std::size_t i = 0; i < universe.size(); ++i) {
+      for (std::size_t i = 0; i < universe.size(); i += step) {
         const Fault& f = universe[i];
-        const bool line = f.site != FaultSite::kGateTransistor;
-        const bool reads_rows =
-            line || ctx.dictionary(in.ckt.gate(f.gate).kind, f.cell_fault)
-                        .compiled_binary;
-        if (i % step != 0 && !reads_rows) continue;
-        if (i % step == 0) {
-          checked.push_back(run.size());
-          line_want.push_back(line ? reference::line(ctx, f)
-                                   : DetectionRecord{});
-        }
-        run.push_back(f);
+        checked.push_back(i);
+        line_want.push_back(f.site != FaultSite::kGateTransistor
+                                ? reference::line(ctx, f)
+                                : DetectionRecord{});
       }
       for (int o = 0; o < 8; ++o) {
         FaultSimOptions options;
@@ -439,10 +429,11 @@ TEST(EvalContext, RecordsMatchTheOraclesAcrossTheMatrix) {
         for (const bool portable : {true, false}) {
           ForcePortable pin(portable);
           const EvalContext fresh(in.ckt, patterns);  // rows per backend
-          runs.push_back(fsim.run_range(fresh, run, 0, run.size(), options));
+          runs.push_back(
+              fsim.run_range(fresh, universe, 0, universe.size(), options));
         }
         for (std::size_t k = 0; k < checked.size(); ++k) {
-          const Fault& f = run[checked[k]];
+          const Fault& f = universe[checked[k]];
           const DetectionRecord want =
               f.site == FaultSite::kGateTransistor
                   ? reference::transistor(in.ckt, f, patterns, options)

@@ -1,10 +1,11 @@
-// Observability rows: every line fault and every binary-dictionary
-// transistor fault on a packed context folds a one-gate local step
-// against the row of the net it changes.  A deep fan-out-free chain must
-// not exhaust the stack, and each stem must be walked at most once per
-// context, whichever thread asks first (the concurrent case runs under
-// TSan).  The record matrix against the oracles lives in
-// eval_context_test.cpp.
+// Observability rows: every line and transistor fault on a packed context
+// folds a one-gate step against the binary row of the net it changes and,
+// where a transistor fault's output goes X, its X row.  A deep
+// fan-out-free chain must not exhaust the stack, each stem must be walked
+// at most once per context and row kind, whichever thread asks first (the
+// concurrent case runs under TSan), and faults that never put X on a net
+// must never allocate or walk an X row.  The record matrix against the
+// oracles lives in eval_context_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -18,12 +19,14 @@
 #include "engine/campaign.hpp"
 #include "engine/shard.hpp"
 #include "engine/thread_pool.hpp"
+#include "core/test_flow.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
 #include "gates/dictionary_cache.hpp"
 #include "logic/bench_format.hpp"
 #include "logic/benchmarks.hpp"
+#include "logic/compiled_circuit.hpp"
 #include "logic/netlist_ingest.hpp"
 #include "reference_sim.hpp"
 #include "util/rng.hpp"
@@ -151,6 +154,49 @@ TEST(Observability, DeepFanoutFreeChainStaysIterative) {
     for (std::size_t i = 0; i < faults.size(); ++i)
       expect_record_eq(got[i], want[i], "fault " + std::to_string(i));
     EXPECT_EQ(ctx.stem_walks(), 0u);  // a chain has no stem
+    EXPECT_EQ(ctx.x_walks(), 0u);
+  }
+}
+
+TEST(Observability, LineAndBinaryFaultsAllocateNoXRow) {
+  // Line faults and binary dictionaries never put X on a net, so they
+  // read binary rows only: the X kind is neither allocated nor walked.
+  // Line faults plus stuck-ons is a campaign universe of that shape.
+  engine::FaultModelSelection models;
+  models.polarity = false;
+  models.stuck_open = false;
+  for (const Named& in :
+       {Named{"alu_array_4", ingested(logic::alu_array(4))},
+        Named{"random_5", logic::random_circuit(5, 9, 42)}}) {
+    std::vector<Fault> faults;
+    for (const engine::CampaignFault& cf :
+         engine::build_universe(in.ckt, models, true))
+      faults.push_back(cf.fault);
+    std::size_t binary = 0;
+    for (const Fault& f : faults)
+      if (f.site == FaultSite::kGateTransistor) {
+        ASSERT_TRUE(gates::DictionaryCache::global()
+                        .lookup(in.ckt.gate(f.gate).kind, f.cell_fault)
+                        .compiled_binary)
+            << in.name;
+        ++binary;
+      }
+    ASSERT_GT(binary, 0u) << in.name;
+
+    const EvalContext ctx(in.ckt, random_patterns(in.ckt, 300, 5));
+    EXPECT_EQ(ctx.row_bytes(), 0u) << in.name;
+    const auto got =
+        FaultSimulator(in.ckt).run_range(ctx, faults, 0, faults.size());
+    const auto want = reference::records(ctx, faults, {});
+    for (std::size_t i = 0; i < faults.size(); ++i)
+      expect_record_eq(got[i], want[i], in.name + " fault " +
+                                            std::to_string(i));
+    EXPECT_GT(ctx.stem_walks(), 0u) << in.name;
+    EXPECT_EQ(ctx.x_walks(), 0u) << in.name;
+    EXPECT_EQ(ctx.row_bytes(), static_cast<std::size_t>(in.ckt.net_count()) *
+                                   ctx.plane_stride() *
+                                   sizeof(std::uint64_t))
+        << in.name << ": binary rows only";
   }
 }
 
@@ -173,14 +219,19 @@ TEST(Observability, RunRangeWalksEachReachedStemOnce) {
     (void)fsim.run_range(ctx, line, 0, line.size());
     EXPECT_EQ(ctx.stem_walks(), stems) << in.name << " second call";
 
-    // The campaign universe reaches at most every stem, once.
+    // The campaign universe reaches at most every stem, once per row kind;
+    // its retained-state faults put X on some of them.
     const EvalContext campaign(in.ckt, patterns);
     const std::vector<Fault> universe = generate_fault_list(in.ckt, {});
     (void)fsim.run_range(campaign, universe, 0, universe.size());
     const std::uint64_t walks = campaign.stem_walks();
+    const std::uint64_t x_walks = campaign.x_walks();
     EXPECT_LE(walks, stems) << in.name;
+    EXPECT_LE(x_walks, stems) << in.name;
+    EXPECT_GT(x_walks, 0u) << in.name;
     (void)fsim.run_range(campaign, universe, 0, universe.size());
     EXPECT_EQ(campaign.stem_walks(), walks) << in.name << " second call";
+    EXPECT_EQ(campaign.x_walks(), x_walks) << in.name << " second call";
   }
 }
 
@@ -216,7 +267,9 @@ TEST(Observability, ConcurrentShardsShareOneWalkPerStem) {
   for (const engine::Shard& s : shards)
     serial.push_back(engine::run_shard(serial_ctx, universe, s, options));
   const std::uint64_t serial_walks = serial_ctx.stem_walks();
+  const std::uint64_t serial_x_walks = serial_ctx.x_walks();
   ASSERT_GT(serial_walks, 0u);
+  ASSERT_GT(serial_x_walks, 0u);
 
   for (const int threads : {1, 2, 8}) {
     const EvalContext ctx(ckt, patterns);
@@ -231,6 +284,7 @@ TEST(Observability, ConcurrentShardsShareOneWalkPerStem) {
       ASSERT_EQ(pool.first_exception(), nullptr);
     }
     EXPECT_EQ(ctx.stem_walks(), serial_walks) << threads << " threads";
+    EXPECT_EQ(ctx.x_walks(), serial_x_walks) << threads << " threads";
     for (std::size_t k = 0; k < shards.size(); ++k) {
       ASSERT_EQ(got[k].results.size(), serial[k].results.size());
       for (std::size_t i = 0; i < got[k].results.size(); ++i)
@@ -240,6 +294,30 @@ TEST(Observability, ConcurrentShardsShareOneWalkPerStem) {
                              std::to_string(i));
     }
   }
+}
+
+TEST(Observability, TwoPatternChecksWalkNoXRow) {
+  // A two-pattern stuck-open test initializes the output to a binary value
+  // and then floats it, so verifying one never puts X on a net: each
+  // check, on a two-pattern context over one compile as the flow builds
+  // it, reads binary rows only.
+  const Circuit ckt = logic::alu_array(4);
+  const core::TestSuite suite = core::run_test_flow(ckt);
+  ASSERT_GT(suite.two_pattern_tests.size(), 0u);
+  const logic::CompiledCircuit cc(ckt);
+  const FaultSimulator fsim(ckt);
+  std::uint64_t walks = 0;
+  for (const atpg::TwoPatternTest& t : suite.two_pattern_tests) {
+    const EvalContext pair(cc, {t.init, t.test});
+    EXPECT_TRUE(fsim.simulate_transistor_fault(pair, t.fault).detected_output);
+    walks += pair.stem_walks();
+    EXPECT_EQ(pair.x_walks(), 0u);
+    EXPECT_EQ(pair.row_bytes(), static_cast<std::size_t>(ckt.net_count()) *
+                                    pair.plane_stride() *
+                                    sizeof(std::uint64_t))
+        << "binary rows only";
+  }
+  EXPECT_LE(walks, suite.two_pattern_tests.size());
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Differential suite for the dual-rail retained-state transistor kernel
-// (CompiledCircuit::eval_packed_retained_planes behind
-// FaultSimulator's packed dispatch).  The seed's serial walk
-// (reference_sim.hpp) is the oracle: every record must be bit-identical
-// to it across pattern counts that straddle word and strip boundaries,
-// sequential on/off, IDDQ observation on/off, kFull and kFirstOnly, and
-// the portable vs SIMD backends.  Binary and retained faults of a gate
-// interleave in fault-list order, so the shared cone cache is exercised
-// on every gate.
+// Differential suite for the retained-state transistor faults on packed
+// contexts: FaultSimulator folds each dictionary's output word by word
+// (retained charge threaded across words) against the faulted output's
+// binary and X observability rows, whose stem walks run the dual-rail
+// cells of packed_kernels.hpp.  The seed's serial walk (reference_sim.hpp)
+// is the oracle: every record must be bit-identical to it across pattern
+// counts that straddle word boundaries, sequential on/off, IDDQ
+// observation on/off, kFull and kFirstOnly, and the portable vs SIMD
+// backends.  Binary and retained faults of a gate interleave in
+// fault-list order, so both row kinds of one net are asked for in turn.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -62,12 +63,13 @@ std::vector<Fault> transistor_faults(const logic::Circuit& ckt) {
   return out;
 }
 
-/// Net 0 is the output of gate 0 (a NAND2 whose stuck-opens float) and
-/// feeds nothing, so no fault of gate 0 is observable at all.  The 1- and
-/// 2-input cells after it in topological order alias their unused pins
-/// to slot 0, which puts them in gate 0's cached cone with those pins
-/// reading net 0's X lanes: a kernel that evaluated past a cell's arity
-/// would leak X to the POs, where the serial walk sees none.
+/// Net 0 is the output of gate 0 (a NAND2 whose stuck-opens float) and a
+/// stem read by a NAND2 and a NOR2, so an X on it takes an X walk, and
+/// that X reaches a PO only where b = 1 or d = 0.  The 1- and 2-input
+/// cells after gate 0 in topological order alias their unused pins to
+/// slot 0, which puts every one of them in net 0's cone with those pins
+/// reading net 0's X lane: a walk that evaluated past a cell's arity would
+/// leak X to the POs, where the serial walk sees none.
 logic::Circuit slot_zero_trap() {
   logic::Circuit c;
   const NetId n0 = c.add_net("n0");
@@ -83,7 +85,11 @@ logic::Circuit slot_zero_trap() {
   c.add_gate(CellKind::kNor2, {a, d}, nor);
   const NetId x = c.add_net("x");
   c.add_gate(CellKind::kXor2, {a, d}, x);
-  for (const NetId po : {inv, buf, nor, x}) c.mark_primary_output(po);
+  const NetId y0 = c.add_net("y0");
+  c.add_gate(CellKind::kNand2, {n0, b}, y0);
+  const NetId y1 = c.add_net("y1");
+  c.add_gate(CellKind::kNor2, {d, n0}, y1);
+  for (const NetId po : {inv, buf, nor, x, y0, y1}) c.mark_primary_output(po);
   c.finalize();
   return c;
 }
@@ -175,25 +181,49 @@ TEST(RetainedKernel, DualRailCellsAreXExactAgainstEvalCellX) {
 
 TEST(RetainedKernel, SlotZeroTrapPutsAliasedPinsInTheFaultedCone) {
   // Preconditions that make slot_zero_trap() a real trap: net 0 is driven
-  // by gate 0, every later cell aliases an unused pin to slot 0, and gate
-  // 0 has retained faults (floating rows put X on net 0).
+  // by gate 0 and is a stem, every later cell aliases an unused pin to
+  // slot 0, four of them read net 0 on no real pin, and gate 0 has
+  // retained faults (floating rows put X on net 0).
   const logic::Circuit ckt = slot_zero_trap();
   ASSERT_EQ(ckt.driver_of(0), 0);
+  ASSERT_EQ(ckt.fanout(0).size(), 2u);
+  for (const NetId po : ckt.primary_outputs()) ASSERT_NE(po, 0);
   const logic::CompiledCircuit cc(ckt);
   ASSERT_EQ(cc.position_of(0), 0u);
+  int aliased_only = 0;
   for (std::size_t k = 1; k < cc.gates().size(); ++k) {
     const logic::CompiledCircuit::GateRec& g = cc.gates()[k];
     EXPECT_LT(g.n_in, 3);
     EXPECT_EQ(g.in[2], 0);
-    EXPECT_NE(g.in[0], 0);
+    bool reads_net0 = false;
+    for (unsigned i = 0; i < g.n_in; ++i)
+      reads_net0 = reads_net0 || g.in[i] == 0;
+    aliased_only += reads_net0 ? 0 : 1;
   }
+  EXPECT_EQ(aliased_only, 4);
   const EvalContext ctx(ckt, random_patterns(ckt, 70, 5));
-  int retained = 0;
+  std::vector<Fault> retained;
   for (const Fault& f : transistor_faults(ckt))
     if (f.gate == 0 &&
         !ctx.dictionary(CellKind::kNand2, f.cell_fault).compiled_binary)
-      ++retained;
-  EXPECT_GT(retained, 0);
+      retained.push_back(f);
+  ASSERT_FALSE(retained.empty());
+
+  // The retained faults put X on net 0, so its X row is walked, once, and
+  // holds exactly the patterns with b = 1 or d = 0.
+  const FaultSimOptions opt;
+  expect_same(FaultSimulator(ckt).run_range(ctx, retained, 0,
+                                            retained.size(), opt),
+              reference::records(ctx, retained, opt), retained, "gate 0");
+  EXPECT_EQ(ctx.x_walks(), 1u);
+  std::vector<std::uint64_t> lanes;
+  const std::uint64_t* xrow = ctx.xobs_row(0, lanes);
+  for (std::size_t k = 0; k < ctx.pattern_count(); ++k) {
+    const Pattern& p = ctx.patterns()[k];
+    const bool want = p[1] == LogicV::k1 || p[2] == LogicV::k0;
+    EXPECT_EQ(((xrow[k / 64] >> (k % 64)) & 1u) != 0, want)
+        << "pattern " << k;
+  }
 }
 
 // (b) ------------------------------------------------------------------------
@@ -247,7 +277,7 @@ TEST(RetainedKernel, DroppingWaitsForAPotentialDetectionPastTheFirstStrip) {
   // A full-mode walk may stop only once potential is settled too.  A
   // marginal-row fault without floating rows has every other observable
   // settled from the start (IDDQ unobserved here), yet its only X reaches
-  // the PO at pattern 280 — past the first strip.
+  // the PO at pattern 280 — in the fifth word, past the first SIMD group.
   const gates::FaultAnalysis* pick = nullptr;
   for (const CellKind kind : gates::all_cell_kinds())
     for (const gates::CellFault& cf :

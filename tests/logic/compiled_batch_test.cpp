@@ -1,6 +1,6 @@
-// Randomized property suite for the vectorized compiled core: the
-// observability rows (every net, ragged pattern tails) and every SIMD
-// backend must be bit-identical to the reference oracles
+// Randomized property suite for the vectorized compiled core: the binary
+// and X observability rows (every net, ragged pattern tails) and every
+// SIMD backend must be bit-identical to the reference oracles
 // (reference_sim.hpp), whose line and good-machine walks are the seed's
 // interpreted evaluators (reference_logic.hpp), so everything here is
 // pinned to the seed.  Covers line stuck-at stems and branches,
@@ -18,10 +18,10 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/compiled_circuit.hpp"
 #include "logic/logic_sim.hpp"
+#include "logic/netlist_ingest.hpp"
 #include "logic/packed_kernels.hpp"
 #include "logic/simd.hpp"
 #include "util/rng.hpp"
@@ -182,6 +182,64 @@ TEST(CompiledBatch, ObservabilityRowsMatchTheStemFaultOracle) {
   }
 }
 
+/// The X row oracle: per pattern, a scalar three-valued pass in
+/// topological order (eval_cell_x) with `net` forced to X; bit k of word
+/// k / 64 is set when some PO comes out X.
+std::vector<std::uint64_t> scalar_x_row(const Circuit& ckt,
+                                        const std::vector<Pattern>& patterns,
+                                        NetId net) {
+  std::vector<std::uint64_t> row((patterns.size() + 63) / 64, 0);
+  std::vector<LogicV> v;
+  for (std::size_t k = 0; k < patterns.size(); ++k) {
+    v.assign(static_cast<std::size_t>(ckt.net_count()), LogicV::kX);
+    for (NetId n = 0; n < ckt.net_count(); ++n)
+      if (is_binary(ckt.constant_of(n)))
+        v[static_cast<std::size_t>(n)] = ckt.constant_of(n);
+    for (std::size_t i = 0; i < ckt.primary_inputs().size(); ++i)
+      v[static_cast<std::size_t>(ckt.primary_inputs()[i])] = patterns[k][i];
+    v[static_cast<std::size_t>(net)] = LogicV::kX;
+    for (const int gid : ckt.topo_order()) {
+      const GateInst& g = ckt.gate(gid);
+      if (g.out == net) continue;
+      LogicV in[3] = {LogicV::kX, LogicV::kX, LogicV::kX};
+      for (int i = 0; i < g.input_count(); ++i)
+        in[i] = v[static_cast<std::size_t>(g.in[static_cast<std::size_t>(i)])];
+      v[static_cast<std::size_t>(g.out)] =
+          eval_cell_x(g.kind, in[0], in[1], in[2]);
+    }
+    for (const NetId po : ckt.primary_outputs())
+      if (!is_binary(v[static_cast<std::size_t>(po)]))
+        row[k / 64] |= 1ull << (k % 64);
+  }
+  return row;
+}
+
+TEST(CompiledBatch, XObservabilityRowsMatchTheScalarXPass) {
+  std::vector<Named> inputs = roster();
+  for (const char* file :
+       {"c17.bench", "full_adder.cpn", "full_adder.v", "voter_cells.v"})
+    inputs.push_back({file, load_circuit_file(
+                                std::string(CPSINW_TEST_DATA_DIR) + "/" +
+                                file)});
+  for (const Named& w : inputs) {
+    for (const int count : {0, 1, 63, 64, 65, 300}) {
+      const auto patterns = random_patterns(w.ckt, count, 3 + count);
+      const EvalContext ctx(w.ckt, patterns);
+      ASSERT_TRUE(ctx.packed());
+      std::vector<std::uint64_t> lanes;
+      for (NetId n = 0; n < w.ckt.net_count(); ++n) {
+        const std::vector<std::uint64_t> want =
+            scalar_x_row(w.ckt, patterns, n);
+        const std::uint64_t* row = ctx.xobs_row(n, lanes);
+        for (std::size_t wd = 0; wd < ctx.word_count(); ++wd)
+          ASSERT_EQ(row[wd] & ctx.active_words()[wd], want[wd])
+              << w.name << " patterns " << count << " net " << n << " word "
+              << wd;
+      }
+    }
+  }
+}
+
 TEST(CompiledBatch, RunRangeMatchesReferenceRecords) {
   for (const Named& w : roster()) {
     const auto patterns = random_patterns(w.ckt, 90, 31);
@@ -276,27 +334,29 @@ TEST(CompiledBatch, SimdBackendBitIdenticalToPortable) {
                                 ctx.plane_stride());
     ASSERT_EQ(wide_planes, portable_planes) << w.name;
 
-    // Observability rows: identical words under both backends, each
-    // filled in its own context.
+    // Binary and X observability rows: identical words under both
+    // backends, each filled in its own context.
     std::vector<std::uint64_t> lanes;
-    std::vector<std::uint64_t> wide_rows;
-    for (NetId n = 0; n < w.ckt.net_count(); ++n) {
-      const std::uint64_t* row = ctx.obs_row(n, lanes);
-      wide_rows.insert(wide_rows.end(), row, row + ctx.word_count());
-    }
+    const auto all_rows = [&](const EvalContext& c) {
+      std::vector<std::uint64_t> rows;
+      for (NetId n = 0; n < w.ckt.net_count(); ++n) {
+        const std::uint64_t* row = c.obs_row(n, lanes);
+        rows.insert(rows.end(), row, row + c.word_count());
+        const std::uint64_t* xrow = c.xobs_row(n, lanes);
+        rows.insert(rows.end(), xrow, xrow + c.word_count());
+      }
+      return rows;
+    };
+    const std::vector<std::uint64_t> wide_rows = all_rows(ctx);
     std::vector<std::uint64_t> portable_rows;
     {
       ForcePortable pin(true);
       const EvalContext port_ctx(w.ckt, patterns);
-      for (NetId n = 0; n < w.ckt.net_count(); ++n) {
-        const std::uint64_t* row = port_ctx.obs_row(n, lanes);
-        portable_rows.insert(portable_rows.end(), row,
-                             row + port_ctx.word_count());
-      }
+      portable_rows = all_rows(port_ctx);
     }
     ASSERT_EQ(wide_rows, portable_rows) << w.name;
 
-    // Full run_range (rows, retained kernel) under each backend.
+    // Full run_range (both row kinds) under each backend.
     const FaultSimulator fsim(w.ckt);
     faults::FaultListOptions flo;
     flo.collapse = false;
@@ -315,42 +375,28 @@ TEST(CompiledBatch, SimdBackendBitIdenticalToPortable) {
 /// set, in call order.
 struct TableRun {
   std::vector<std::uint64_t> planes;
-  std::vector<std::uint64_t> stem;      ///< one observability row per net
-  std::vector<std::uint64_t> retained;  ///< detect/potential/contention/carry
-  std::vector<std::uint64_t> bridge;    ///< detect + contention
+  std::vector<std::uint64_t> stem;    ///< one observability row per net
+  std::vector<std::uint64_t> stem_x;  ///< one X observability row per net
+  std::vector<std::uint64_t> bridge;  ///< detect + contention
 };
 
-/// The faults a circuit feeds the fault kernels: every uncollapsed
-/// retained-state transistor fault and a band of net pairs, adjacent and a
-/// few ids apart, under all four wirings.  The stem kernel walks every
-/// net.
-struct KernelFaults {
-  std::vector<std::pair<int, const gates::FaultAnalysis*>> retained;
-  std::vector<CompiledCircuit::Bridge> bridges;
-};
-
-KernelFaults kernel_faults(const Circuit& ckt) {
-  KernelFaults out;
-  faults::FaultListOptions flo;
-  flo.collapse = false;
-  flo.include_line_stuck_at = false;
-  for (const Fault& f : faults::generate_fault_list(ckt, flo)) {
-    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-        ckt.gate(f.gate).kind, f.cell_fault);
-    if (!fa.compiled_binary) out.retained.emplace_back(f.gate, &fa);
-  }
+/// The bridges a circuit feeds the bridge kernel: a band of net pairs,
+/// adjacent and a few ids apart, under all four wirings.  The stem
+/// kernels walk every net.
+std::vector<CompiledCircuit::Bridge> kernel_bridges(const Circuit& ckt) {
+  std::vector<CompiledCircuit::Bridge> out;
   using Wire = CompiledCircuit::Bridge::Wire;
   for (NetId a = 0; a < ckt.net_count(); ++a)
     for (const NetId b : {a + 1, a + 5})
       if (b < ckt.net_count())
         for (const Wire wire : {Wire::kAnd, Wire::kOr, Wire::kDominantA,
                                 Wire::kDominantB})
-          out.bridges.push_back({a, b, wire});
+          out.push_back({a, b, wire});
   return out;
 }
 
 TableRun run_table(const kernels::KernelTable& t, const CompiledCircuit& cc,
-                   const KernelFaults& kf,
+                   const std::vector<CompiledCircuit::Bridge>& bridges,
                    const std::vector<std::uint64_t>& seeded,
                    const std::vector<std::uint64_t>& active,
                    std::size_t stride) {
@@ -360,40 +406,19 @@ TableRun run_table(const kernels::KernelTable& t, const CompiledCircuit& cc,
   t.planes(cc, run.planes.data(), stride);
   const std::uint64_t* good = run.planes.data();
   std::vector<std::uint64_t> lanes;
-  std::vector<std::uint64_t> x_lanes;
   std::vector<std::uint64_t> n1_lanes;
 
   std::vector<std::uint64_t> a(n_words);
   std::vector<std::uint64_t> b(n_words);
-  std::vector<std::uint64_t> c(n_words);
+  // Each net's binary walk, then its X walk on the cached cone.
   for (NetId n = 0; n < cc.circuit().net_count(); ++n) {
     t.stem_planes(cc, good, stride, n_words, n, a.data(), lanes);
     run.stem.insert(run.stem.end(), a.begin(), a.end());
+    t.stem_x_planes(cc, good, stride, n_words, n, a.data(), lanes);
+    run.stem_x.insert(run.stem_x.end(), a.begin(), a.end());
   }
 
-  // Two calls per fault, split at the first SIMD group like the fault
-  // simulator's first strip, so the carry crosses a call boundary.
-  for (const bool retain : {false, true}) {
-    for (const auto& [gate, fa] : kf.retained) {
-      CompiledCircuit::RetainedCarry carry;
-      for (std::size_t w0 = 0; w0 < n_words;) {
-        const std::size_t nw = w0 == 0 ? std::min<std::size_t>(
-                                             CompiledCircuit::kSimdWords,
-                                             n_words)
-                                       : n_words - w0;
-        t.retained_planes(cc, good + w0, stride, nw, gate, *fa, retain, carry,
-                          a.data(), b.data(), c.data(), lanes, x_lanes);
-        run.retained.insert(run.retained.end(), a.begin(), a.begin() + nw);
-        run.retained.insert(run.retained.end(), b.begin(), b.begin() + nw);
-        run.retained.insert(run.retained.end(), c.begin(), c.begin() + nw);
-        run.retained.push_back(carry.value);
-        run.retained.push_back(carry.x);
-        w0 += nw;
-      }
-    }
-  }
-
-  for (const CompiledCircuit::Bridge& br : kf.bridges) {
+  for (const CompiledCircuit::Bridge& br : bridges) {
     t.bridge_planes(cc, good, stride, n_words, br, a.data(), b.data(), lanes,
                     n1_lanes);
     run.bridge.insert(run.bridge.end(), a.begin(), a.end());
@@ -418,8 +443,8 @@ TEST(CompiledBatch, EverySupportedTableMatchesPortable) {
 
   for (const Named& w : roster()) {
     const CompiledCircuit cc(w.ckt);
-    const KernelFaults kf = kernel_faults(w.ckt);
-    ASSERT_FALSE(kf.retained.empty()) << w.name;
+    const std::vector<CompiledCircuit::Bridge> bridges =
+        kernel_bridges(w.ckt);
     // Word and SIMD-group boundaries, and (1100) more words than one
     // cone-kernel strip.
     for (const std::size_t n_patterns : {1, 65, 200, 300, 1100}) {
@@ -437,17 +462,16 @@ TEST(CompiledBatch, EverySupportedTableMatchesPortable) {
       std::vector<std::uint64_t> seeded;
       cc.init_packed_planes(pi.data(), stride, seeded);
 
-      const TableRun want = run_table(*portable, cc, kf, seeded, active,
-                                      stride);
+      const TableRun want =
+          run_table(*portable, cc, bridges, seeded, active, stride);
       for (const simd::Backend b : wide) {
         const TableRun got =
-            run_table(*kernels::table(b), cc, kf, seeded, active, stride);
+            run_table(*kernels::table(b), cc, bridges, seeded, active, stride);
         const std::string label = w.name + " " + simd::backend_name(b) +
                                   " patterns " + std::to_string(n_patterns);
         EXPECT_TRUE(got.planes == want.planes) << label << " planes";
         EXPECT_TRUE(got.stem == want.stem) << label << " stem_planes";
-        EXPECT_TRUE(got.retained == want.retained)
-            << label << " retained_planes";
+        EXPECT_TRUE(got.stem_x == want.stem_x) << label << " stem_x_planes";
         EXPECT_TRUE(got.bridge == want.bridge) << label << " bridge_planes";
       }
     }
