@@ -1,6 +1,7 @@
 #include "atpg/channel_break.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace cpsinw::atpg {
 
@@ -149,6 +150,24 @@ ChannelBreakOutcome evaluate_cell_test(CellKind kind,
   return out;
 }
 
+std::optional<ChannelBreakTest> gate_channel_break_test(
+    const PodemEngine& engine, int gate, int transistor,
+    const PodemOptions& opt) {
+  const logic::Circuit& ckt = engine.circuit();
+  const logic::GateInst& g = ckt.gate(gate);
+  auto test = derive_cell_test(g.kind, transistor);
+  if (!test) return std::nullopt;
+  test->gate = gate;
+  test->pi_accessible = true;
+  for (int i = 0; i < g.input_count(); ++i)
+    if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
+      test->pi_accessible = false;
+  AtpgResult just = engine.justify_gate_cube(gate, test->local_vector, opt);
+  if (just.status == AtpgStatus::kDetected)
+    test->pattern = std::move(just.pattern);
+  return test;
+}
+
 std::vector<ChannelBreakTest> generate_channel_break_tests(
     const logic::Circuit& ckt, const PodemOptions& opt) {
   const PodemEngine engine(ckt);
@@ -157,20 +176,9 @@ std::vector<ChannelBreakTest> generate_channel_break_tests(
     if (!gates::is_dynamic_polarity(g.kind)) continue;
     const int nt =
         static_cast<int>(gates::cell(g.kind).transistors.size());
-    for (int t = 0; t < nt; ++t) {
-      auto test = derive_cell_test(g.kind, t);
-      if (!test) continue;
-      test->gate = g.id;
-      bool pi_fed = true;
-      for (int i = 0; i < g.input_count(); ++i)
-        if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
-          pi_fed = false;
-      test->pi_accessible = pi_fed;
-      const AtpgResult just =
-          engine.justify_gate_cube(g.id, test->local_vector, opt);
-      if (just.status == AtpgStatus::kDetected) test->pattern = just.pattern;
-      out.push_back(*test);
-    }
+    for (int t = 0; t < nt; ++t)
+      if (auto test = gate_channel_break_test(engine, g.id, t, opt))
+        out.push_back(std::move(*test));
   }
   return out;
 }

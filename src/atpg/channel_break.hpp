@@ -86,9 +86,18 @@ struct ChannelBreakOutcome {
 [[nodiscard]] ChannelBreakOutcome evaluate_cell_test(
     gates::CellKind kind, const ChannelBreakTest& test);
 
+/// derive_cell_test's test for transistor `transistor` of gate `gate` of
+/// the engine's circuit, bound to the gate: `gate` and `pi_accessible`
+/// set, and `pattern` set when PODEM justifies the gate's local vector
+/// (left empty otherwise).  nullopt when derive_cell_test has none (SP
+/// cells included).
+[[nodiscard]] std::optional<ChannelBreakTest> gate_channel_break_test(
+    const PodemEngine& engine, int gate, int transistor,
+    const PodemOptions& opt = {});
+
 /// Generates channel-break tests for every transistor of every DP gate in
 /// a circuit, justifying each gate's local vector through the surrounding
-/// logic with PODEM.
+/// logic with PODEM (gate_channel_break_test per transistor).
 [[nodiscard]] std::vector<ChannelBreakTest> generate_channel_break_tests(
     const logic::Circuit& ckt, const PodemOptions& opt = {});
 

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "faults/fault_sim.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 
 namespace cpsinw::atpg {
@@ -559,8 +558,7 @@ const gates::FaultAnalysis& checked_transistor_dictionary(
     throw std::invalid_argument(name + ": not a transistor fault");
   if (const char* error = faults::transistor_fault_error(ckt, fault))
     throw std::invalid_argument(name + ": " + error);
-  return gates::DictionaryCache::global().lookup(ckt.gate(fault.gate).kind,
-                                                 fault.cell_fault);
+  return gates::dictionary(ckt.gate(fault.gate).kind, fault.cell_fault);
 }
 
 AtpgResult PodemEngine::generate_line(const Fault& fault,

@@ -47,12 +47,13 @@ struct PodemOptions {
   int backtrack_limit = 5000;
 };
 
-/// The switch-level dictionary of a transistor fault of `ckt`, looked up
-/// only once the fault's gate id and transistor index are checked, so a
-/// bad id neither reaches the cell tables nor adds a cache entry.
+/// The switch-level dictionary of a transistor fault of `ckt`
+/// (gates::dictionary), looked up only once transistor_fault_error passes
+/// the fault, so a bad one is rejected with its reason.
 /// @throws std::invalid_argument naming `where` when `fault` is not a
-///   transistor fault, its gate id is not in [0, gate_count()) or its
-///   transistor index is not in [0, the cell's transistor count)
+///   transistor fault, its gate id is not in [0, gate_count()), it has no
+///   kind, or its transistor index is not in [0, the cell's transistor
+///   count)
 [[nodiscard]] const gates::FaultAnalysis& checked_transistor_dictionary(
     const logic::Circuit& ckt, const faults::Fault& fault, const char* where);
 

@@ -6,7 +6,6 @@
 
 #include "core/campaign_sweep.hpp"
 #include "core/test_flow.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 #include "spice/measure.hpp"
@@ -241,7 +240,7 @@ Table3Data run_table3() {
          {gates::TransistorFault::kStuckAtNType,
           gates::TransistorFault::kStuckAtPType}) {
       const gates::FaultAnalysis& fa =
-          gates::DictionaryCache::global().lookup(CellKind::kXor2, {t, kind});
+          gates::dictionary(CellKind::kXor2, {t, kind});
 
       Table3Row row;
       row.transistor = t;

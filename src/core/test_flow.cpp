@@ -3,7 +3,7 @@
 #include <utility>
 #include <variant>
 
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 
 namespace cpsinw::core {
 
@@ -56,13 +56,12 @@ using FaultTest = std::variant<std::monostate, logic::Pattern,
                                atpg::TwoPatternTest, atpg::ChannelBreakTest>;
 
 /// Targets one fault with the strongest applicable method, filling its
-/// outcome.  Shares only the immutable engine and circuit and the
-/// thread-safe global dictionary cache; each search owns its solver state,
-/// so faults may be targeted concurrently.
+/// outcome.  Shares only the immutable engine, circuit and dictionary
+/// table; each search owns its solver state, so faults may be targeted
+/// concurrently.
 FaultTest target_fault(const atpg::PodemEngine& engine,
                        const TestFlowOptions& options, const Fault& f,
                        FaultOutcome& outcome) {
-  const logic::Circuit& ckt = engine.circuit();
   outcome.fault = f;
 
   if (f.site != FaultSite::kGateTransistor) {
@@ -74,9 +73,8 @@ FaultTest target_fault(const atpg::PodemEngine& engine,
   }
 
   // Transistor fault: pick the strongest applicable method.
-  const logic::GateInst& g = ckt.gate(f.gate);
   const gates::FaultAnalysis& fa =
-      gates::DictionaryCache::global().lookup(g.kind, f.cell_fault);
+      gates::dictionary(engine.circuit().gate(f.gate).kind, f.cell_fault);
 
   if (fa.output_detectable) {
     AtpgResult r = engine.generate_functional(f, options.podem);
@@ -105,24 +103,13 @@ FaultTest target_fault(const atpg::PodemEngine& engine,
     }
   }
   if (!options.classical_only &&
-      f.cell_fault.kind == gates::TransistorFault::kStuckOpen &&
-      gates::is_dynamic_polarity(g.kind)) {
-    auto test = atpg::derive_cell_test(g.kind, f.cell_fault.transistor);
-    if (test) {
-      test->gate = f.gate;
-      bool pi_fed = true;
-      for (int i = 0; i < g.input_count(); ++i)
-        if (!ckt.is_primary_input(g.in[static_cast<std::size_t>(i)]))
-          pi_fed = false;
-      test->pi_accessible = pi_fed;
-      const AtpgResult just =
-          engine.justify_gate_cube(f.gate, test->local_vector, options.podem);
-      if (just.status == AtpgStatus::kDetected) {
-        test->pattern = just.pattern;
-        outcome.method = CoverageMethod::kChannelBreak;
-        outcome.status = AtpgStatus::kDetected;
-        return std::move(*test);
-      }
+      f.cell_fault.kind == gates::TransistorFault::kStuckOpen) {
+    auto test = atpg::gate_channel_break_test(
+        engine, f.gate, f.cell_fault.transistor, options.podem);
+    if (test && test->pattern) {
+      outcome.method = CoverageMethod::kChannelBreak;
+      outcome.status = AtpgStatus::kDetected;
+      return std::move(*test);
     }
   }
   return {};

@@ -343,8 +343,8 @@ ShardWorkInput parse_shard_input(const std::string& text) {
     input.patterns.push_back(std::move(p));
   }
 
-  // A transistor fault's ids index the circuit's cell tables: reject bad
-  // ones here, with the document's other errors.
+  // A transistor fault's ids and kind index the circuit's cell tables:
+  // reject bad ones here, with the document's other errors.
   for (const JsonValue& fv : doc.at("faults").as_array("faults")) {
     input.faults.push_back(parse_fault(fv));
     const CampaignFault& cf = input.faults.back();

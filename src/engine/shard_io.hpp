@@ -45,10 +45,10 @@ struct ShardWorkInput {
 /// Unknown keys are ignored, so documents from older writers still parse.
 /// @throws std::runtime_error on malformed JSON, an unknown version, a
 ///   document that fails circuit finalization, a transistor fault whose
-///   gate id or transistor index does not fit the circuit
-///   (faults::transistor_fault_error), a `detection_mode` other than
-///   "full" or "first_only", or a `fault_sample_fraction` outside (0, 1]
-///   (the range run_campaign enforces)
+///   gate id or transistor index does not fit the circuit or whose kind
+///   is "none" (faults::transistor_fault_error), a `detection_mode` other
+///   than "full" or "first_only", or a `fault_sample_fraction` outside
+///   (0, 1] (the range run_campaign enforces)
 [[nodiscard]] ShardWorkInput parse_shard_input(const std::string& text);
 
 /// Serializes a shard result for the reply frame.

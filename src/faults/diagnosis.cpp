@@ -14,8 +14,9 @@ using logic::Pattern;
 namespace {
 
 /// Throws std::invalid_argument, prefixed with `where`, when the fault's
-/// ids do not fit the circuit (checked_line_fault, transistor_fault_error):
-/// predict indexes nets, gates and pins with them unchecked.
+/// ids do not fit the circuit or a transistor fault has no kind
+/// (checked_line_fault, transistor_fault_error): predict indexes nets,
+/// gates and pins with them unchecked.
 void check_fault(const logic::Circuit& ckt, const Fault& fault,
                  const std::string& where) {
   if (fault.site == FaultSite::kGateTransistor) {

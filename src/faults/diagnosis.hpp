@@ -39,7 +39,8 @@ struct DiagnosisCandidate {
 /// Patterns are treated independently (no sequence retention), matching a
 /// combinational tester flow.
 /// @throws std::invalid_argument when the fault's ids do not fit the
-///   circuit (see checked_line_fault and transistor_fault_error)
+///   circuit or a transistor fault has no kind (see checked_line_fault
+///   and transistor_fault_error)
 [[nodiscard]] Observation predict_observation(const logic::Circuit& ckt,
                                               const Fault& fault,
                                               const logic::Pattern& pattern);
@@ -52,7 +53,8 @@ struct DiagnosisCandidate {
 /// observations; candidates are ordered by descending score.
 /// An X in a simulated output is compatible with any observed value.
 /// @throws std::invalid_argument when some candidate's ids do not fit the
-///   circuit, before any candidate is simulated
+///   circuit or a transistor candidate has no kind, before any candidate
+///   is simulated
 [[nodiscard]] std::vector<DiagnosisCandidate> diagnose(
     const logic::Circuit& ckt, std::span<const Observation> observations,
     const std::vector<Fault>& candidates);

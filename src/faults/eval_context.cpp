@@ -26,20 +26,16 @@ void fill_once(std::atomic<bool>& done, std::mutex& lock, const Fill& fill) {
 }  // namespace
 
 EvalContext::EvalContext(const logic::Circuit& ckt,
-                         std::vector<logic::Pattern> patterns,
-                         gates::DictionaryCache* cache)
-    : cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
-      patterns_(std::move(patterns)),
+                         std::vector<logic::Pattern> patterns)
+    : patterns_(std::move(patterns)),
       owned_(std::make_unique<const logic::CompiledCircuit>(ckt)),
       cc_(owned_.get()) {
   build();
 }
 
 EvalContext::EvalContext(const logic::CompiledCircuit& compiled,
-                         std::vector<logic::Pattern> patterns,
-                         gates::DictionaryCache* cache)
-    : cache_(cache != nullptr ? cache : &gates::DictionaryCache::global()),
-      patterns_(std::move(patterns)),
+                         std::vector<logic::Pattern> patterns)
+    : patterns_(std::move(patterns)),
       cc_(&compiled) {
   build();
 }

@@ -5,10 +5,10 @@
 // (O(faults x patterns) good-machine work); an EvalContext makes that
 // O(patterns).  It holds the good machine once: as SoA bit planes when
 // every pattern is fully specified (packed()), as per-pattern scalar
-// SimResults otherwise; plus a memoized fault-dictionary cache and, on
-// packed contexts, the per-net observability rows every fault that
-// changes one net shares: where a flip of the net reaches a PO (obs_row)
-// and where an X on it reaches a PO as X (xobs_row).
+// SimResults otherwise; and, on packed contexts, the per-net
+// observability rows every fault that changes one net shares: where a
+// flip of the net reaches a PO (obs_row) and where an X on it reaches a
+// PO as X (xobs_row).
 //
 // Ownership and lifetime rules:
 //   * the circuit is held by reference and must outlive the context;
@@ -28,8 +28,8 @@
 //     the first request for a row of that kind: a context no fault asks a
 //     row of pays nothing for it, and one whose faults never put an X on a
 //     net (line faults, binary dictionaries) never allocates an X row;
-//   * the dictionary cache is borrowed (default: the process-wide
-//     gates::DictionaryCache::global()) and must outlive the context.
+//   * the context holds no dictionaries: every fault reads the library's
+//     one table, gates::dictionary(), which lives as long as the process.
 #pragma once
 
 #include <atomic>
@@ -39,7 +39,7 @@
 #include <mutex>
 #include <vector>
 
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/logic_sim.hpp"
 
 namespace cpsinw::faults {
@@ -51,19 +51,16 @@ class EvalContext {
   /// (binary), per-pattern scalar results otherwise.  Only the line-fault
   /// path requires packability.
   /// @param ckt finalized circuit; must outlive the context
-  /// @param cache borrowed dictionary cache; nullptr selects global()
   /// @throws std::invalid_argument for an unfinalized circuit or a pattern
   ///   whose length is not the circuit's primary-input count
-  EvalContext(const logic::Circuit& ckt, std::vector<logic::Pattern> patterns,
-              gates::DictionaryCache* cache = nullptr);
+  EvalContext(const logic::Circuit& ckt, std::vector<logic::Pattern> patterns);
 
   /// As above over a borrowed compilation of `compiled.circuit()`: builds
   /// the good machine without compiling the circuit again.
   /// @param compiled borrowed; must outlive the context
   /// @throws std::invalid_argument for a pattern of the wrong length
   EvalContext(const logic::CompiledCircuit& compiled,
-              std::vector<logic::Pattern> patterns,
-              gates::DictionaryCache* cache = nullptr);
+              std::vector<logic::Pattern> patterns);
 
   [[nodiscard]] const logic::Circuit& circuit() const {
     return cc_->circuit();
@@ -120,13 +117,11 @@ class EvalContext {
     return good_[index];
   }
 
-  /// Memoized switch-level dictionary of (kind, fault).
+  /// gates::dictionary(kind, fault), for callers that hold a context.
   [[nodiscard]] const gates::FaultAnalysis& dictionary(
       gates::CellKind kind, const gates::CellFault& fault) const {
-    return cache_->lookup(kind, fault);
+    return gates::dictionary(kind, fault);
   }
-
-  [[nodiscard]] gates::DictionaryCache& cache() const { return *cache_; }
 
   /// The compilation, owned or borrowed, that built the good machine and
   /// that every fault walk over the context reads.
@@ -224,7 +219,6 @@ class EvalContext {
   void fill_row(RowMemo& memo, bool x, logic::NetId net,
                 std::vector<std::uint64_t>& lane_scratch) const;
 
-  gates::DictionaryCache* cache_;
   std::vector<logic::Pattern> patterns_;
   std::unique_ptr<const logic::CompiledCircuit> owned_;  ///< null: borrowed
   const logic::CompiledCircuit* cc_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 
 namespace cpsinw::faults {
@@ -118,8 +117,7 @@ std::vector<Fault> generate_fault_list(const logic::Circuit& ckt,
       std::vector<const gates::FaultAnalysis*> kept;
       for (const gates::CellFault& cf :
            gates::enumerate_transistor_faults(g.kind)) {
-        const gates::FaultAnalysis& fa =
-            gates::DictionaryCache::global().lookup(g.kind, cf);
+        const gates::FaultAnalysis& fa = gates::dictionary(g.kind, cf);
         // A polarity bridge onto the rail the PG is already tied to is not
         // an electrical defect: never listed.  Other benign-looking faults
         // (e.g. a statically-masked channel break) stay in the universe —

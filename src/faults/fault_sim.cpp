@@ -1,11 +1,9 @@
 #include "faults/fault_sim.hpp"
 
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
 #include "faults/word_fold.hpp"
-#include "gates/dictionary_cache.hpp"
 
 namespace cpsinw::faults {
 
@@ -217,6 +215,8 @@ logic::CompiledCircuit::LineFault checked_line_fault(
 const char* transistor_fault_error(const logic::Circuit& ckt,
                                    const Fault& fault) {
   if (fault.gate < 0 || fault.gate >= ckt.gate_count()) return "bad gate id";
+  if (fault.cell_fault.kind == gates::TransistorFault::kNone)
+    return "no fault kind";
   if (!gates::has_transistor(ckt.gate(fault.gate).kind,
                              fault.cell_fault.transistor))
     return "bad transistor index";
@@ -258,19 +258,19 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
   // Every fault is self-contained: line and transistor faults fold a
   // one-gate step against the context's shared observability rows, and
   // transistor faults on X-bearing contexts take the serial walk.  One
-  // scratch set serves the whole range (the stem walks behind the rows
-  // keep their cone cache in `lanes`, so reuse also skips its per-call
+  // lane scratch serves the whole range (the stem walks behind the rows
+  // keep their cone cache in it, so reuse also skips its per-call
   // re-zeroing).
-  WalkScratch scratch;
+  std::vector<std::uint64_t> lanes;
   for (std::size_t fi = begin; fi < end; ++fi) {
     const Fault& f = faults[fi];
     if (f.site == FaultSite::kGateTransistor) {
       records[fi - begin] =
-          simulate_transistor_scratch(ctx, f, options, scratch, stats);
+          transistor_fault_record(ctx, f, options, lanes, stats);
       continue;
     }
-    records[fi - begin] = line_record(ctx, checked_line_fault(ckt_, f),
-                                      options, scratch.lanes);
+    records[fi - begin] =
+        line_record(ctx, checked_line_fault(ckt_, f), options, lanes);
     if (stats != nullptr) ++stats->faults;
   }
   return records;
@@ -308,13 +308,13 @@ DetectionRecord FaultSimulator::simulate_transistor_fault(
 DetectionRecord FaultSimulator::simulate_transistor_fault(
     const EvalContext& ctx, const Fault& fault,
     const FaultSimOptions& options) const {
-  WalkScratch scratch;
-  return simulate_transistor_scratch(ctx, fault, options, scratch);
+  std::vector<std::uint64_t> lanes;
+  return transistor_fault_record(ctx, fault, options, lanes);
 }
 
-DetectionRecord FaultSimulator::simulate_transistor_scratch(
+DetectionRecord FaultSimulator::transistor_fault_record(
     const EvalContext& ctx, const Fault& fault,
-    const FaultSimOptions& options, WalkScratch& scratch,
+    const FaultSimOptions& options, std::vector<std::uint64_t>& lanes,
     LineBatchStats* stats) const {
   check_context(ctx);
   if (fault.site != FaultSite::kGateTransistor)
@@ -322,21 +322,8 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
   if (const char* error = transistor_fault_error(ckt_, fault))
     throw std::invalid_argument(
         std::string("simulate_transistor_fault: ") + error);
-  const gates::CellKind kind = ckt_.gate(fault.gate).kind;
-  const gates::CellFault& cf = fault.cell_fault;
-  // Memoized dictionary lookup, indexed by (kind, fault kind, transistor):
-  // the index is checked above and no cell has more than kTSlots
-  // transistors.
-  constexpr std::size_t kTSlots = 4;
-  assert(static_cast<std::size_t>(cf.transistor) < kTSlots);
-  const std::size_t idx = (static_cast<std::size_t>(kind) * 5 +
-                           static_cast<std::size_t>(cf.kind)) *
-                              kTSlots +
-                          static_cast<std::size_t>(cf.transistor);
-  if (scratch.dicts.size() <= idx) scratch.dicts.resize(idx + 1, nullptr);
-  const gates::FaultAnalysis*& fap = scratch.dicts[idx];
-  if (fap == nullptr) fap = &ctx.dictionary(kind, cf);
-  const gates::FaultAnalysis& fa = *fap;
+  const gates::FaultAnalysis& fa =
+      gates::dictionary(ckt_.gate(fault.gate).kind, fault.cell_fault);
 
   // Every dictionary folds the same record against the faulted output's
   // rows; X-bearing pattern sets keep the serial walk.
@@ -344,7 +331,7 @@ DetectionRecord FaultSimulator::simulate_transistor_scratch(
     if (stats != nullptr)
       ++(fa.compiled_binary ? stats->transistor_binary
                             : stats->transistor_retained);
-    return transistor_record(ctx, fault, fa, options, scratch.lanes);
+    return transistor_record(ctx, fault, fa, options, lanes);
   }
   if (stats != nullptr) ++stats->transistor_serial;
   return serial_walk(ctx, fault, fa, options);

@@ -13,13 +13,14 @@
 // observation covers the paper's polarity faults.
 //
 // All fault-independent work (the circuit compilation, pattern packing,
-// the good machine, the switch-level dictionaries) lives in a
+// the good machine, the observability rows) lives in a
 // faults::EvalContext built once per (circuit, pattern set) and shared
 // across the whole fault universe — and, in the campaign engine, across
-// every shard of a job.  A FaultSimulator owns no compilation: every
-// question runs over a context and reads its compile, so each has one
-// evaluation path.  The context-free signatures are one-line wrappers
-// that build a local context (one compile per call).
+// every shard of a job.  The switch-level dictionaries come from the
+// library's one table, gates::dictionary().  A FaultSimulator owns no
+// compilation: every question runs over a context and reads its compile,
+// so each has one evaluation path.  The context-free signatures are
+// one-line wrappers that build a local context (one compile per call).
 #pragma once
 
 #include <vector>
@@ -107,14 +108,6 @@ struct LineBatchStats {
   std::size_t transistor_serial = 0;
   /// Bridges that took the per-pattern scalar loop (X-bearing patterns).
   std::size_t bridge_serial = 0;
-
-  void merge(const LineBatchStats& o) {
-    faults += o.faults;
-    transistor_binary += o.transistor_binary;
-    transistor_retained += o.transistor_retained;
-    transistor_serial += o.transistor_serial;
-    bridge_serial += o.bridge_serial;
-  }
 };
 
 /// Aggregate result over a fault list.
@@ -137,12 +130,13 @@ struct FaultSimReport {
     const logic::Circuit& ckt, const Fault& fault);
 
 /// Why a transistor fault does not fit the circuit: "bad gate id" when its
-/// gate id is not in [0, gate_count()), "bad transistor index" when its
-/// transistor index is not in [0, the cell's transistor count), nullptr
-/// when it fits.  The site is the caller's to check.  FaultSimulator, the
-/// PODEM entry points and shard_io's parser check this before any
-/// dictionary lookup, so a bad index neither reaches the cell tables nor
-/// adds a DictionaryCache entry.
+/// gate id is not in [0, gate_count()), "no fault kind" when its kind is
+/// TransistorFault::kNone, "bad transistor index" when its transistor
+/// index is not in [0, the cell's transistor count), nullptr when it
+/// fits.  The site is the caller's to check.  FaultSimulator, the PODEM
+/// entry points, diagnosis and shard_io's parser check this before any
+/// dictionary lookup, so a fault outside the cell tables is rejected with
+/// its reason instead of being simulated.
 [[nodiscard]] const char* transistor_fault_error(const logic::Circuit& ckt,
                                                  const Fault& fault);
 
@@ -160,7 +154,8 @@ class FaultSimulator {
                                    const FaultSimOptions& options = {}) const;
 
   /// Context-based variant: the good machine, packed words and
-  /// dictionaries come from `ctx` (built once, shared by every caller).
+  /// observability rows come from `ctx` (built once, shared by every
+  /// caller).
   [[nodiscard]] FaultSimReport run(const EvalContext& ctx,
                                    const std::vector<Fault>& faults,
                                    const FaultSimOptions& options = {}) const;
@@ -219,30 +214,18 @@ class FaultSimulator {
   [[nodiscard]] const logic::Circuit& circuit() const { return ckt_; }
 
  private:
-  /// Scratch buffers of run_range's walks, hoisted so a whole fault range
-  /// shares one set of allocations.  The stem walks behind the
-  /// observability rows keep their cone cache in `lanes`, so a stem's
-  /// binary and X walks discover its cone once (and skip the re-zeroing).
-  struct WalkScratch {
-    std::vector<std::uint64_t> lanes;
-    /// Direct-index memo over (cell kind, transistor, fault kind) for the
-    /// context's dictionary lookups: DictionaryCache::lookup takes a
-    /// mutex and walks a std::map, which dominated the per-fault cost of
-    /// the packed path once the kernels were batched.  Entries stay valid
-    /// for the cache's lifetime, so memoizing pointers is safe.
-    std::vector<const gates::FaultAnalysis*> dicts;
-  };
-
-  /// Dispatching body of simulate_transistor_fault with caller-owned
-  /// scratch (the public overload wraps it with a local set): packed
-  /// contexts fold the dictionary's output against the faulted output's
-  /// observability rows, X-bearing patterns take the serial walk.  Counts
-  /// the path and dictionary kind into `stats` when non-null.
+  /// The per-fault body of run_range and simulate_transistor_fault(ctx,
+  /// ...): packed contexts fold the dictionary's output against the
+  /// faulted output's observability rows, X-bearing patterns take the
+  /// serial walk.  `lanes` is the stem walks' scratch (their cone cache):
+  /// run_range passes one vector for its whole range, so a stem's binary
+  /// and X walks discover its cone once.  Counts the path and dictionary
+  /// kind into `stats` when non-null.
   /// @throws std::invalid_argument on a line fault, or when
-  ///   transistor_fault_error rejects the fault's ids
-  [[nodiscard]] DetectionRecord simulate_transistor_scratch(
+  ///   transistor_fault_error rejects the fault
+  [[nodiscard]] DetectionRecord transistor_fault_record(
       const EvalContext& ctx, const Fault& fault,
-      const FaultSimOptions& options, WalkScratch& scratch,
+      const FaultSimOptions& options, std::vector<std::uint64_t>& lanes,
       LineBatchStats* stats = nullptr) const;
 
   void check_context(const EvalContext& ctx) const;

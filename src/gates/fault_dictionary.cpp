@@ -1,6 +1,20 @@
 #include "gates/fault_dictionary.hpp"
 
+#include <iterator>
+#include <stdexcept>
+
 namespace cpsinw::gates {
+
+namespace {
+
+/// The fault kinds of each transistor.  kFaultKinds[i] is
+/// TransistorFault(i + 1), which dictionary() indexes by; kNone (0) has no
+/// dictionary.
+constexpr TransistorFault kFaultKinds[] = {
+    TransistorFault::kStuckOpen, TransistorFault::kStuckOn,
+    TransistorFault::kStuckAtNType, TransistorFault::kStuckAtPType};
+
+}  // namespace
 
 RowEffect classify_row(const FaultRow& row) {
   const SwitchEval& f = row.faulty;
@@ -74,14 +88,11 @@ FaultAnalysis analyze_fault(CellKind kind, CellFault fault) {
 }
 
 std::vector<CellFault> enumerate_transistor_faults(CellKind kind) {
-  static const TransistorFault kKinds[] = {
-      TransistorFault::kStuckOpen, TransistorFault::kStuckOn,
-      TransistorFault::kStuckAtNType, TransistorFault::kStuckAtPType};
   std::vector<CellFault> out;
   const auto& tpl = cell(kind);
-  out.reserve(tpl.transistors.size() * 4);
+  out.reserve(tpl.transistors.size() * std::size(kFaultKinds));
   for (std::size_t t = 0; t < tpl.transistors.size(); ++t)
-    for (const TransistorFault k : kKinds)
+    for (const TransistorFault k : kFaultKinds)
       out.push_back({static_cast<int>(t), k});
   return out;
 }
@@ -91,6 +102,30 @@ std::vector<FaultAnalysis> all_fault_analyses(CellKind kind) {
   for (const CellFault& f : enumerate_transistor_faults(kind))
     out.push_back(analyze_fault(kind, f));
   return out;
+}
+
+const FaultAnalysis& dictionary(CellKind kind, const CellFault& fault) {
+  // Row k holds cell kind k's dictionaries (all_cell_kinds() lists the
+  // enum in order) in enumerate_transistor_faults order: transistor-major,
+  // then fault kind.  Never destroyed: a thread still running at exit (a
+  // shard server's detached connections) may read it after static
+  // destruction begins.
+  static const auto* const table = [] {
+    auto* rows = new std::vector<std::vector<FaultAnalysis>>();
+    for (const CellKind k : all_cell_kinds())
+      rows->push_back(all_fault_analyses(k));
+    return rows;
+  }();
+  constexpr std::size_t kKinds = std::size(kFaultKinds);
+  const auto k = static_cast<std::size_t>(kind);
+  const auto f = static_cast<std::size_t>(fault.kind);
+  if (k < table->size() && fault.transistor >= 0 && f >= 1 && f <= kKinds) {
+    const std::vector<FaultAnalysis>& row = (*table)[k];
+    const std::size_t i =
+        static_cast<std::size_t>(fault.transistor) * kKinds + (f - 1);
+    if (i < row.size()) return row[i];
+  }
+  throw std::invalid_argument("dictionary: no such cell fault");
 }
 
 }  // namespace cpsinw::gates

@@ -2,6 +2,14 @@
 // fault, the faulty behaviour over all input vectors, plus detectability
 // classification.  These dictionaries are what the logic-level fault
 // simulator and the functional-fault ATPG consume.
+//
+// analyze_fault() derives one dictionary from scratch (2^n switch-level
+// evaluations).  The cell library is fixed, so dictionary() holds every
+// one of its dictionaries (all_cell_kinds() x
+// enumerate_transistor_faults(kind)) in one table, derived once per
+// process on first use: every fault-simulation, ATPG, collapsing and
+// diagnosis pass reads that table, and a lookup is a range check and an
+// index.
 #pragma once
 
 #include <array>
@@ -88,5 +96,14 @@ struct FaultAnalysis {
 
 /// Analyses for every transistor fault of a cell.
 [[nodiscard]] std::vector<FaultAnalysis> all_fault_analyses(CellKind kind);
+
+/// The dictionary of (kind, fault) from the library's table, which the
+/// first call of the process derives whole (thread-safe; later calls only
+/// read).  Every call for one key returns one address, valid until exit.
+/// @throws std::invalid_argument when the key is not in the table: a cell
+///   kind outside all_cell_kinds(), a transistor index outside
+///   [0, the cell's transistor count), or TransistorFault::kNone
+[[nodiscard]] const FaultAnalysis& dictionary(CellKind kind,
+                                              const CellFault& fault);
 
 }  // namespace cpsinw::gates

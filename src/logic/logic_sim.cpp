@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 
 namespace cpsinw::logic {
 
@@ -59,13 +59,8 @@ SimResult Simulator::simulate_faulty(
     const std::vector<LogicV>* previous_state) const {
   if (fault.gate < 0 || fault.gate >= ckt_.gate_count())
     throw std::invalid_argument("simulate_faulty: bad gate id");
-  // Checked before the lookup, so a bad index adds no DictionaryCache
-  // entry (a negative one would read as the fault-free cell).
-  const gates::CellKind kind = ckt_.gate(fault.gate).kind;
-  if (!gates::has_transistor(kind, fault.cell_fault.transistor))
-    throw std::invalid_argument("simulate_faulty: bad transistor index");
   const gates::FaultAnalysis& fa =
-      gates::DictionaryCache::global().lookup(kind, fault.cell_fault);
+      gates::dictionary(ckt_.gate(fault.gate).kind, fault.cell_fault);
   return simulate_faulty_with(pattern, fault, fa, previous_state);
 }
 

@@ -57,14 +57,13 @@ class Simulator {
   /// switch-level fault dictionary; a floating (Z) output retains the value
   /// from `previous_state` (or X when absent).
   /// @throws std::invalid_argument when the gate id is not in
-  ///   [0, gate_count()) or the transistor index is not in [0, the cell's
-  ///   transistor count), before any dictionary lookup
+  ///   [0, gate_count()), or from gates::dictionary when the cell fault is
+  ///   not in its table (a transistor index outside the cell, or no kind)
   [[nodiscard]] SimResult simulate_faulty(
       const Pattern& pattern, const GateFault& fault,
       const std::vector<LogicV>* previous_state = nullptr) const;
 
-  /// As simulate_faulty, but with a caller-provided (cached) dictionary —
-  /// the fault-simulation hot path avoids re-deriving it per pattern.
+  /// As simulate_faulty, but with a caller-provided dictionary.
   [[nodiscard]] SimResult simulate_faulty_with(
       const Pattern& pattern, const GateFault& fault,
       const gates::FaultAnalysis& analysis,

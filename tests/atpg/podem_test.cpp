@@ -4,7 +4,7 @@
 
 #include "atpg/two_pattern.hpp"
 #include "faults/fault_sim.hpp"
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::atpg {
@@ -174,18 +174,23 @@ TEST(Podem, RejectsWrongFaultKinds) {
 }
 
 TEST(Podem, RejectsOutOfRangeTransistorFaults) {
-  // Every transistor-fault entry point checks the gate id and the
-  // transistor index before any lookup: a bad id throws its own
-  // invalid_argument and derives no dictionary.
+  // Every transistor-fault entry point checks the gate id, the fault kind
+  // and the transistor index before any lookup: a bad one throws its own
+  // invalid_argument.  The dictionary table holds none of the bad
+  // transistor keys.
   const logic::Circuit ckt = logic::c17();
   const PodemEngine engine(ckt);
   const auto stuck_open = [](int gate, int transistor) {
     return Fault::transistor(gate, transistor,
                              gates::TransistorFault::kStuckOpen);
   };
-  const std::size_t cached = gates::DictionaryCache::global().size();
+  for (const int t : {99, -1})
+    EXPECT_THROW(
+        (void)gates::dictionary(ckt.gate(0).kind, stuck_open(0, t).cell_fault),
+        std::invalid_argument);
+  const Fault no_kind = Fault::transistor(0, 0, gates::TransistorFault::kNone);
   for (const Fault& f : {stuck_open(99, 0), stuck_open(-1, 0),
-                         stuck_open(0, 99), stuck_open(0, -1)}) {
+                         stuck_open(0, 99), stuck_open(0, -1), no_kind}) {
     SCOPED_TRACE(testing::Message() << "gate " << f.gate << ", transistor "
                                     << f.cell_fault.transistor);
     EXPECT_THROW((void)engine.generate_functional(f), std::invalid_argument);
@@ -195,7 +200,6 @@ TEST(Podem, RejectsOutOfRangeTransistorFaults) {
     EXPECT_THROW((void)generate_two_pattern(engine, f),
                  std::invalid_argument);
   }
-  EXPECT_EQ(gates::DictionaryCache::global().size(), cached);
 }
 
 TEST(V5, CalculusHelpers) {

@@ -15,7 +15,6 @@
 #include "atpg/podem.hpp"
 #include "atpg/scoap.hpp"
 #include "faults/fault.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/compiled_circuit.hpp"
 
@@ -482,8 +481,8 @@ class Podem {
     if (fault.site != faults::FaultSite::kGateTransistor)
       throw std::invalid_argument(
           "generate_functional: not a transistor fault");
-    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-        ckt_.gate(fault.gate).kind, fault.cell_fault);
+    const gates::FaultAnalysis& fa =
+        gates::dictionary(ckt_.gate(fault.gate).kind, fault.cell_fault);
 
     AtpgResult last;
     bool any_aborted = false;
@@ -510,8 +509,8 @@ class Podem {
                                          const PodemOptions& opt = {}) const {
     if (fault.site != faults::FaultSite::kGateTransistor)
       throw std::invalid_argument("generate_iddq: not a transistor fault");
-    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-        ckt_.gate(fault.gate).kind, fault.cell_fault);
+    const gates::FaultAnalysis& fa =
+        gates::dictionary(ckt_.gate(fault.gate).kind, fault.cell_fault);
 
     AtpgResult last;
     bool any_aborted = false;
@@ -536,8 +535,8 @@ class Podem {
     if (fault.site != faults::FaultSite::kGateTransistor)
       throw std::invalid_argument(
           "generate_functional_retained: not a transistor fault");
-    const gates::FaultAnalysis& fa = gates::DictionaryCache::global().lookup(
-        ckt_.gate(fault.gate).kind, fault.cell_fault);
+    const gates::FaultAnalysis& fa =
+        gates::dictionary(ckt_.gate(fault.gate).kind, fault.cell_fault);
     Target t;
     t.functional = true;
     t.func_gate = fault.gate;

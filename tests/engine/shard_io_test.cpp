@@ -243,7 +243,8 @@ TEST(ShardIo, OutOfRangeBridgeNetsThrowInsteadOfCrashing) {
 TEST(ShardIo, OutOfRangeTransistorIndicesThrowAtParse) {
   // A transistor index is a plain int on the wire.  A negative one used to
   // parse and run as "no fault" (reported undetected); the document is
-  // rejected with the parser's other diagnostics instead.
+  // rejected with the parser's other diagnostics instead, and so is a
+  // transistor fault whose kind is "none".
   const logic::Circuit ckt = logic::c17();
   const std::vector<CampaignFault> universe = {CampaignFault::from_fault(
       faults::Fault::transistor(0, 0, gates::TransistorFault::kStuckAtNType))};
@@ -270,6 +271,17 @@ TEST(ShardIo, OutOfRangeTransistorIndicesThrowAtParse) {
                 std::string::npos)
           << e.what();
     }
+  }
+  const std::string kind = "\"kind\":\"ntype\"";
+  const std::size_t kind_at = doc.find(kind);
+  ASSERT_NE(kind_at, std::string::npos);
+  std::string no_kind = doc;
+  no_kind.replace(kind_at, kind.size(), "\"kind\":\"none\"");
+  try {
+    (void)parse_shard_input(no_kind);
+    ADD_FAILURE() << "a transistor fault without a kind parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard_io: transistor fault: no fault kind");
   }
 }
 

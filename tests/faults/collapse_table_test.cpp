@@ -13,7 +13,6 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 #include "util/rng.hpp"
@@ -87,8 +86,7 @@ TEST(CollapseTable, EveryMappingMatchesBruteForceDictionaryComparison) {
   for (const CellKind kind : gates::all_cell_kinds()) {
     for (const gates::CellFault& cf :
          gates::enumerate_transistor_faults(kind)) {
-      const FaultAnalysis& fa =
-          gates::DictionaryCache::global().lookup(kind, cf);
+      const FaultAnalysis& fa = gates::dictionary(kind, cf);
       const CollapseTarget got = collapse_target(kind, fa);
       const CollapseTarget want = brute_force_target(kind, fa);
       const std::string label = std::string(gates::to_string(kind)) + " t" +
@@ -238,8 +236,7 @@ TEST(CollapseTable, IddqObservationKeepsContendingFaults) {
     for (const Fault& f : hi) {
       if (f.site != FaultSite::kGateTransistor) continue;
       const gates::CellKind kind = w.ckt.gate(f.gate).kind;
-      const FaultAnalysis& fa =
-          gates::DictionaryCache::global().lookup(kind, f.cell_fault);
+      const FaultAnalysis& fa = gates::dictionary(kind, f.cell_fault);
       const CollapseTarget t = collapse_target(kind, fa);
       bool in_logic_only = false;
       for (const Fault& c : lo)

@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::faults {
@@ -135,19 +135,23 @@ TEST(Diagnosis, PredictionsMarkLineContention) {
   EXPECT_FALSE(predict_observation(ckt, f, p1).iddq_elevated);
 }
 
-/// Ids outside the circuit are rejected by both entry points before
-/// anything indexes with them or caches a dictionary for them, also when
-/// a valid candidate comes first.
+/// Ids outside the circuit, and a transistor fault without a kind, are
+/// rejected by both entry points before anything indexes with them or
+/// looks a dictionary up for them, also when a valid candidate comes
+/// first.
 TEST(Diagnosis, RejectsOutOfRangeFaults) {
   const logic::Circuit ckt = logic::c17();
   const Pattern ones(5, LogicV::k1);
   const std::vector<Observation> observed = {
       predict_good_observation(ckt, ones)};
-  const std::size_t cached = gates::DictionaryCache::global().size();
+  EXPECT_THROW((void)gates::dictionary(ckt.gate(0).kind,
+                                       {-1, gates::TransistorFault::kStuckOn}),
+               std::invalid_argument);
   for (const Fault& bad :
        {Fault::net_stuck(ckt.net_count() + 1000, true),
         Fault::transistor(0, -1, gates::TransistorFault::kStuckOn),
-        Fault::input_stuck(99, 0, true)}) {
+        Fault::input_stuck(99, 0, true),
+        Fault::transistor(0, 0, gates::TransistorFault::kNone)}) {
     EXPECT_THROW((void)predict_observation(ckt, bad, ones),
                  std::invalid_argument);
     EXPECT_THROW((void)diagnose(ckt, observed, {bad}), std::invalid_argument);
@@ -155,7 +159,6 @@ TEST(Diagnosis, RejectsOutOfRangeFaults) {
         (void)diagnose(ckt, observed, {Fault::net_stuck(0, true), bad}),
         std::invalid_argument);
   }
-  EXPECT_EQ(gates::DictionaryCache::global().size(), cached);
   // The message names the entry point.
   try {
     (void)diagnose(ckt, observed, {Fault::input_stuck(99, 0, true)});

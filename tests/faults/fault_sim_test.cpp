@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 
 namespace cpsinw::faults {
@@ -146,18 +146,33 @@ TEST(FaultSim, RejectsWrongSiteKinds) {
 TEST(FaultSim, RejectsOutOfRangeTransistorIndices) {
   // A negative index reads as "no fault" in the cell tables and 99 is
   // past them: both must throw before any dictionary lookup, so neither
-  // comes back as an undetected record nor adds a cache entry.
+  // comes back as an undetected record.  The dictionary table holds
+  // neither key.
   const logic::Circuit ckt = logic::c17();
   const FaultSimulator fsim(ckt);
   const std::vector<Pattern> patterns = exhaustive_patterns(ckt);
-  const std::size_t cached = gates::DictionaryCache::global().size();
+  const gates::CellKind kind = ckt.gate(0).kind;
   for (const int t : {-1, -5, 99}) {
     const Fault f =
         Fault::transistor(0, t, gates::TransistorFault::kStuckAtNType);
     EXPECT_THROW((void)fsim.run({f}, patterns), std::invalid_argument)
         << "transistor " << t;
+    EXPECT_THROW((void)gates::dictionary(kind, f.cell_fault),
+                 std::invalid_argument)
+        << "transistor " << t;
   }
-  EXPECT_EQ(gates::DictionaryCache::global().size(), cached);
+  // A fault without a kind is no defect: rejected by name, not simulated
+  // as the fault-free cell (an undetected record).
+  const Fault none = Fault::transistor(0, 0, gates::TransistorFault::kNone);
+  EXPECT_THROW((void)fsim.run({none}, patterns), std::invalid_argument);
+  try {
+    (void)fsim.simulate_transistor_fault(none, patterns);
+    ADD_FAILURE() << "a fault without a kind was simulated";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "simulate_transistor_fault: no fault kind");
+  }
+  EXPECT_THROW((void)gates::dictionary(kind, none.cell_fault),
+               std::invalid_argument);
 }
 
 }  // namespace

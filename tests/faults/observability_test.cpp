@@ -23,7 +23,7 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
-#include "gates/dictionary_cache.hpp"
+#include "gates/fault_dictionary.hpp"
 #include "logic/bench_format.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/compiled_circuit.hpp"
@@ -139,8 +139,7 @@ TEST(Observability, DeepFanoutFreeChainStaysIterative) {
     for (const Fault& f : generate_fault_list(*ckt, flo))
       if (f.gate == first_gate &&
           f.cell_fault.kind == gates::TransistorFault::kStuckOn &&
-          gates::DictionaryCache::global()
-              .lookup(gates::CellKind::kInv, f.cell_fault)
+          gates::dictionary(gates::CellKind::kInv, f.cell_fault)
               .compiled_binary) {
         faults.push_back(f);
         ++stuck_on;
@@ -175,8 +174,7 @@ TEST(Observability, LineAndBinaryFaultsAllocateNoXRow) {
     std::size_t binary = 0;
     for (const Fault& f : faults)
       if (f.site == FaultSite::kGateTransistor) {
-        ASSERT_TRUE(gates::DictionaryCache::global()
-                        .lookup(in.ckt.gate(f.gate).kind, f.cell_fault)
+        ASSERT_TRUE(gates::dictionary(in.ckt.gate(f.gate).kind, f.cell_fault)
                         .compiled_binary)
             << in.name;
         ++binary;

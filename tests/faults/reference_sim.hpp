@@ -14,7 +14,6 @@
 #include "faults/fault.hpp"
 #include "faults/fault_sim.hpp"
 #include "faults/random_patterns.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/logic_sim.hpp"
 #include "util/rng.hpp"
@@ -222,8 +221,7 @@ inline RandomPatternResult random_patterns(
       continue;
     }
     trans[fi].gf = {f.gate, f.cell_fault};
-    trans[fi].fa = &gates::DictionaryCache::global().lookup(
-        ckt.gate(f.gate).kind, f.cell_fault);
+    trans[fi].fa = &gates::dictionary(ckt.gate(f.gate).kind, f.cell_fault);
   }
 
   RandomPatternResult result;

@@ -21,7 +21,6 @@
 #include "engine/telemetry.hpp"
 #include "faults/eval_context.hpp"
 #include "faults/fault_sim.hpp"
-#include "gates/dictionary_cache.hpp"
 #include "gates/fault_dictionary.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/compiled_circuit.hpp"
@@ -282,8 +281,7 @@ TEST(RetainedKernel, DroppingWaitsForAPotentialDetectionPastTheFirstStrip) {
   for (const CellKind kind : gates::all_cell_kinds())
     for (const gates::CellFault& cf :
          gates::enumerate_transistor_faults(kind)) {
-      const gates::FaultAnalysis& fa =
-          gates::DictionaryCache::global().lookup(kind, cf);
+      const gates::FaultAnalysis& fa = gates::dictionary(kind, cf);
       if (pick == nullptr && fa.marginal_detectable && !fa.needs_sequence)
         pick = &fa;
     }
