@@ -177,10 +177,7 @@ class PodemEngine::Solver {
     fault_effects_ += static_cast<int>(v.is_fault_effect()) -
                       static_cast<int>(slot.is_fault_effect());
     slot = v;
-    const auto n = static_cast<std::size_t>(net);
-    for (std::uint32_t k = e_.fanout_begin_[n]; k < e_.fanout_begin_[n + 1];
-         ++k)
-      mark(e_.fanout_[k]);
+    for (const std::uint32_t pos : e_.cc_.fanout(net)) mark(pos);
   }
 
   /// Writes the queued PIs, then re-evaluates every dirty gate in one
@@ -526,22 +523,8 @@ PodemEngine::PodemEngine(const logic::Circuit& ckt)
   for (std::size_t i = 0; i < pis.size(); ++i)
     pi_index_[static_cast<std::size_t>(pis[i])] = static_cast<int>(i);
 
-  // Fan-out CSR over levelized positions, each row ascending; a net read
-  // on two pins of one gate lists that gate once.
-  const auto& gates = cc_.gates();
-  fanout_begin_.reserve(n_nets + 1);
-  fanout_begin_.push_back(0);
-  for (NetId n = 0; n < ckt.net_count(); ++n) {
-    const auto row = static_cast<std::ptrdiff_t>(fanout_.size());
-    for (const int gid : ckt.fanout(n))
-      fanout_.push_back(static_cast<std::uint32_t>(cc_.position_of(gid)));
-    std::sort(fanout_.begin() + row, fanout_.end());
-    fanout_.erase(std::unique(fanout_.begin() + row, fanout_.end()),
-                  fanout_.end());
-    fanout_begin_.push_back(static_cast<std::uint32_t>(fanout_.size()));
-  }
-  obs_.reserve(gates.size());
-  for (const auto& g : gates)
+  obs_.reserve(cc_.gates().size());
+  for (const auto& g : cc_.gates())
     obs_.push_back(scoap_[static_cast<std::size_t>(g.out)].obs);
 
   std::vector<LogicV> good;

@@ -58,16 +58,17 @@ struct PodemOptions {
     const logic::Circuit& ckt, const faults::Fault& fault, const char* where);
 
 /// PODEM engine bound to a finalized circuit.  Construction compiles the
-/// circuit once (logic::CompiledCircuit), computes SCOAP measures, and
-/// builds the search tables every call shares: each net's index among the
-/// PIs, each net's fan-out as levelized gate positions, the SCOAP
-/// observability of each position's output, and the fault-free state with
-/// every PI at X and constants propagated.  A search starts from that
-/// all-X state and re-evaluates only what its target changes (the forced
-/// stem's fan-out, the branch gate, or the functional gate).  Implication
-/// is event-driven: a decision, flip or unassign re-evaluates, in one
-/// ascending sweep over a dirty bit per position, only gates whose inputs
-/// changed, off the levelized 4-valued tables.  The D-frontier is a bit
+/// circuit once (logic::CompiledCircuit, whose fan-out table over
+/// levelized gate positions drives implication), computes SCOAP measures,
+/// and builds the search tables every call shares: each net's index among
+/// the PIs, the SCOAP observability of each position's output, and the
+/// fault-free state with every PI at X and constants propagated.  A
+/// search starts from that all-X state and re-evaluates only what its
+/// target changes (the forced stem's fan-out, the branch gate, or the
+/// functional gate).  Implication is event-driven: a decision, flip or
+/// unassign re-evaluates, in one ascending sweep over a dirty bit per
+/// position, only gates whose inputs changed, off the levelized 4-valued
+/// tables.  The D-frontier is a bit
 /// per position, updated whenever its gate is re-evaluated, next to a
 /// running count of nets carrying D or D-bar.  SCOAP guides the
 /// backtrace (cheapest controllable input first) and the propagation
@@ -135,10 +136,6 @@ class PodemEngine {
   logic::CompiledCircuit cc_;
   std::vector<Testability> scoap_;
   std::vector<int> pi_index_;  ///< per net: index among the PIs, or -1
-  /// Per net: its consumers' positions in cc_.gates(), ascending, as CSR
-  /// (row n is fanout_[fanout_begin_[n], fanout_begin_[n + 1])).
-  std::vector<std::uint32_t> fanout_begin_;
-  std::vector<std::uint32_t> fanout_;
   std::vector<int> obs_;  ///< per position: SCOAP observability of its output
   std::vector<V5> all_x_;  ///< per net: fault-free value, every PI at X
 };

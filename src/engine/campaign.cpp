@@ -278,6 +278,17 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
         .record_since(t_shards);
     telem.trace.add_span("campaign:shards", "phase", t_shards,
                          telemetry::Clock::now());
+    // The stem walks each job's shards triggered on its context, and the
+    // gates they evaluated.  kRemote shards run on the servers' contexts,
+    // so a remote campaign reads 0 here.
+    telemetry::Registry& reg = telem.registry;
+    for (const JobData& job : jobs) {
+      const faults::EvalContext& ctx = *job.context;
+      reg.counter("engine.stem_walks").add(ctx.stem_walks());
+      reg.counter("engine.x_walks").add(ctx.x_walks());
+      reg.counter("engine.stem_gates").add(ctx.stem_gates());
+      reg.counter("engine.x_gates").add(ctx.x_gates());
+    }
   }
 
   const double wall_s =

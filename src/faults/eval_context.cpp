@@ -1,6 +1,7 @@
 #include "faults/eval_context.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "faults/word_fold.hpp"
@@ -21,6 +22,23 @@ void fill_once(std::atomic<bool>& done, std::mutex& lock, const Fill& fill) {
   if (done.load(std::memory_order_relaxed)) return;
   fill();
   done.store(true, std::memory_order_release);
+}
+
+/// The pin through which `net`'s one reader reads it when the net is a
+/// fan-out-free link — not a PO, and read by exactly one pin — or -1.  The
+/// fan-out table lists a gate once however many of its pins read the net,
+/// so the pins of a lone reader are counted here.
+int link_pin(const logic::CompiledCircuit& cc, logic::NetId net) {
+  const std::span<const std::uint32_t> readers = cc.fanout(net);
+  if (cc.is_po(net) || readers.size() != 1) return -1;
+  const logic::CompiledCircuit::GateRec& g = cc.gates()[readers[0]];
+  int pin = -1;
+  for (int i = 0; i < g.n_in; ++i) {
+    if (g.in[static_cast<std::size_t>(i)] != net) continue;
+    if (pin >= 0) return -1;
+    pin = i;
+  }
+  return pin;
 }
 
 }  // namespace
@@ -98,31 +116,27 @@ const std::uint64_t* EvalContext::row(
     std::vector<std::uint64_t>& lane_scratch) const {
   assert(packed_);
   assert(net >= 0 && net < circuit().net_count());
-  const logic::Circuit& ckt = circuit();
   const auto at = [](logic::NetId n) { return static_cast<std::size_t>(n); };
   fill_once(memo.allocated, memo.alloc_lock, [&] {
-    const std::size_t n_net = at(ckt.net_count());
+    const std::size_t n_net = at(circuit().net_count());
     memo.rows = std::make_unique<std::uint64_t[]>(n_net * stride_);
-    memo.nets = std::make_unique<RowMemo::Net[]>(n_net);
+    memo.ready = std::make_unique<std::atomic<bool>[]>(n_net);
     memo.fill_locks = std::make_unique<std::mutex[]>(RowMemo::kFillLocks);
-    for (const logic::NetId po : ckt.primary_outputs())
-      memo.nets[at(po)].is_po = true;
   });
 
-  if (!memo.nets[at(net)].ready.load(std::memory_order_acquire)) {
-    // Walk the chain of single-reader nets forward to the first net whose
+  if (!memo.ready[at(net)].load(std::memory_order_acquire)) {
+    // Walk the chain of fan-out-free links forward to the first net whose
     // row is ready or stands on its own (a PO, a readerless net, a stem),
     // then fill back from there, each row under its own flag.
     std::vector<logic::NetId> chain;
     for (logic::NetId n = net;
-         !memo.nets[at(n)].ready.load(std::memory_order_acquire);) {
+         !memo.ready[at(n)].load(std::memory_order_acquire);) {
       chain.push_back(n);
-      const std::vector<int>& readers = ckt.fanout(n);
-      if (memo.nets[at(n)].is_po || readers.size() != 1) break;
-      n = ckt.gate(readers[0]).out;
+      if (link_pin(*cc_, n) < 0) break;
+      n = cc_->gates()[cc_->fanout(n)[0]].out;
     }
     for (auto it = chain.rbegin(); it != chain.rend(); ++it)
-      fill_once(memo.nets[at(*it)].ready,
+      fill_once(memo.ready[at(*it)],
                 memo.fill_locks[at(*it) % RowMemo::kFillLocks],
                 [&] { fill_row(memo, x, *it, lane_scratch); });
   }
@@ -131,19 +145,16 @@ const std::uint64_t* EvalContext::row(
 
 void EvalContext::fill_row(RowMemo& memo, bool x, logic::NetId net,
                            std::vector<std::uint64_t>& lane_scratch) const {
-  const logic::Circuit& ckt = circuit();
   std::uint64_t* const row =
       memo.rows.get() + static_cast<std::size_t>(net) * stride_;
-  const std::vector<int>& readers = ckt.fanout(net);
-  if (memo.nets[static_cast<std::size_t>(net)].is_po) {
+  const int pin = link_pin(*cc_, net);
+  if (cc_->is_po(net)) {
     std::fill_n(row, stride_, ~0ull);
-  } else if (readers.size() == 1) {
+  } else if (pin >= 0) {
     // Fan-out-free link: the flip (or X) reaches only its reader's output,
     // where the reader's own row takes over.
     const logic::CompiledCircuit::GateRec& g =
-        cc_->gates()[cc_->position_of(readers[0])];
-    unsigned pin = 0;
-    while (g.in[pin] != net) ++pin;
+        cc_->gates()[cc_->fanout(net)[0]];
     const unsigned sens = substituted_truth(
         g, [pin](unsigned v) { return v ^ (1u << pin); });
     const std::uint64_t* const next =
@@ -151,14 +162,15 @@ void EvalContext::fill_row(RowMemo& memo, bool x, logic::NetId net,
     std::uint64_t unused = 0;
     for (std::size_t w = 0; w < n_words_; ++w)
       row[w] = local_step(*this, g, sens, 0, w, unused) & next[w];
-  } else if (readers.size() > 1) {
-    if (x)
-      cc_->eval_packed_stem_x_planes(good_planes_.data(), stride_, n_words_,
-                                     net, row, lane_scratch);
-    else
-      cc_->eval_packed_stem_planes(good_planes_.data(), stride_, n_words_,
-                                   net, row, lane_scratch);
+  } else if (!cc_->fanout(net).empty()) {
+    // A stem: two or more reader pins, on one gate or several.
+    const std::size_t gates =
+        x ? cc_->eval_packed_stem_x_planes(good_planes_.data(), stride_,
+                                           n_words_, net, row, lane_scratch)
+          : cc_->eval_packed_stem_planes(good_planes_.data(), stride_,
+                                         n_words_, net, row, lane_scratch);
     memo.walks.fetch_add(1, std::memory_order_relaxed);
+    memo.gates.fetch_add(gates, std::memory_order_relaxed);
   }
   // A net nothing reads keeps its zero row.
 }

@@ -137,13 +137,13 @@ class EvalContext {
   /// reads is all zeros; a net read by exactly one pin (g, p) takes
   /// sens(g, p) & obs(g's output), where sens marks the patterns in which
   /// flipping that pin flips g's output; a stem — a non-PO net with two or
-  /// more reader pins — takes one CompiledCircuit::eval_packed_stem_planes
-  /// walk.  Rows are filled on first request, each once, from any thread
-  /// (see the ownership rules above); a chain of single-reader nets is
-  /// filled iteratively from its far end, so no chain depth can exhaust
-  /// the stack.
-  /// @param lane_scratch the caller's stem-walk scratch (the cone cache of
-  ///   the stem walks); only a stem fill touches it
+  /// more reader pins, on one gate or several — takes one
+  /// CompiledCircuit::eval_packed_stem_planes walk.  Rows are filled on
+  /// first request, each once, from any thread (see the ownership rules
+  /// above); a chain of single-reader nets is filled iteratively from its
+  /// far end, so no chain depth can exhaust the stack.
+  /// @param lane_scratch the caller's stem-walk scratch (lanes, marks and
+  ///   the event bitmap of the walks); only a stem fill touches it
   [[nodiscard]] const std::uint64_t* obs_row(
       logic::NetId net, std::vector<std::uint64_t>& lane_scratch) const;
 
@@ -170,6 +170,18 @@ class EvalContext {
     return rows_ ? rows_->xobs.walks.load(std::memory_order_relaxed) : 0;
   }
 
+  /// Gate evaluations of the stem walks behind the binary rows, summed
+  /// over walks and strips: the gates each flip reached.
+  [[nodiscard]] std::uint64_t stem_gates() const {
+    return rows_ ? rows_->obs.gates.load(std::memory_order_relaxed) : 0;
+  }
+
+  /// Gate evaluations of the X walks behind the X rows: the gates each X
+  /// reached.
+  [[nodiscard]] std::uint64_t x_gates() const {
+    return rows_ ? rows_->xobs.gates.load(std::memory_order_relaxed) : 0;
+  }
+
   /// Bytes of row storage allocated so far, both kinds (0 until a row is
   /// first requested; an X-free context never adds the X kind's).
   [[nodiscard]] std::size_t row_bytes() const {
@@ -186,22 +198,19 @@ class EvalContext {
   void build();
 
   /// One kind of observability row (packed contexts only).  `rows`,
-  /// `nets` and `fill_locks` are allocated under `alloc_lock` on the first
+  /// `ready` and `fill_locks` are allocated under `alloc_lock` on the first
   /// request for a row of this kind; row n is written once under
-  /// fill_locks[n % kFillLocks], and nets[n].ready publishes it to every
-  /// later request, which then takes no lock.
+  /// fill_locks[n % kFillLocks], and ready[n] publishes it to every later
+  /// request, which then takes no lock.
   struct RowMemo {
     static constexpr std::size_t kFillLocks = 64;
-    struct Net {
-      std::atomic<bool> ready{false};
-      bool is_po = false;
-    };
     std::mutex alloc_lock;
     std::atomic<bool> allocated{false};
     std::unique_ptr<std::uint64_t[]> rows;  ///< [net][stride_]
-    std::unique_ptr<Net[]> nets;
+    std::unique_ptr<std::atomic<bool>[]> ready;  ///< per net
     std::unique_ptr<std::mutex[]> fill_locks;
     std::atomic<std::uint64_t> walks{0};
+    std::atomic<std::uint64_t> gates{0};  ///< gate evaluations of the walks
   };
   /// Both kinds behind one allocation: binary rows (obs_row) and X rows
   /// (xobs_row).

@@ -258,9 +258,8 @@ std::vector<DetectionRecord> FaultSimulator::run_range(
   // Every fault is self-contained: line and transistor faults fold a
   // one-gate step against the context's shared observability rows, and
   // transistor faults on X-bearing contexts take the serial walk.  One
-  // lane scratch serves the whole range (the stem walks behind the rows
-  // keep their cone cache in it, so reuse also skips its per-call
-  // re-zeroing).
+  // lane scratch serves the whole range, so the stem walks behind the
+  // rows size and zero it once.
   std::vector<std::uint64_t> lanes;
   for (std::size_t fi = begin; fi < end; ++fi) {
     const Fault& f = faults[fi];

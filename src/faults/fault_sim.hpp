@@ -217,10 +217,9 @@ class FaultSimulator {
   /// The per-fault body of run_range and simulate_transistor_fault(ctx,
   /// ...): packed contexts fold the dictionary's output against the
   /// faulted output's observability rows, X-bearing patterns take the
-  /// serial walk.  `lanes` is the stem walks' scratch (their cone cache):
-  /// run_range passes one vector for its whole range, so a stem's binary
-  /// and X walks discover its cone once.  Counts the path and dictionary
-  /// kind into `stats` when non-null.
+  /// serial walk.  `lanes` is the stem walks' scratch: run_range passes
+  /// one vector for its whole range, so it is sized and zeroed once.
+  /// Counts the path and dictionary kind into `stats` when non-null.
   /// @throws std::invalid_argument on a line fault, or when
   ///   transistor_fault_error rejects the fault
   [[nodiscard]] DetectionRecord transistor_fault_record(

@@ -68,6 +68,22 @@ CompiledCircuit::CompiledCircuit(const Circuit& ckt) : ckt_(&ckt) {
     gates_.push_back(r);
   }
 
+  const auto n_nets = static_cast<std::size_t>(ckt.net_count());
+  fanout_offset_.reserve(n_nets + 1);
+  fanout_offset_.push_back(0);
+  for (NetId n = 0; n < ckt.net_count(); ++n) {
+    const auto row = static_cast<std::ptrdiff_t>(fanout_.size());
+    for (const int gid : ckt.fanout(n))
+      fanout_.push_back(static_cast<std::uint32_t>(position_of(gid)));
+    std::sort(fanout_.begin() + row, fanout_.end());
+    fanout_.erase(std::unique(fanout_.begin() + row, fanout_.end()),
+                  fanout_.end());
+    fanout_offset_.push_back(static_cast<std::uint32_t>(fanout_.size()));
+  }
+  is_po_.assign(n_nets, 0);
+  for (const NetId po : ckt.primary_outputs())
+    is_po_[static_cast<std::size_t>(po)] = 1;
+
   for (NetId n = 0; n < ckt.net_count(); ++n) {
     const LogicV c = ckt.constant_of(n);
     if (!is_binary(c)) continue;
@@ -228,26 +244,26 @@ void CompiledCircuit::eval_packed_planes(std::vector<std::uint64_t>& planes,
   active_kernels().planes(*this, planes.data(), stride);
 }
 
-void CompiledCircuit::eval_packed_stem_planes(
+std::size_t CompiledCircuit::eval_packed_stem_planes(
     const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
     NetId stem, std::uint64_t* obs,
     std::vector<std::uint64_t>& lane_scratch) const {
   assert(stem >= 0 && stem < ckt_->net_count());
   assert(n_words <= stride);
-  if (n_words == 0) return;
-  active_kernels().stem_planes(*this, good_planes, stride, n_words, stem, obs,
-                               lane_scratch);
+  if (n_words == 0) return 0;
+  return active_kernels().stem_planes(*this, good_planes, stride, n_words,
+                                      stem, obs, lane_scratch);
 }
 
-void CompiledCircuit::eval_packed_stem_x_planes(
+std::size_t CompiledCircuit::eval_packed_stem_x_planes(
     const std::uint64_t* good_planes, std::size_t stride, std::size_t n_words,
     NetId stem, std::uint64_t* xobs,
     std::vector<std::uint64_t>& lane_scratch) const {
   assert(stem >= 0 && stem < ckt_->net_count());
   assert(n_words <= stride);
-  if (n_words == 0) return;
-  active_kernels().stem_x_planes(*this, good_planes, stride, n_words, stem,
-                                 xobs, lane_scratch);
+  if (n_words == 0) return 0;
+  return active_kernels().stem_x_planes(*this, good_planes, stride, n_words,
+                                        stem, xobs, lane_scratch);
 }
 
 void CompiledCircuit::eval_packed_bridge_planes(

@@ -8,7 +8,10 @@
 // sequence as the interpreted walk it replaced), resolves every pin to a
 // value slot (slot == NetId; unused pins alias slot 0, whose value the
 // tables ignore), and attaches to each record the 64-entry 4-valued
-// good-machine truth table of its cell kind.  A faulty gate substitutes a
+// good-machine truth table of its cell kind.  Beside the records it keeps
+// each net's readers as levelized positions and a PO flag per net: the
+// one fan-out table that PODEM's implication, the event-driven stem walks
+// and EvalContext's row memo read.  A faulty gate substitutes a
 // compiled table derived from its switch-level fault dictionary
 // (gates::FaultAnalysis::compiled_*), so the fault-simulation hot loops
 // never re-consult dictionary rows per pattern.
@@ -27,6 +30,7 @@
 #include <array>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gates/fault_dictionary.hpp"
@@ -93,6 +97,22 @@ class CompiledCircuit {
     return position_[static_cast<std::size_t>(gate_id)];
   }
 
+  /// The levelized positions of the gates that read `net`, ascending; a
+  /// gate that reads the net on two pins is listed once.  PODEM's event
+  /// queue, the stem walks and EvalContext's row memo share this table.
+  [[nodiscard]] std::span<const std::uint32_t> fanout(NetId net) const {
+    const auto n = static_cast<std::size_t>(net);
+    assert(n + 1 < fanout_offset_.size());
+    return {fanout_.data() + fanout_offset_[n],
+            fanout_.data() + fanout_offset_[n + 1]};
+  }
+
+  /// True when `net` is a primary output.
+  [[nodiscard]] bool is_po(NetId net) const {
+    assert(net >= 0 && static_cast<std::size_t>(net) < is_po_.size());
+    return is_po_[static_cast<std::size_t>(net)] != 0;
+  }
+
   /// Scalar table code of a value (kZ reads as kX, exactly like the
   /// interpreted X-aware evaluation treated it).
   [[nodiscard]] static unsigned code(LogicV v) {
@@ -133,10 +153,10 @@ class CompiledCircuit {
   // kernels have no tail loop (padding words are computed but never read —
   // callers mask by their active words).  Packed contexts are binary-only
   // (EvalContext falls back to scalar on any X), so the good machine is one
-  // value plane per net.  X appears only inside a stem's cone during its X
-  // walk, which keeps the X plane in the lanes and derives the value rail
-  // from the good planes (value = good & ~X: an X on one net leaves every
-  // binary net at its good value).
+  // value plane per net.  X appears only on the nets a stem's X walk
+  // reaches, which keeps the X plane in the lanes and derives the value
+  // rail from the good planes (value = good & ~X: an X on one net leaves
+  // every binary net at its good value).
 
   /// Pattern words processed per SIMD step (4 x 64 = 256 patterns).
   static constexpr std::size_t kSimdWords = 4;
@@ -165,28 +185,32 @@ class CompiledCircuit {
                           std::size_t stride) const;
 
   /// Stem walk: the observability row of `stem` over all pattern words.
-  /// The net is flipped in every word and the flip propagates down its
-  /// fan-out cone, sharing the good planes as the fault-free prefix; per
-  /// word, `obs` receives the OR of the PO differences (unmasked — callers
-  /// AND with their active words): bit k is set when flipping the net
-  /// under that pattern flips some PO.  Any net may be walked (a PO's row
-  /// comes out all ones).  The cone is cached in `lane_scratch` under the
-  /// net's key, the layout eval_packed_stem_x_planes and
-  /// eval_packed_bridge_planes share, so a stem's two walks discover its
-  /// cone once.
-  void eval_packed_stem_planes(const std::uint64_t* good_planes,
-                               std::size_t stride, std::size_t n_words,
-                               NetId stem, std::uint64_t* obs,
-                               std::vector<std::uint64_t>& lane_scratch) const;
+  /// The net is flipped in every word and the flip propagates
+  /// event-driven through the fan-out table, sharing the good planes as
+  /// the fault-free machine: a gate is evaluated only when one of its
+  /// inputs differs from the good machine in some pattern word of the
+  /// strip, and its readers only when its own output does.  Per word,
+  /// `obs` receives the OR of the PO differences (unmasked — callers AND
+  /// with their active words): bit k is set when flipping the net under
+  /// that pattern flips some PO.  Any net may be walked (a PO's row comes
+  /// out all ones).  `lane_scratch` is the layout
+  /// eval_packed_stem_x_planes and eval_packed_bridge_planes share.
+  /// @returns the gate evaluations, summed over the walk's strips
+  std::size_t eval_packed_stem_planes(
+      const std::uint64_t* good_planes, std::size_t stride,
+      std::size_t n_words, NetId stem, std::uint64_t* obs,
+      std::vector<std::uint64_t>& lane_scratch) const;
 
   /// X walk: the X observability row of `stem` over all pattern words.
-  /// The net is set to X in every word and the X propagates down the same
-  /// cone in dual rail (X-exact against eval_cell_x); per word, `xobs`
-  /// receives the OR of the PO X planes (unmasked): bit k is set when an
-  /// X on the net under that pattern reaches some PO as X.  Any net may be
-  /// walked (a PO's row comes out all ones).  Same cone cache as
-  /// eval_packed_stem_planes.
-  void eval_packed_stem_x_planes(
+  /// The net is set to X in every word and the X propagates event-driven,
+  /// like the flip of eval_packed_stem_planes, in dual rail (X-exact
+  /// against eval_cell_x); a gate's readers are evaluated only where its
+  /// output carries an X.  Per word, `xobs` receives the OR of the PO X
+  /// planes (unmasked): bit k is set when an X on the net under that
+  /// pattern reaches some PO as X.  Any net may be walked (a PO's row
+  /// comes out all ones).
+  /// @returns the gate evaluations, summed over the walk's strips
+  std::size_t eval_packed_stem_x_planes(
       const std::uint64_t* good_planes, std::size_t stride,
       std::size_t n_words, NetId stem, std::uint64_t* xobs,
       std::vector<std::uint64_t>& lane_scratch) const;
@@ -204,7 +228,8 @@ class CompiledCircuit {
   /// never flip a PO: three-valued propagation is sound, so a binary PO
   /// equals the good machine's value.  The cone is cached in
   /// `lane_scratch` (the stem walks' layout) and rediscovered only when the
-  /// pair changes, so a pair's four behaviours share it.
+  /// pair changes or a stem walk has run on the scratch since, so a pair's
+  /// four behaviours share it.
   /// Writes per word (unmasked): `detect` (some PO binary and different
   /// from good) and `contention` (the good machine drives a and b to
   /// opposite values: the IDDQ excitation).
@@ -225,6 +250,11 @@ class CompiledCircuit {
   const Circuit* ckt_;
   std::vector<GateRec> gates_;          ///< levelized (topo) order
   std::vector<std::size_t> position_;   ///< gate id -> index into gates_
+  /// Per net: its readers' positions, as CSR (row n is
+  /// fanout_[fanout_offset_[n], fanout_offset_[n + 1])).
+  std::vector<std::uint32_t> fanout_offset_;
+  std::vector<std::uint32_t> fanout_;
+  std::vector<std::uint8_t> is_po_;     ///< per net: 1 for a primary output
   std::vector<NetId> const_one_;        ///< slots tied to constant 1
   /// Binary constants for scalar seeding (net, value).
   std::vector<std::pair<NetId, LogicV>> const_binary_;

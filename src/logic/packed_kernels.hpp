@@ -8,8 +8,11 @@
 // -mavx512vl, whose eval_cell_vec overload collapses every cell to one
 // ternary-logic instruction).
 //
-// The vector concept: load/store/splat and the four bitwise ops.  Kernels
-// never touch a single lane: per-word results leave through stores.
+// The vector concept: load/store/splat, the four bitwise ops and one
+// cross-lane test, any (some bit set in some lane).  Kernels never read a
+// single lane: per-word results leave through stores, and any is the one
+// question a kernel asks of a whole vector (whether a gate's lanes left
+// the good machine, so its readers must be walked).
 //
 // Not installed API: include only from compiled_circuit*.cpp, simd.cpp
 // (which reads table()) and the kernel tests, which pin eval_cell_dual
@@ -18,6 +21,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "logic/compiled_circuit.hpp"
@@ -67,6 +71,9 @@ struct U64x4 {
   friend U64x4 operator~(const U64x4& a) {
     return U64x4{{~a.w[0], ~a.w[1], ~a.w[2], ~a.w[3]}};
   }
+  friend bool any(const U64x4& a) {
+    return (a.w[0] | a.w[1] | a.w[2] | a.w[3]) != 0;
+  }
 };
 
 #if defined(__aarch64__)
@@ -99,6 +106,10 @@ struct U64x2x2 {
   friend U64x2x2 operator~(const U64x2x2& a) {
     const uint64x2_t ones = vdupq_n_u64(~0ull);
     return U64x2x2{{veorq_u64(a.v[0], ones), veorq_u64(a.v[1], ones)}};
+  }
+  friend bool any(const U64x2x2& a) {
+    const uint64x2_t o = vorrq_u64(a.v[0], a.v[1]);
+    return (vgetq_lane_u64(o, 0) | vgetq_lane_u64(o, 1)) != 0;
   }
 };
 
@@ -137,6 +148,7 @@ struct M256 {
   friend M256 operator~(const M256& a) {
     return M256{_mm256_xor_si256(a.v, _mm256_set1_epi64x(-1))};
   }
+  friend bool any(const M256& a) { return _mm256_testz_si256(a.v, a.v) == 0; }
 };
 
 }  // namespace
@@ -189,12 +201,62 @@ void eval_planes_t(const CompiledCircuit& cc, std::uint64_t* planes,
 /// and amortize the per-call scalar costs.
 inline constexpr std::size_t kConeGroups = 4;
 
-/// The cached fan-out cone of one stem or one bridged net pair, as laid
-/// out in the lane scratch that the stem and bridge kernels share.
-struct FaultCone {
+/// The lane scratch the stem and bridge kernels share, carved out of the
+/// caller's vector.  Every kernel sizes it identically, so walks of any
+/// kind interleaving on one scratch skip the re-zeroing.
+///
+/// Layout: [lanes: n_net * kW * kConeGroups][marks: n_net][counter]
+///         [cone key][cone length][cone: n_gates][po count][po list: n_po]
+///         [dirty: n_gates / 64 + 1]
+struct LaneScratch {
   /// Lane storage: word j of a strip for net n lives at
   /// lanes[n * kSimdWords * kConeGroups + j].
   std::uint64_t* lanes = nullptr;
+  /// Per net: the counter value of the discovery or strip that last
+  /// marked it; the counter only grows, so a stale mark never matches.
+  std::uint64_t* marks = nullptr;
+  std::uint64_t* counter = nullptr;
+  /// The bridge cone cache: the key of the pair it holds (0 when none),
+  /// its gate list and its PO list.
+  std::uint64_t* cone_key = nullptr;
+  std::uint64_t* cone_len = nullptr;
+  std::uint64_t* cone = nullptr;
+  std::uint64_t* po_len = nullptr;
+  std::uint64_t* po_list = nullptr;
+  /// The stem walks' event queue, one bit per gate position (and at least
+  /// one word), all zero between walks.
+  std::uint64_t* dirty = nullptr;
+};
+
+/// Sizes `scratch` (zeroing it only when its size changes) and returns
+/// its parts.
+inline LaneScratch lane_layout(const CompiledCircuit& cc,
+                               std::vector<std::uint64_t>& scratch) {
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  const Circuit& ckt = cc.circuit();
+  const std::size_t n_net = static_cast<std::size_t>(ckt.net_count());
+  const std::size_t n_po = ckt.primary_outputs().size();
+  const std::size_t n_gates = cc.gates().size();
+  const std::size_t lanes_sz = n_net * kW * kConeGroups;
+  const std::size_t need =
+      lanes_sz + n_net + 4 + n_gates + n_po + n_gates / 64 + 1;
+  if (scratch.size() != need) scratch.assign(need, 0);
+  LaneScratch sc;
+  sc.lanes = scratch.data();
+  sc.marks = sc.lanes + lanes_sz;
+  sc.counter = sc.marks + n_net;
+  sc.cone_key = sc.counter + 1;
+  sc.cone_len = sc.counter + 2;
+  sc.cone = sc.counter + 3;
+  sc.po_len = sc.cone + n_gates;
+  sc.po_list = sc.po_len + 1;
+  sc.dirty = sc.po_list + n_po;
+  return sc;
+}
+
+/// The cached fan-out cone of a bridged net pair.
+struct FaultCone {
+  std::uint64_t* lanes = nullptr;  ///< LaneScratch::lanes
   /// Cone gates in topological order: (position << 3) | mask, where mask
   /// bit i says pin i reads lane storage instead of the good planes.
   const std::uint64_t* gates = nullptr;
@@ -212,48 +274,31 @@ struct FaultCone {
   }
 };
 
-/// Sizes the shared lane scratch and returns the fan-out cone of the seed
-/// nets s0 and s1 (equal for a single seed) over the gates from position
-/// `from` on, rediscovering it only when `key` changed since the last
-/// call.  A seed's own driver is skipped: the seed is forced, so its
-/// driver's value never reaches the cone.  The cone — which gates
+/// Sizes the shared lane scratch and returns the fan-out cone of the
+/// bridged nets a and b, rediscovering it only when the pair changed since
+/// the last call.  A seed's own driver is skipped: the seed is forced, so
+/// its driver's value never reaches the cone.  The cone — which gates
 /// diverge, which of their inputs read lanes vs. good planes, which POs
 /// can differ — is a property of the graph, not of the pattern words, so
-/// it is discovered once (versioned marks + persistent counter) and reused
-/// by every strip and by consecutive calls with the same key (a stem's
-/// binary and X walks, a bridge pair's four behaviours).  Every kernel
-/// sizes the scratch identically, so walks of any kind interleaving on
-/// one scratch keep the cache (and skip the re-zeroing).
-///
-/// Layout: [lanes: n_net * kW * kConeGroups][marks: n_net][counter]
-///         [cone key][cone length][cone: n_gates][po count][po list]
-inline FaultCone seeded_cone(const CompiledCircuit& cc, std::uint64_t key,
-                             NetId s0, NetId s1, std::size_t from,
-                             std::vector<std::uint64_t>& lane_scratch) {
-  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+/// it is discovered once (versioned marks) and reused by every strip and
+/// by a pair's four behaviours, which the universe lists back to back.
+/// The key is the unordered pair with the top bit set, so it is never 0,
+/// the key a stem walk leaves behind when its marks overwrite the cone's.
+inline FaultCone seeded_cone(const CompiledCircuit& cc, NetId a, NetId b,
+                             std::vector<std::uint64_t>& scratch) {
   const auto& gates = cc.gates();
-  const Circuit& ckt = cc.circuit();
-  const std::size_t n_net = static_cast<std::size_t>(ckt.net_count());
-  const std::size_t n_po = ckt.primary_outputs().size();
-  const std::size_t n_gates = gates.size();
-  const std::size_t lanes_sz = n_net * kW * kConeGroups;
-  const std::size_t need = lanes_sz + n_net + 4 + n_gates + n_po;
-  if (lane_scratch.size() != need) lane_scratch.assign(need, 0);
-  std::uint64_t* const lv = lane_scratch.data();
-  std::uint64_t* const marks = lv + lanes_sz;
-  std::uint64_t& counter = lv[lanes_sz + n_net];
-  std::uint64_t& cone_key = lv[lanes_sz + n_net + 1];
-  std::uint64_t& cone_len = lv[lanes_sz + n_net + 2];
-  std::uint64_t* const cone = lv + lanes_sz + n_net + 3;
-  std::uint64_t& po_len = cone[n_gates];
-  std::uint64_t* const po_list = cone + n_gates + 1;
+  const LaneScratch sc = lane_layout(cc, scratch);
+  std::uint64_t* const marks = sc.marks;
+  const std::uint64_t lo = static_cast<std::uint64_t>(std::min(a, b));
+  const std::uint64_t hi = static_cast<std::uint64_t>(std::max(a, b));
+  const std::uint64_t key = (1ull << 63) | (hi << 31) | lo;
 
-  if (cone_key != key) {
-    const std::uint64_t cur = ++counter;  // never reused: marks stay valid
-    marks[static_cast<std::size_t>(s0)] = cur;
-    marks[static_cast<std::size_t>(s1)] = cur;
+  if (*sc.cone_key != key) {
+    const std::uint64_t cur = ++*sc.counter;
+    marks[static_cast<std::size_t>(a)] = cur;
+    marks[static_cast<std::size_t>(b)] = cur;
     std::uint64_t len = 0;
-    for (std::size_t k = from; k < n_gates; ++k) {
+    for (std::size_t k = 0; k < gates.size(); ++k) {
       const CompiledCircuit::GateRec& g = gates[k];
       const std::uint64_t dmask =
           (marks[static_cast<std::size_t>(g.in[0])] == cur ? 1u : 0u) |
@@ -264,41 +309,23 @@ inline FaultCone seeded_cone(const CompiledCircuit& cc, std::uint64_t key,
       // reached is a seed, whose driver stays out of the walk.
       if (marks[static_cast<std::size_t>(g.out)] == cur) continue;
       marks[static_cast<std::size_t>(g.out)] = cur;
-      cone[len++] = (static_cast<std::uint64_t>(k) << 3) | dmask;
+      sc.cone[len++] = (static_cast<std::uint64_t>(k) << 3) | dmask;
     }
-    cone_len = len;
+    *sc.cone_len = len;
     std::uint64_t plen = 0;
-    for (const NetId po : ckt.primary_outputs())
+    for (const NetId po : cc.circuit().primary_outputs())
       if (marks[static_cast<std::size_t>(po)] == cur)
-        po_list[plen++] = static_cast<std::uint64_t>(po);
-    po_len = plen;
-    cone_key = key;
+        sc.po_list[plen++] = static_cast<std::uint64_t>(po);
+    *sc.po_len = plen;
+    *sc.cone_key = key;
   }
-  return FaultCone{lv,      cone,  static_cast<std::size_t>(cone_len),
-                   po_list, static_cast<std::size_t>(po_len),
-                   marks,   counter};
-}
-
-/// The fan-out cone of a stem, keyed by the net (bit 62; bridges take bit
-/// 63), so its binary and X walks share one discovery.  Only gates after
-/// the stem's driver can read it, so a gate-driven stem scans from there;
-/// a stem without a driver (a PI or a constant) from position 0.
-inline FaultCone stem_cone(const CompiledCircuit& cc, NetId stem,
-                           std::vector<std::uint64_t>& lane_scratch) {
-  const int driver = cc.circuit().driver_of(stem);
-  return seeded_cone(cc, (1ull << 62) | static_cast<std::uint64_t>(stem),
-                     stem, stem, driver < 0 ? 0 : cc.position_of(driver) + 1,
-                     lane_scratch);
-}
-
-/// The fan-out cone of a bridged pair, keyed by the unordered pair (the
-/// top bit keeps pair keys apart from gate and stem keys).
-inline FaultCone bridge_cone(const CompiledCircuit& cc, NetId a, NetId b,
-                             std::vector<std::uint64_t>& lane_scratch) {
-  const std::uint64_t lo = static_cast<std::uint64_t>(std::min(a, b));
-  const std::uint64_t hi = static_cast<std::uint64_t>(std::max(a, b));
-  return seeded_cone(cc, (1ull << 63) | (hi << 31) | lo, a, b, 0,
-                     lane_scratch);
+  return FaultCone{sc.lanes,
+                   sc.cone,
+                   static_cast<std::size_t>(*sc.cone_len),
+                   sc.po_list,
+                   static_cast<std::size_t>(*sc.po_len),
+                   marks,
+                   *sc.counter};
 }
 
 /// Clamped group store: full groups go straight to the output array
@@ -389,84 +416,172 @@ inline void eval_cell_dual(gates::CellKind kind, const V& a, const V& ax,
   x = V::splat(0);
 }
 
+/// An all-zero lane row: the X plane of a net the X walk has not reached.
+alignas(32) inline constexpr std::uint64_t kZeroRow[
+    CompiledCircuit::kSimdWords * kConeGroups] = {};
+
+/// Calls `f.template operator()<K>()` with `kind` as the compile-time
+/// constant K, so a kernel's loop over word groups inside f dispatches on
+/// the cell kind once per gate instead of once per group.
+template <class F>
+inline decltype(auto) dispatch_kind(gates::CellKind kind, const F& f) {
+  using gates::CellKind;
+  switch (kind) {
+    case CellKind::kInv: return f.template operator()<CellKind::kInv>();
+    case CellKind::kBuf: return f.template operator()<CellKind::kBuf>();
+    case CellKind::kNand2: return f.template operator()<CellKind::kNand2>();
+    case CellKind::kNor2: return f.template operator()<CellKind::kNor2>();
+    case CellKind::kXor2: return f.template operator()<CellKind::kXor2>();
+    case CellKind::kXor3: return f.template operator()<CellKind::kXor3>();
+    case CellKind::kMaj3: return f.template operator()<CellKind::kMaj3>();
+  }
+  return f.template operator()<CellKind::kInv>();
+}
+
 /// Stem kernel: the observability row of one net, binary (kX false) or X
-/// (kX true).  The binary walk flips the net in every pattern word and
-/// walks the flip down the net's fan-out cone (stem_cone); `obs`
-/// receives, per word (unmasked), the OR of the PO differences — bit k is
-/// set when flipping the net under that pattern flips some PO.  The X walk
-/// seeds the net with X instead and walks in dual rail keeping only the X
-/// plane in the lanes: X on one net is sound, so a cone net that stays
-/// binary holds its good value and its value rail is good & ~X.  `obs`
-/// then receives the OR of the PO X planes — bit k is set when an X on
-/// the net under that pattern reaches some PO as X.  The cone's PO list
-/// holds the net itself when it is a PO, so either row of a PO comes out
+/// (kX true), walked event-driven.  The binary walk flips the net in every
+/// pattern word; `obs` receives, per word (unmasked), the OR of the PO
+/// differences — bit k is set when flipping the net under that pattern
+/// flips some PO.  The X walk seeds the net with X instead and walks in
+/// dual rail keeping only the X plane in the lanes: X on one net is sound,
+/// so a net that stays binary holds its good value and its value rail is
+/// good & ~X.  `obs` then receives the OR of the PO X planes — bit k is
+/// set when an X on the net under that pattern reaches some PO as X.
+///
+/// Per strip, the stem's readers are marked on a bitmap over gate
+/// positions, which one ascending sweep drains (fan-out always sits later
+/// in levelized order, so a gate marked during the sweep is still ahead of
+/// it).  A gate reads lanes only for the inputs that diverged in this
+/// strip and good words for the rest; its output diverges when its lanes
+/// differ from the good words (or carry an X) in some pattern word, and
+/// only then are its readers marked and, for a PO, its difference ORed
+/// into the row.  The seed keeps its good value in the padding words past
+/// n_words, so padding lanes equal the good machine throughout and a gate
+/// diverges only where a real pattern does.  A PO stem's row comes out
 /// all ones.
+/// @returns the gate evaluations, summed over strips
 template <class V, bool kX>
-void eval_stem_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
-                        std::size_t stride, std::size_t n_words, NetId stem,
-                        std::uint64_t* obs,
-                        std::vector<std::uint64_t>& lane_scratch) {
+std::size_t eval_stem_planes_t(const CompiledCircuit& cc,
+                               const std::uint64_t* good, std::size_t stride,
+                               std::size_t n_words, NetId stem,
+                               std::uint64_t* obs,
+                               std::vector<std::uint64_t>& lane_scratch) {
   constexpr std::size_t kW = CompiledCircuit::kSimdWords;
   constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
   const auto& gates = cc.gates();
-  const FaultCone fc = stem_cone(cc, stem, lane_scratch);
-  std::uint64_t* const lv = fc.lanes;
+  const LaneScratch sc = lane_layout(cc, lane_scratch);
+  std::uint64_t* const lv = sc.lanes;
+  std::uint64_t* const marks = sc.marks;
+  std::uint64_t* const dirty = sc.dirty;
+  *sc.cone_key = 0;  // the marks below overwrite any cached bridge cone's
   const std::size_t s = static_cast<std::size_t>(stem);
+  const bool stem_po = cc.is_po(stem);
+  const std::span<const std::uint32_t> stem_readers = cc.fanout(stem);
+  std::size_t evaluated = 0;
 
-  // One strip: NW word groups walked together.  No vector value stays live
-  // across the sub-loops, so wide strips add independent chains without
-  // spilling registers.
+  // One strip: NW word groups walked together.  The sweep's state (the
+  // bitmap word being drained, the last word marked, the gate count) lives
+  // in locals that no lambda captures, so the lane stores, which may alias
+  // any word, do not force it out of registers.
   const auto strip = [&]<std::size_t NW>(std::size_t wg) {
-    for (std::size_t gi = 0; gi < NW; ++gi)
-      V::store(lv + s * kRow + gi * kW,
-               kX ? V::splat(~0ull)
-                  : ~V::load(good + s * stride + wg + gi * kW));
-
-    // Topological order guarantees every lane slot read below was stored
-    // earlier in this strip (by the seed or a cone predecessor).
-    for (std::size_t idx = 0; idx < fc.gate_count; ++idx) {
-      const std::uint64_t e = fc.gates[idx];
-      const CompiledCircuit::GateRec& g = gates[e >> 3];
-      const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
-      const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
-      const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
-      for (std::size_t gi = 0; gi < NW; ++gi) {
-        const std::size_t l = gi * kW;
-        // A pin reads its lane inside the cone; outside it, its good word
-        // (binary walk) or no X (X walk).
-        const auto pin = [&](std::uint64_t bit, std::size_t n) {
-          if ((e & bit) != 0) return V::load(lv + n * kRow + l);
-          return kX ? V::splat(0) : V::load(good + n * stride + wg + l);
-        };
-        V out;
-        if constexpr (kX) {
-          const auto dual = [&](std::size_t n, const V& x) {
-            return V::load(good + n * stride + wg + l) & ~x;
-          };
-          const V ax = pin(1, n0), bx = pin(2, n1), cx = pin(4, n2);
-          V v;
-          eval_cell_dual(g.kind, dual(n0, ax), ax, dual(n1, bx), bx,
-                         dual(n2, cx), cx, v, out);
-        } else {
-          out = eval_cell_vec(g.kind, pin(1, n0), pin(2, n1), pin(4, n2));
-        }
-        V::store(lv + static_cast<std::size_t>(g.out) * kRow + l, out);
-      }
-    }
-
+    const std::uint64_t cur = ++*sc.counter;
+    alignas(32) std::uint64_t live[kRow];
+    for (std::size_t j = 0; j < NW * kW; ++j)
+      live[j] = wg + j < n_words ? ~0ull : 0;
+    V row[NW];
     for (std::size_t gi = 0; gi < NW; ++gi) {
       const std::size_t l = gi * kW;
-      V d = V::splat(0);
-      for (std::size_t i = 0; i < fc.po_count; ++i) {
-        const std::size_t n = static_cast<std::size_t>(fc.po_nets[i]);
-        const V lane = V::load(lv + n * kRow + l);
-        d = d | (kX ? lane : lane ^ V::load(good + n * stride + wg + l));
-      }
-      store_clamped(obs, wg + l, n_words, d);
+      const V seed = V::load(live + l);
+      V::store(lv + s * kRow + l,
+               kX ? seed : seed ^ V::load(good + s * stride + wg + l));
+      row[gi] = stem_po ? seed : V::splat(0);
     }
+    marks[s] = cur;
+
+    std::size_t last = 0;  // the highest bitmap word marked so far
+    std::size_t count = 0;
+    for (const std::uint32_t pos : stem_readers) {
+      dirty[pos >> 6] |= 1ull << (pos & 63);
+      last = pos >> 6;
+    }
+    for (std::size_t w = stem_readers.empty() ? 0 : stem_readers.front() >> 6;
+         w <= last; ++w) {
+      // Readers always sit at later positions, so those marked into word w
+      // while it drains land above the bit just taken.
+      std::uint64_t word = dirty[w];
+      while (word != 0) {
+        const std::size_t pos =
+            w * 64 + static_cast<std::size_t>(__builtin_ctzll(word));
+        word &= word - 1;
+        ++count;
+        const CompiledCircuit::GateRec& g = gates[pos];
+        const std::size_t n0 = static_cast<std::size_t>(g.in[0]);
+        const std::size_t n1 = static_cast<std::size_t>(g.in[1]);
+        const std::size_t n2 = static_cast<std::size_t>(g.in[2]);
+        const std::size_t o = static_cast<std::size_t>(g.out);
+        // A diverged pin reads its lane; any other its good word (binary
+        // walk) or no X (X walk), picked once per gate so the group loop
+        // below does not branch.
+        const auto src = [&](std::size_t n) -> const std::uint64_t* {
+          if (marks[n] == cur) return lv + n * kRow;
+          return kX ? kZeroRow : good + n * stride + wg;
+        };
+        const std::uint64_t* const p0 = src(n0);
+        const std::uint64_t* const p1 = src(n1);
+        const std::uint64_t* const p2 = src(n2);
+        // Every word group of the gate under one compile-time cell kind;
+        // returns where its output left the good machine.
+        const V diff = dispatch_kind(g.kind, [&]<gates::CellKind K>() {
+          V d = V::splat(0);
+          for (std::size_t gi = 0; gi < NW; ++gi) {
+            const std::size_t l = gi * kW;
+            const V a = V::load(p0 + l), b = V::load(p1 + l),
+                    c = V::load(p2 + l);
+            V out;
+            if constexpr (kX) {
+              const auto dual = [&](std::size_t n, const V& x) {
+                return V::load(good + n * stride + wg + l) & ~x;
+              };
+              V v;
+              eval_cell_dual(K, dual(n0, a), a, dual(n1, b), b, dual(n2, c),
+                             c, v, out);
+              d = d | out;
+            } else {
+              out = eval_cell_vec(K, a, b, c);
+              d = d | (out ^ V::load(good + o * stride + wg + l));
+            }
+            V::store(lv + o * kRow + l, out);
+          }
+          return d;
+        });
+        if (!any(diff)) [[unlikely]]
+          continue;  // the flip (or X) stops here
+        marks[o] = cur;
+        if (cc.is_po(g.out))
+          for (std::size_t gi = 0; gi < NW; ++gi) {
+            const std::size_t l = gi * kW;
+            const V lane = V::load(lv + o * kRow + l);
+            row[gi] = row[gi] |
+                      (kX ? lane : lane ^ V::load(good + o * stride + wg + l));
+          }
+        const std::span<const std::uint32_t> readers = cc.fanout(g.out);
+        if (readers.empty()) continue;
+        last = std::max(last, static_cast<std::size_t>(readers.back() >> 6));
+        for (const std::uint32_t r : readers) {
+          const std::uint64_t bit = 1ull << (r & 63);
+          dirty[r >> 6] |= bit;
+          word |= (r >> 6) == w ? bit : 0;
+        }
+      }
+      dirty[w] = 0;
+    }
+    evaluated += count;
+    for (std::size_t gi = 0; gi < NW; ++gi)
+      store_clamped(obs, wg + gi * kW, n_words, row[gi]);
   };
 
   for_each_strip(n_words, strip);
+  return evaluated;
 }
 
 /// Wired value of a bridge, per pattern bit, from its two driver values.
@@ -498,7 +613,7 @@ void eval_bridge_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
   constexpr std::size_t kRow = kW * kConeGroups;  // lane words per net
   const auto& gates = cc.gates();
   const Circuit& ckt = cc.circuit();
-  const FaultCone fc = bridge_cone(cc, br.a, br.b, lane_scratch);
+  const FaultCone fc = seeded_cone(cc, br.a, br.b, lane_scratch);
   const std::size_t lanes_sz =
       static_cast<std::size_t>(ckt.net_count()) * kRow;
   if (n1_scratch.size() != lanes_sz) n1_scratch.assign(lanes_sz, 0);
@@ -617,9 +732,10 @@ void eval_bridge_planes_t(const CompiledCircuit& cc, const std::uint64_t* good,
 /// kernel is one member here and one entry in kKernels.
 struct KernelTable {
   using Scratch = std::vector<std::uint64_t>;
-  using StemWalk = void (*)(const CompiledCircuit&, const std::uint64_t*,
-                            std::size_t, std::size_t, NetId, std::uint64_t*,
-                            Scratch&);
+  using StemWalk = std::size_t (*)(const CompiledCircuit&,
+                                   const std::uint64_t*, std::size_t,
+                                   std::size_t, NetId, std::uint64_t*,
+                                   Scratch&);
   void (*planes)(const CompiledCircuit&, std::uint64_t*, std::size_t);
   StemWalk stem_planes;
   StemWalk stem_x_planes;

@@ -69,7 +69,7 @@ TEST(NetFrame, RoundTripsPayloads) {
   std::string error;
   // The large payload stays under the socketpair buffer: sender and
   // receiver share this thread, so a payload past the buffer would wedge.
-  for (const std::string payload :
+  for (const std::string& payload :
        {std::string(""), std::string("{\"version\":1}"),
         std::string(1 << 15, 'x')}) {
     ASSERT_TRUE(send_frame(pair.a, payload, deadline, &error)) << error;

@@ -223,8 +223,18 @@ TEST(TraceExport, RemoteCampaignTraceSpansAllThreeSides) {
   spec.executor.endpoints = endpoints;
   spec.threads = 2;
   spec.trace_path = path;
+  spec.emit_telemetry = true;
   const CampaignReport report = run_campaign(spec);
   ASSERT_TRUE(report.ok()) << report.error;
+
+  // The shards walked stems on the servers' contexts, not on the
+  // client's, so the client's stem-walk counters read 0.
+  for (const char* name : {"engine.stem_walks", "engine.x_walks",
+                           "engine.stem_gates", "engine.x_gates"}) {
+    const telemetry::CounterValue* c = report.telemetry.find_counter(name);
+    ASSERT_NE(c, nullptr) << name;
+    EXPECT_EQ(c->value, 0u) << name;
+  }
 
   const std::string text = read_file(path);
   ASSERT_FALSE(text.empty()) << "trace file missing: " << path;
@@ -397,6 +407,43 @@ TEST(TelemetryReport, TimingGainsPhaseFieldsOnlyWhenOptedIn) {
   const std::string opted = run_campaign(spec).to_json(true);
   EXPECT_NE(opted.find("\"setup_s\""), std::string::npos);
   EXPECT_NE(opted.find("\"merge_s\""), std::string::npos);
+}
+
+TEST(TelemetryReport, StemWalkCountersAreDeterministic) {
+  // Each stem is walked at most once per job's context, whichever thread
+  // asks first, and a walk's gate count depends only on the stem and the
+  // patterns, so all four counters read the same at any thread count.
+  // The default models put X on some nets, so both row kinds are walked.
+  CampaignSpec spec;
+  spec.jobs.push_back({"c17", logic::c17()});
+  spec.jobs.push_back({"ripple_adder_4", logic::ripple_adder(4)});
+  spec.patterns.kind = PatternSourceSpec::Kind::kRandom;
+  spec.patterns.random_count = 200;
+  spec.seed = 5;
+  spec.shard_size = 8;
+  spec.emit_telemetry = true;
+  const char* const names[] = {"engine.stem_walks", "engine.x_walks",
+                               "engine.stem_gates", "engine.x_gates"};
+  std::vector<std::uint64_t> serial;
+  for (const int threads : {1, 2, 4}) {
+    spec.executor.backend = threads == 1 ? ExecutorBackend::kInline
+                                         : ExecutorBackend::kThreadPool;
+    spec.threads = threads;
+    const CampaignReport report = run_campaign(spec);
+    ASSERT_TRUE(report.ok()) << report.error;
+    std::vector<std::uint64_t> got;
+    for (const char* name : names) {
+      const telemetry::CounterValue* c = report.telemetry.find_counter(name);
+      ASSERT_NE(c, nullptr) << name;
+      got.push_back(c->value);
+    }
+    EXPECT_GT(got[0], 0u);
+    EXPECT_GT(got[1], 0u);
+    EXPECT_GE(got[2], got[0]) << "a walk evaluates at least one gate";
+    EXPECT_GE(got[3], got[1]);
+    if (serial.empty()) serial = got;
+    EXPECT_EQ(got, serial) << threads << " threads";
+  }
 }
 
 TEST(TelemetryReport, SetupSubPhasesRecordedOncePerJob) {

@@ -9,6 +9,7 @@
 // per-pattern oracle), plus X-bearing pattern sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "faults/eval_context.hpp"
 #include "faults/fault_list.hpp"
 #include "faults/fault_sim.hpp"
+#include "logic/bench_format.hpp"
 #include "logic/benchmarks.hpp"
 #include "logic/compiled_circuit.hpp"
 #include "logic/logic_sim.hpp"
@@ -67,6 +69,67 @@ std::vector<Named> roster() {
   out.push_back({"random_a", random_circuit(11, 6, 30)});
   out.push_back({"random_b", random_circuit(23, 8, 60)});
   out.push_back({"random_c", random_circuit(47, 5, 16)});
+  return out;
+}
+
+/// Two circuits whose stems the row memo must not take for fan-out-free
+/// links.  In "shared_pins", net n is read on both pins of one NAND2 and
+/// net m on two pins of one XOR3: the compile's fan-out table lists each
+/// reader once, yet a flip of n flips y everywhere (a one-pin flip would
+/// give NAND(~n, n) = 1, missing every pattern with n = 0), and a flip
+/// of m never reaches z.  In "po_stem", net s is a PO read by two gates.
+std::vector<Named> shared_reader_circuits() {
+  using gates::CellKind;
+  std::vector<Named> out;
+  {
+    Circuit ckt;
+    const NetId a = ckt.add_primary_input("a");
+    const NetId b = ckt.add_primary_input("b");
+    const NetId c = ckt.add_primary_input("c");
+    const NetId n = ckt.add_net("n");
+    const NetId y = ckt.add_net("y");
+    const NetId m = ckt.add_net("m");
+    const NetId z = ckt.add_net("z");
+    ckt.add_gate(CellKind::kNand2, {a, b}, n);
+    ckt.add_gate(CellKind::kNand2, {n, n}, y);
+    ckt.add_gate(CellKind::kNor2, {b, c}, m);
+    ckt.add_gate(CellKind::kXor3, {m, c, m}, z);
+    ckt.mark_primary_output(y);
+    ckt.mark_primary_output(z);
+    ckt.finalize();
+    out.push_back({"shared_pins", std::move(ckt)});
+  }
+  {
+    Circuit ckt;
+    const NetId a = ckt.add_primary_input("a");
+    const NetId b = ckt.add_primary_input("b");
+    const NetId c = ckt.add_primary_input("c");
+    const NetId s = ckt.add_net("s");
+    const NetId t = ckt.add_net("t");
+    const NetId u = ckt.add_net("u");
+    ckt.add_gate(CellKind::kNand2, {a, b}, s);
+    ckt.add_gate(CellKind::kNor2, {s, c}, t);
+    ckt.add_gate(CellKind::kXor2, {s, a}, u);
+    ckt.mark_primary_output(s);
+    ckt.mark_primary_output(t);
+    ckt.mark_primary_output(u);
+    ckt.finalize();
+    out.push_back({"po_stem", std::move(ckt)});
+  }
+  return out;
+}
+
+Circuit ingested(const Circuit& ckt) {
+  return read_bench_string(to_bench_string(ckt));
+}
+
+/// Every supported kernel table, the portable one first.
+std::vector<simd::Backend> supported_tables() {
+  std::vector<simd::Backend> out;
+  for (const simd::Backend b :
+       {simd::Backend::kPortable, simd::Backend::kAvx2,
+        simd::Backend::kAvx512, simd::Backend::kNeon})
+    if (kernels::table(b) != nullptr) out.push_back(b);
   return out;
 }
 
@@ -137,7 +200,9 @@ TEST(CompiledBatch, PlaneGoodMachineMatchesWordKernel) {
 TEST(CompiledBatch, ObservabilityRowsMatchTheStemFaultOracle) {
   const int counts[] = {1, 63, 65, 100, 128, 200};
   std::size_t ci = 0;
-  for (const Named& w : roster()) {
+  std::vector<Named> inputs = roster();
+  for (Named& w : shared_reader_circuits()) inputs.push_back(std::move(w));
+  for (const Named& w : inputs) {
     const int count = counts[ci++ % (sizeof(counts) / sizeof(counts[0]))];
     const auto patterns = random_patterns(w.ckt, count, 7 + ci);
     const EvalContext ctx(w.ckt, patterns);
@@ -216,6 +281,7 @@ std::vector<std::uint64_t> scalar_x_row(const Circuit& ckt,
 
 TEST(CompiledBatch, XObservabilityRowsMatchTheScalarXPass) {
   std::vector<Named> inputs = roster();
+  for (Named& w : shared_reader_circuits()) inputs.push_back(std::move(w));
   for (const char* file :
        {"c17.bench", "full_adder.cpn", "full_adder.v", "voter_cells.v"})
     inputs.push_back({file, load_circuit_file(
@@ -410,7 +476,7 @@ TableRun run_table(const kernels::KernelTable& t, const CompiledCircuit& cc,
 
   std::vector<std::uint64_t> a(n_words);
   std::vector<std::uint64_t> b(n_words);
-  // Each net's binary walk, then its X walk on the cached cone.
+  // Each net's binary walk, then its X walk.
   for (NetId n = 0; n < cc.circuit().net_count(); ++n) {
     t.stem_planes(cc, good, stride, n_words, n, a.data(), lanes);
     run.stem.insert(run.stem.end(), a.begin(), a.end());
@@ -473,6 +539,117 @@ TEST(CompiledBatch, EverySupportedTableMatchesPortable) {
         EXPECT_TRUE(got.stem == want.stem) << label << " stem_planes";
         EXPECT_TRUE(got.stem_x == want.stem_x) << label << " stem_x_planes";
         EXPECT_TRUE(got.bridge == want.bridge) << label << " bridge_planes";
+      }
+    }
+  }
+}
+
+/// Good planes of `n_patterns` seeded random patterns, evaluated by the
+/// portable table, and the per-word valid-pattern masks.
+struct SeededPlanes {
+  std::size_t n_words = 0;
+  std::size_t stride = 0;
+  std::vector<std::uint64_t> good;
+  std::vector<std::uint64_t> active;
+};
+
+SeededPlanes seeded_planes(const CompiledCircuit& cc,
+                           std::size_t n_patterns) {
+  SeededPlanes sp;
+  sp.n_words = (n_patterns + 63) / 64;
+  sp.stride = CompiledCircuit::plane_stride(sp.n_words);
+  sp.active.assign(sp.n_words, ~0ull);
+  if (n_patterns % 64 != 0)
+    sp.active.back() = (1ull << (n_patterns % 64)) - 1;
+  util::SplitMix64 rng(n_patterns);
+  const std::size_t n_pi = cc.circuit().primary_inputs().size();
+  std::vector<std::uint64_t> pi(n_pi * sp.stride, 0);
+  for (std::size_t i = 0; i < n_pi; ++i)
+    for (std::size_t k = 0; k < sp.n_words; ++k)
+      pi[i * sp.stride + k] = rng.next_u64() & sp.active[k];
+  cc.init_packed_planes(pi.data(), sp.stride, sp.good);
+  kernels::table(simd::Backend::kPortable)
+      ->planes(cc, sp.good.data(), sp.stride);
+  return sp;
+}
+
+TEST(CompiledBatch, StemWalksMatchTheStaticConeOracle) {
+  // The event-driven stem walks stop where a flip or an X dies out, so
+  // every net's binary and X row, on every supported table, is pinned to
+  // the static-cone walk they replaced, which walks the whole cone in
+  // every strip.  1,100 patterns span two strips and end in a ragged
+  // group.
+  for (const int slices : {64, 128}) {
+    const Circuit ckt = ingested(alu_array(slices));
+    const std::string name = "alu_array_" + std::to_string(slices);
+    const CompiledCircuit cc(ckt);
+    for (const std::size_t n_patterns : {1, 64, 65, 1024, 1100}) {
+      const SeededPlanes sp = seeded_planes(cc, n_patterns);
+      std::vector<std::uint64_t> want(sp.n_words);
+      std::vector<std::uint64_t> got(sp.n_words);
+      std::vector<std::uint64_t> lanes;
+      for (NetId n = 0; n < ckt.net_count(); ++n)
+        for (const bool x : {false, true}) {
+          if (x)
+            (void)reference::static_cone_stem_row<true>(
+                cc, sp.good.data(), sp.stride, sp.n_words, n, want.data());
+          else
+            (void)reference::static_cone_stem_row<false>(
+                cc, sp.good.data(), sp.stride, sp.n_words, n, want.data());
+          for (const simd::Backend b : supported_tables()) {
+            const kernels::KernelTable& t = *kernels::table(b);
+            (x ? t.stem_x_planes : t.stem_planes)(cc, sp.good.data(),
+                                                  sp.stride, sp.n_words, n,
+                                                  got.data(), lanes);
+            ASSERT_EQ(got, want)
+                << name << " " << simd::backend_name(b) << " patterns "
+                << n_patterns << " net " << n << (x ? " X row" : " row");
+          }
+        }
+    }
+  }
+}
+
+TEST(CompiledBatch, BridgeConesSurviveInterleavedStemWalks) {
+  // A stem walk marks nets on the lane scratch whose marks a cached bridge
+  // cone compares against, so it must leave that cache invalid: the same
+  // bridge, run before and after a stem walk on one lane scratch, returns
+  // the same words on every supported table.  Output-input pairs make the
+  // bridged driver read the cone, where stale marks would show; the walk
+  // starts from a PI outside the pair, so it does not happen to re-mark
+  // the pair's nets.  (EverySupportedTableMatchesPortable runs all stems
+  // before all bridges and cannot see this.)
+  for (const Named& w : roster()) {
+    const CompiledCircuit cc(w.ckt);
+    const SeededPlanes sp = seeded_planes(cc, 300);
+    for (const simd::Backend b : supported_tables()) {
+      const kernels::KernelTable& t = *kernels::table(b);
+      std::vector<std::uint64_t> lanes;
+      std::vector<std::uint64_t> n1_lanes;
+      std::vector<std::uint64_t> row(sp.n_words);
+      std::vector<std::uint64_t> detect[2], contention[2];
+      for (std::vector<std::uint64_t>& v : detect) v.resize(sp.n_words);
+      for (std::vector<std::uint64_t>& v : contention) v.resize(sp.n_words);
+      for (const faults::BridgeFault& bf :
+           faults::enumerate_adjacent_bridges(w.ckt)) {
+        const CompiledCircuit::Bridge br = faults::checked_bridge(w.ckt, bf);
+        const std::vector<NetId>& pis = w.ckt.primary_inputs();
+        const NetId stem = *std::find_if(pis.begin(), pis.end(), [&](NetId n) {
+          return n != br.a && n != br.b;
+        });
+        for (int run = 0; run < 2; ++run) {
+          t.bridge_planes(cc, sp.good.data(), sp.stride, sp.n_words, br,
+                          detect[run].data(), contention[run].data(), lanes,
+                          n1_lanes);
+          (void)t.stem_planes(cc, sp.good.data(), sp.stride, sp.n_words, stem,
+                              row.data(), lanes);
+        }
+        ASSERT_EQ(detect[1], detect[0])
+            << w.name << " " << simd::backend_name(b) << " bridge " << br.a
+            << "-" << br.b;
+        ASSERT_EQ(contention[1], contention[0])
+            << w.name << " " << simd::backend_name(b) << " bridge " << br.a
+            << "-" << br.b;
       }
     }
   }

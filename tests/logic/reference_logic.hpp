@@ -1,8 +1,9 @@
-// Interpreted logic-level reference evaluators for the differential
-// suites: the seed's single-word packed walks over GateInst records in
-// Circuit::topo_order(), with no compilation.  The library evaluates
-// packed patterns only through CompiledCircuit's plane kernels; these
-// walks are the independent oracles those kernels are pinned to.
+// Reference evaluators for the differential suites: the seed's
+// interpreted single-word packed walks over GateInst records in
+// Circuit::topo_order(), with no compilation, and the static-cone stem
+// walk that the event-driven stem kernels replaced.  The library
+// evaluates packed patterns only through CompiledCircuit's plane kernels;
+// these walks are the independent oracles those kernels are pinned to.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "logic/circuit.hpp"
 #include "logic/compiled_circuit.hpp"
 #include "logic/logic_sim.hpp"
+#include "logic/packed_kernels.hpp"
 
 namespace cpsinw::logic::reference {
 
@@ -100,6 +102,96 @@ inline std::vector<std::uint64_t> packed_line(
     values[static_cast<std::size_t>(g.out)] = out;
   }
   return values;
+}
+
+/// The static-cone stem walk, on the portable vector only: the
+/// observability row of `stem`, binary (kX false) or X (kX true), as
+/// CompiledCircuit::eval_packed_stem_planes and eval_packed_stem_x_planes
+/// define it.  It discovers the stem's whole fan-out cone once — every
+/// gate after the stem's driver with an input in the cone, and which of
+/// its pins read the cone — then walks every cone gate in every strip,
+/// whether or not the flip (or X) reaches it there, and ORs the PO lanes
+/// of the cone into the row.
+/// @returns the gate evaluations: the cone's length times the strips
+template <bool kX>
+std::size_t static_cone_stem_row(const CompiledCircuit& cc,
+                                 const std::uint64_t* good,
+                                 std::size_t stride, std::size_t n_words,
+                                 NetId stem, std::uint64_t* obs) {
+  using V = kernels::U64x4;
+  constexpr std::size_t kW = CompiledCircuit::kSimdWords;
+  constexpr std::size_t kRow = kW * kernels::kConeGroups;
+  const Circuit& ckt = cc.circuit();
+  const auto& gates = cc.gates();
+  const std::size_t s = static_cast<std::size_t>(stem);
+
+  std::vector<char> in_cone(static_cast<std::size_t>(ckt.net_count()), 0);
+  in_cone[s] = 1;
+  std::vector<std::size_t> cone;  // (position << 3) | lane-read pin mask
+  const int driver = ckt.driver_of(stem);
+  for (std::size_t k = driver < 0 ? 0 : cc.position_of(driver) + 1;
+       k < gates.size(); ++k) {
+    const CompiledCircuit::GateRec& g = gates[k];
+    std::size_t mask = 0;
+    for (std::size_t i = 0; i < 3; ++i)
+      if (in_cone[static_cast<std::size_t>(g.in[i])] != 0) mask |= 1u << i;
+    if (mask == 0) continue;
+    in_cone[static_cast<std::size_t>(g.out)] = 1;
+    cone.push_back((k << 3) | mask);
+  }
+  std::vector<std::size_t> pos_in_cone;
+  for (const NetId po : ckt.primary_outputs())
+    if (in_cone[static_cast<std::size_t>(po)] != 0)
+      pos_in_cone.push_back(static_cast<std::size_t>(po));
+
+  std::vector<std::uint64_t> lanes(
+      static_cast<std::size_t>(ckt.net_count()) * kRow, 0);
+  std::size_t strips = 0;
+  const auto strip = [&]<std::size_t NW>(std::size_t wg) {
+    ++strips;
+    for (std::size_t gi = 0; gi < NW; ++gi)
+      V::store(lanes.data() + s * kRow + gi * kW,
+               kX ? V::splat(~0ull)
+                  : ~V::load(good + s * stride + wg + gi * kW));
+    for (const std::size_t e : cone) {
+      const CompiledCircuit::GateRec& g = gates[e >> 3];
+      for (std::size_t gi = 0; gi < NW; ++gi) {
+        const std::size_t l = gi * kW;
+        const auto pin = [&](std::size_t i) {
+          const std::size_t n = static_cast<std::size_t>(g.in[i]);
+          if (((e >> i) & 1u) != 0) return V::load(lanes.data() + n * kRow + l);
+          return kX ? V::splat(0) : V::load(good + n * stride + wg + l);
+        };
+        V out;
+        if constexpr (kX) {
+          const auto value = [&](std::size_t i, const V& x) {
+            return V::load(good + static_cast<std::size_t>(g.in[i]) * stride +
+                           wg + l) &
+                   ~x;
+          };
+          const V ax = pin(0), bx = pin(1), cx = pin(2);
+          V v;
+          kernels::eval_cell_dual(g.kind, value(0, ax), ax, value(1, bx), bx,
+                                  value(2, cx), cx, v, out);
+        } else {
+          out = kernels::eval_cell_vec(g.kind, pin(0), pin(1), pin(2));
+        }
+        V::store(lanes.data() + static_cast<std::size_t>(g.out) * kRow + l,
+                 out);
+      }
+    }
+    for (std::size_t gi = 0; gi < NW; ++gi) {
+      const std::size_t l = gi * kW;
+      V d = V::splat(0);
+      for (const std::size_t n : pos_in_cone) {
+        const V lane = V::load(lanes.data() + n * kRow + l);
+        d = d | (kX ? lane : lane ^ V::load(good + n * stride + wg + l));
+      }
+      kernels::store_clamped(obs, wg + l, n_words, d);
+    }
+  };
+  kernels::for_each_strip(n_words, strip);
+  return cone.size() * strips;
 }
 
 /// Per-net good-machine words of up to 64 packed patterns.
